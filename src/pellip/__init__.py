@@ -14,3 +14,8 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+
+class ParameterError(ValueError):
+    """A scalar parameter (exponent, angle, size, range) lies outside
+    its documented domain."""

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import scipy.optimize
 
+from . import ParameterError
 from .ellipticity import accretivity_bounds, delta_p, delta_r_extended
 from .realform import realify, rotation_form, sym_part, vectorize
 
@@ -33,6 +34,8 @@ __all__ = [
     "tensor_hessian_form",
     "tensor_hessian_direct",
     "delta_choice",
+    "PairConstants",
+    "pair_constants",
     "inf_hyperbola",
     "convexity_verify",
     "violation_search",
@@ -50,9 +53,9 @@ class BellmanParams:
 
     def __post_init__(self):
         if not self.p >= 2:
-            raise ValueError("exponent p must satisfy p >= 2")
+            raise ParameterError("exponent p must satisfy p >= 2")
         if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
+            raise ParameterError("delta must lie in (0, 1)")
 
     @property
     def q(self) -> float:
@@ -120,12 +123,16 @@ def delta_from_hessian(A: np.ndarray, p: float) -> float:
     exponent duality this equals :func:`pellip.ellipticity.delta_p`.
     """
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
+        raise ParameterError("exponent p must satisfy p > 1")
+    return 2.0 * float(np.linalg.eigvalsh(_hessian_block(A, p))[0])
+
+
+def _hessian_block(A: np.ndarray, p: float) -> np.ndarray:
+    """sym([[U/q, -V/q], [V/p, U/p]]) for A = U + iV and q = p/(p-1)."""
     q = p / (p - 1)
     A = np.asarray(A, dtype=complex)
     U, V = A.real, A.imag
-    blk = np.block([[U / q, -V / q], [V / p, U / p]])
-    return 2.0 * float(np.linalg.eigvalsh(sym_part(blk))[0])
+    return sym_part(np.block([[U / q, -V / q], [V / p, U / p]]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +225,7 @@ def hessian_q(params: BellmanParams, zeta, eta) -> np.ndarray:
 
     inner = ~outer
     if np.any(inner):
-        zi, ei = zeta[inner], eta[inner]
-        ae = np.abs(ei)
-        vz = np.stack([zi.real, zi.imag], axis=-1)
-        ve = np.stack([ei.real, ei.imag], axis=-1)
-        C = 2.0 * (2.0 - q) * ae[..., None, None] ** (-q) \
-            * vz[..., :, None] * ve[..., None, :]
-        H[..., :2, :2][inner] += d * 2.0 * ae[..., None, None] ** (2.0 - q) * np.eye(2)
-        H[..., :2, 2:][inner] = d * C
-        H[..., 2:, :2][inner] = d * np.swapaxes(C, -1, -2)
-        if q != 2.0:  # at q = 2 the |eta|^{2-q} factor is constant
-            H[..., 2:, 2:][inner] += d * np.abs(zi)[..., None, None] ** 2 \
-                * hess_power(2.0 - q, ei)
+        H[inner] += d * _tensor_hessian_4x4(q, zeta[inner], eta[inner])
     return H[0] if scalar else H
 
 
@@ -295,9 +291,12 @@ def bellman_hessian_form(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     zeta, eta = v
     if on_singular_set(params, zeta, eta):
         raise ValueError("point lies on the singular set of Q")
-    H4 = hessian_q(params, zeta, eta)
-    w1 = vectorize(np.atleast_1d(np.asarray(omega[0], dtype=complex)))
-    w2 = vectorize(np.atleast_1d(np.asarray(omega[1], dtype=complex)))
+    return _pair_form(hessian_q(params, zeta, eta), A, B, omega)
+
+
+def _pair_form(H4: np.ndarray, A, B, omega) -> float:
+    """:func:`_pair` of one 4x4 Hessian at complex directions omega."""
+    w1, w2 = (vectorize(np.atleast_1d(np.asarray(o, dtype=complex))) for o in omega)
     return float(_pair(H4, realify(A), realify(B), w1, w2))
 
 
@@ -306,6 +305,7 @@ def bellman_hessian_form(params: BellmanParams, A: np.ndarray, B: np.ndarray,
 
 
 def _tensor_hessian_4x4(q: float, zeta, eta) -> np.ndarray:
+    """Real 4x4 Hessian of |zeta|^2 |eta|^{2-q} at eta != 0; broadcasts."""
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     ae = np.abs(eta)
@@ -317,7 +317,8 @@ def _tensor_hessian_4x4(q: float, zeta, eta) -> np.ndarray:
         * vz[..., :, None] * ve[..., None, :]
     H[..., :2, 2:] = C
     H[..., 2:, :2] = np.swapaxes(C, -1, -2)
-    H[..., 2:, 2:] = np.abs(zeta)[..., None, None] ** 2 * hess_power(2.0 - q, eta)
+    if q != 2.0:  # at q = 2 the |eta|^{2-q} factor is constant
+        H[..., 2:, 2:] = np.abs(zeta)[..., None, None] ** 2 * hess_power(2.0 - q, eta)
     return H
 
 
@@ -330,7 +331,7 @@ def tensor_hessian_form(A: np.ndarray, B: np.ndarray, q: float,
     Requires 1 < q < 2, eta != 0 and |zeta| < |eta|^{q-1}.
     """
     if not 1 < q < 2:
-        raise ValueError("q must lie in (1, 2)")
+        raise ParameterError("q must lie in (1, 2)")
     zeta, eta = v
     if eta == 0 or not abs(zeta) < abs(eta) ** (q - 1.0):
         raise ValueError("requires eta != 0 and |zeta| < |eta|^(q-1)")
@@ -359,11 +360,7 @@ def tensor_hessian_direct(A, B, q, v, omega) -> float:
     zeta, eta = v
     if eta == 0:
         raise ValueError("eta must be nonzero")
-    H4 = _tensor_hessian_4x4(q, zeta, eta)
-    w1 = vectorize(np.atleast_1d(np.asarray(omega[0], dtype=complex)))
-    w2 = vectorize(np.atleast_1d(np.asarray(omega[1], dtype=complex)))
-    return float(_pair(H4, realify(np.asarray(A, dtype=complex)),
-                       realify(np.asarray(B, dtype=complex)), w1, w2))
+    return _pair_form(_tensor_hessian_4x4(q, zeta, eta), A, B, omega)
 
 
 def tensor_lower_bound(A, B, q, v, omega) -> float:
@@ -392,6 +389,37 @@ def delta_choice(lam: float, Lam: float, delta_q_B: float) -> float:
     if lam <= 0 or Lam <= 0 or delta_q_B <= 0:
         raise ValueError("all inputs must be positive")
     return lam * delta_q_B / (10.0 * Lam * Lam)
+
+
+@dataclasses.dataclass(frozen=True)
+class PairConstants:
+    """Joint constants of (A, B) at p: delta_p = min(delta_p(A),
+    delta_p(B)), lam = min(lam_A, lam_B), Lam = max(Lam_A, Lam_B), and
+    delta_q(B), the input of :func:`delta_choice` (delta_p(B) by duality,
+    but only up to rounding)."""
+
+    delta_p: float
+    lam: float
+    Lam: float
+    delta_q_B: float
+
+    @property
+    def bound(self) -> float:
+        """Proven lower bound (delta_p / 5)(lam / Lam) of the normalized form."""
+        return self.delta_p / 5.0 * self.lam / self.Lam
+
+    @property
+    def delta(self) -> float:
+        return delta_choice(self.lam, self.Lam, self.delta_q_B)
+
+
+def pair_constants(A, B, p: float) -> PairConstants:
+    """The joint constants of (A, B) at exponent p; matrices or fields."""
+    lamA, LamA, _ = accretivity_bounds(A)
+    lamB, LamB, _ = accretivity_bounds(B)
+    return PairConstants(delta_p=min(delta_p(A, p), delta_p(B, p)),
+                         lam=min(lamA, lamB), Lam=max(LamA, LamB),
+                         delta_q_B=delta_p(B, p / (p - 1.0)))
 
 
 def inf_hyperbola(a: float, b: float, c: float) -> float:
@@ -431,13 +459,10 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    dp = min(delta_p(A, params.p), delta_p(B, params.p))
-    if not dp > 0:
+    constants = pair_constants(A, B, params.p)
+    if not constants.delta_p > 0:
         raise ValueError("joint p-ellipticity constant is not positive")
-    lamA, LamA, _ = accretivity_bounds(A)
-    lamB, LamB, _ = accretivity_bounds(B)
-    lam, Lam = min(lamA, lamB), max(LamA, LamB)
-    bound = dp / 5.0 * lam / Lam
+    bound = constants.bound
     rng = np.random.default_rng(rng)
     n = A.shape[-1]
     MA, MB = realify(A), realify(B)
@@ -450,8 +475,8 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     vals = _pair(H4, MA, MB, w1, w2)
 
     order = np.argsort(vals)
-    best_val = float(vals[order[0]])
-    best_x = None
+    starts = np.column_stack([zeta.real, zeta.imag, eta.real, eta.imag, w1, w2])
+    best_val, best_x = float(vals[order[0]]), starts[order[0]]
 
     def objective(x):
         z = complex(x[0], x[1])
@@ -467,23 +492,12 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
         return float(_pair(H4, MA, MB, u1 / n1, u2 / n2))
 
     for idx in order[:refine]:
-        x0 = np.concatenate([
-            [zeta[idx].real, zeta[idx].imag, eta[idx].real, eta[idx].imag],
-            w1[idx], w2[idx],
-        ])
         res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
+            objective, starts[idx], method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-10},
         )
         if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-    if best_x is None:
-        idx = order[0]
-        best_x = np.concatenate([
-            [zeta[idx].real, zeta[idx].imag, eta[idx].real, eta[idx].imag],
-            w1[idx], w2[idx],
-        ])
+            best_val, best_x = float(res.fun), res.x
     witness = {
         "zeta": complex(best_x[0], best_x[1]),
         "eta": complex(best_x[2], best_x[3]),
@@ -507,14 +521,10 @@ def violation_search(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dic
     sphere minimum is (p^2/2) delta_p(A).
     """
     A = np.asarray(A, dtype=complex)
-    p, q = params.p, params.q
-    if not delta_p(A, p) < 0:
+    if not delta_p(A, params.p) < 0:
         raise ValueError("no violation to construct: delta_p(A) >= 0")
     n = A.shape[-1]
-    U, V = A.real, A.imag
-    blk = np.block([[U / q, -V / q], [V / p, U / p]])
-    vals, vecs = np.linalg.eigh(sym_part(blk))
-    x = vecs[:, 0]
+    x = np.linalg.eigh(_hessian_block(A, params.p))[1][:, 0]
     xi = x[:n] + 1j * x[n:]
     v = (1.0 + 0.0j, 0.1 + 0.0j)  # outer branch: 1 >= 0.1^q
     value = bellman_hessian_form(params, A, B, v,

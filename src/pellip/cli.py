@@ -6,9 +6,10 @@ their own: ``ellipticity``, ``bellman``, ``dissipativity``,
 as CSV or JSON with the seed recorded, so a rerun with the same config
 is byte-identical.
 
-Exit codes: 0 success, 2 input error (bad flags, malformed or
-non-accretive spec), 3 verification failure (a checked mathematical
-property did not hold), 1 internal error.
+Exit codes: 0 success, 2 input error (bad or non-finite flags, values
+the library rejects with ParameterError, malformed or non-accretive
+spec), 3 verification failure (a checked mathematical property did
+not hold), 1 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bellman, ellipticity, field, heatnorm
+from . import ParameterError, __version__, bellman, ellipticity, field, heatnorm
 
 __all__ = ["main", "load_spec", "run", "emit_report",
            "InputError", "VerificationError"]
@@ -90,7 +91,7 @@ def _field_from_dict(doc: dict) -> field.MatrixField:
                       extent=float(gdoc["extent"]),
                       boundary=gdoc.get("boundary", "periodic"))
     if "entries" in doc:
-        return field.field_from_cells(grid, _entries_to_array(doc["entries"]))
+        return field.MatrixField(grid, _entries_to_array(doc["entries"]))
     gen = doc["generator"]
     name = gen["name"]
     if name == "rotation":
@@ -152,17 +153,12 @@ def _cmd_bellman(args) -> list[dict]:
     p = args.p
     if p < 2:
         raise InputError("bellman verification needs p >= 2")
-    dpA, dpB = ellipticity.delta_p(A, p), ellipticity.delta_p(B, p)
-    lamA, LamA, _ = ellipticity.accretivity_bounds(A)
-    lamB, LamB, _ = ellipticity.accretivity_bounds(B)
-    lam, Lam = min(lamA, lamB), max(LamA, LamB)
-    q = p / (p - 1.0)
-    if min(dpA, dpB) > 0:
-        delta = bellman.delta_choice(lam, Lam, ellipticity.delta_p(B, q))
-        params = bellman.BellmanParams(p, delta)
+    c = bellman.pair_constants(A, B, p)
+    if c.delta_p > 0:
+        params = bellman.BellmanParams(p, c.delta)
         out = bellman.convexity_verify(params, A, B, budget=args.budget,
                                        rng=args.seed)
-        row = {"p": p, "delta": delta, "delta_p": min(dpA, dpB),
+        row = {"p": p, "delta": params.delta, "delta_p": c.delta_p,
                "min_ratio": out["min_ratio"], "bound": out["bound"],
                "passed": out["pass"], "violation": ""}
         if not out["pass"]:
@@ -171,10 +167,16 @@ def _cmd_bellman(args) -> list[dict]:
                 f"< bound={out['bound']:.6g}")
         return [row]
     params = bellman.BellmanParams(p, 0.5)
-    wit = bellman.violation_search(params, A if dpA < 0 else B, B)
-    return [{"p": p, "delta": 0.5, "delta_p": min(dpA, dpB),
+    wit = bellman.violation_search(
+        params, A if ellipticity.delta_p(A, p) < 0 else B, B)
+    return [{"p": p, "delta": 0.5, "delta_p": c.delta_p,
              "min_ratio": wit["value"], "bound": 0.0, "passed": True,
              "violation": f"negative branch value {wit['value']:.6g}"}]
+
+
+# The identity checks need a Bellman delta > 0 even when A lies outside
+# the q-range (delta_q(A) <= 0), so delta's input is floored here.
+_DELTA_Q_FLOOR = 1e-6
 
 
 def _cmd_dissipativity(args) -> list[dict]:
@@ -190,16 +192,15 @@ def _cmd_dissipativity(args) -> list[dict]:
     B = A
     f_probe, g_probe = _smooth_pair(grid, rng)
     value, companion = field.dissipativity_functional(A, f_probe, args.p)
-    q = args.p / (args.p - 1.0)
-    delta = bellman.delta_choice(A.lam, A.Lam,
-                                 max(ellipticity.delta_p(A, q), 1e-6))
-    params = bellman.BellmanParams(args.p, min(delta, 0.5))
+    c = bellman.pair_constants(A, B, args.p)
+    delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_q_B, _DELTA_Q_FLOOR))
+    params = bellman.BellmanParams(args.p, delta)
     res = field.identity_checks(A, B, f_probe, g_probe, params)
     row = {"p": args.p, "value": value, "companion": companion,
            "hessian_identity": res["hessian_identity"],
            "antisymmetric_divfree": res["antisymmetric_divfree"],
            "chain_rule": res["chain_rule"]}
-    if ellipticity.delta_p(A, args.p) >= 0 and value < -1e-8:
+    if c.delta_p >= 0 and value < -1e-8:
         raise VerificationError(
             f"dissipativity functional negative ({value:.6g}) although the "
             "p-ellipticity constant is nonnegative")
@@ -388,6 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
+    for name in ("p", "phi", "extent"):
+        val = getattr(args, name)
+        if val is not None and not math.isfinite(val):
+            raise InputError(f"--{name} must be finite, got {val}")
     rows = _DISPATCH[args.subcommand](args)
     meta = {"seed": args.seed, "version": __version__,
             "command": args.subcommand}
@@ -399,7 +404,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return run(args)
-    except InputError as exc:
+    except (InputError, ParameterError) as exc:  # library range checks too
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -2,8 +2,10 @@
 
 Computes the accretivity bounds (lambda, Lambda, nu), the p-ellipticity
 constant delta_p, the angle-like quantity mu, the normalized matrix W_p
-and the closed-form special cases, together with independent sampling
-oracles for cross-checking the exact eigenvalue reductions.
+and the closed-form special cases.  lambda, nu and delta_p are exact
+eigenvalue reductions of the real form of A; tan(nu) is the largest
+|eigenvalue| of the (Im-form, Re-form) pencil, batched over cells.
+Sampling oracles for delta_p and mu cross-check the exact reductions.
 
 Every public function accepts either a single complex (n, n) array, a
 stack of matrices with shape (..., n, n) interpreted as a piecewise
@@ -18,9 +20,9 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
+from . import ParameterError
 from .realform import antisym_part, realify, sym_part
 
 __all__ = [
@@ -54,6 +56,14 @@ def _cells(A) -> np.ndarray:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("expected a square matrix or a stack of square matrices")
     return A.reshape((-1,) + A.shape[-2:])
+
+
+def _distinct(mats: np.ndarray) -> np.ndarray:
+    """The bitwise-distinct matrices of a stack, in no particular order;
+    piecewise constant fields repeat a few matrices over many cells."""
+    rows = np.ascontiguousarray(mats).reshape(mats.shape[0], -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return mats[np.unique(keys, return_index=True)[1]]
 
 
 def rotation_matrix(phi: float, n: int = 2) -> np.ndarray:
@@ -92,11 +102,11 @@ class MatrixSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "rotation", "skew", "rotated", "field"):
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
+            raise ParameterError(f"unknown matrix kind {self.kind!r}")
         if self.kind == "rotation" and not abs(self.phi) < math.pi / 2:
-            raise ValueError("rotation angle must satisfy |phi| < pi/2")
+            raise ParameterError("rotation angle must satisfy |phi| < pi/2")
         if self.kind == "skew" and not abs(self.w) < 1:
-            raise ValueError("skew parameter must satisfy |w| < 1")
+            raise ParameterError("skew parameter must satisfy |w| < 1")
         if self.kind in ("constant", "rotated", "field"):
             lam, _, _ = accretivity_bounds(self.realize())
             if not lam > 0:
@@ -151,60 +161,43 @@ def delta_r_extended(A, r: float) -> float:
     r > 1 it coincides with :func:`delta_p`.
     """
     if not r > 0:
-        raise ValueError("exponent must be positive")
-    return float(_delta_cells(_cells(A), r).min())
+        raise ParameterError("exponent must be positive")
+    return float(_delta_cells(_distinct(_cells(A)), r).min())
 
 
 def delta_p(A, p: float) -> float:
     """The p-ellipticity constant; exact, via a 2n x 2n symmetric eigenproblem."""
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
-    return float(_delta_cells(_cells(A), p).min())
+        raise ParameterError("exponent p must satisfy p > 1")
+    return float(_delta_cells(_distinct(_cells(A)), p).min())
 
 
 def accretivity_bounds(A) -> tuple[float, float, float]:
     """(lambda, Lambda, nu): ellipticity lower bound, operator-norm upper
-    bound and numerical-range angle, reduced over cells for fields."""
-    mats = _cells(A)
+    bound and numerical-range half-angle, reduced over cells for fields.
+
+    Re<A xi, xi> and Im<A xi, xi> are the real quadratic forms of
+    P = sym(M(A)) and S = sym(J^T M(A)) on R^2n, so tan(nu) is the
+    largest |eigenvalue| of the pencil (S, P) over all cells.
+    """
+    mats = _distinct(_cells(A))
     n = mats.shape[-1]
     M = realify(mats)
-    lam = float(np.linalg.eigvalsh(sym_part(M))[..., 0].min())
+    P = sym_part(M)
+    lam = float(np.linalg.eigvalsh(P)[..., 0].min())
     Lam = float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
     if lam <= 0:
         # numerical range meets the closed left half plane; no sector angle
         return lam, Lam, math.pi / 2
-    nu = max(_nu_cell(mats[k]) for k in range(mats.shape[0]))
-    return lam, Lam, nu
-
-
-def _nu_cell(Amat: np.ndarray) -> float:
-    """Numerical-range half-angle of one accretive matrix.
-
-    Re<A xi, xi> and Im<A xi, xi> are both real quadratic forms on R^2n;
-    the extreme tangent is the largest-magnitude eigenvalue of the
-    pencil (Im form, Re form), followed by a local polish of |arg|.
-    """
-    n = Amat.shape[-1]
-    M = realify(Amat)
-    P = sym_part(M)
     J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    S = sym_part(J.T @ M)
-    vals, vecs = scipy.linalg.eigh(S, P)
-    k = int(np.argmax(np.abs(vals)))
-    nu = math.atan(abs(vals[k]))
+    return lam, Lam, math.atan(_pencil_radius(sym_part(J.T @ M), P))
 
-    def neg_arg(x):
-        xi = x[:n] + 1j * x[n:]
-        if np.linalg.norm(xi) < 1e-14:
-            return 0.0
-        z = np.vdot(xi, Amat @ xi).conjugate()  # <A xi, xi>
-        return -abs(np.angle(z))
 
-    res = scipy.optimize.minimize(
-        neg_arg, vecs[:, k], method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    return max(nu, -float(res.fun))
+def _pencil_radius(S: np.ndarray, P: np.ndarray) -> float:
+    """Largest |eigenvalue| of the symmetric pencils (S, P) over a stack,
+    P positive definite; whitening P = L L^T batches it in eigvalsh."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(P))
+    return float(np.abs(np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))).max())
 
 
 def mu(A, *, tol: float = 1e-12, maxiter: int = 80) -> float:
@@ -214,7 +207,7 @@ def mu(A, *, tol: float = 1e-12, maxiter: int = 80) -> float:
     change of delta_p, which is Lipschitz and nonincreasing in s.
     Returns 1 when delta stays positive up to s = 1 - 1e-9.
     """
-    mats = _cells(A)
+    mats = _distinct(_cells(A))
 
     def delta_of_s(s: float) -> float:
         # p >= 2 with |1 - 2/p| = s
@@ -237,6 +230,35 @@ def mu(A, *, tol: float = 1e-12, maxiter: int = 80) -> float:
     return (lo + hi) / 2
 
 
+def _sphere_min(mats, form, samples, refine, rng, maxiter, fatol) -> float:
+    """Sampled, then Nelder-Mead refined, minimum over cells and unit xi
+    of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches."""
+    rng = np.random.default_rng(rng)
+    best = math.inf
+    for Amat in mats:
+        n = Amat.shape[-1]
+
+        def values(X):
+            Xi = X[..., :n] + 1j * X[..., n:]
+            nrm = np.linalg.norm(Xi, axis=-1, keepdims=True)
+            Xi = Xi / np.where(nrm < 1e-14, 1.0, nrm)
+            AXi = Xi @ Amat.T
+            vals = form(np.sum(AXi * Xi.conjugate(), axis=-1), np.sum(AXi * Xi, axis=-1))
+            return np.where(nrm[..., 0] < 1e-14, math.inf, vals)
+
+        X = rng.standard_normal((samples, 2 * n))
+        vals = values(X)
+        order = np.argsort(vals)
+        best = min(best, float(vals[order[0]]))
+        for idx in order[:refine]:
+            res = scipy.optimize.minimize(
+                lambda x: float(values(x)), X[idx], method="Nelder-Mead",
+                options={"maxiter": maxiter, "xatol": 1e-10, "fatol": fatol},
+            )
+            best = min(best, float(res.fun))
+    return best
+
+
 def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None,
               guard: float = 1e-12) -> float:
     """Direct sphere minimization of the mu quotient.
@@ -244,35 +266,11 @@ def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None,
     Points with |<A xi, conj xi>| below ``guard`` are excluded; the
     bisection path is authoritative, this is a cross-check.
     """
-    mats = _cells(A)
-    rng = np.random.default_rng(rng)
-    best = math.inf
-    for Amat in mats:
-        n = Amat.shape[-1]
+    def quotient(inner, skew):
+        den = np.abs(skew)
+        return np.where(den < guard, math.inf, inner.real / np.maximum(den, guard))
 
-        def quotient(x):
-            xi = x[:n] + 1j * x[n:]
-            nrm = np.linalg.norm(xi)
-            if nrm < 1e-14:
-                return math.inf
-            xi = xi / nrm
-            den = abs(np.sum((Amat @ xi) * xi))
-            if den < guard:
-                return math.inf
-            return float(np.real(np.vdot(xi, Amat @ xi).conjugate())) / den
-
-        X = rng.standard_normal((samples, 2 * n))
-        vals = np.array([quotient(x) for x in X])
-        order = np.argsort(vals)
-        cand = min(vals[order[0]], best)
-        for idx in order[:refine]:
-            res = scipy.optimize.minimize(
-                quotient, X[idx], method="Nelder-Mead",
-                options={"maxiter": 600, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            cand = min(cand, float(res.fun))
-        best = min(best, cand)
-    return min(best, 1.0)
+    return min(_sphere_min(_cells(A), quotient, samples, refine, rng, 600, 1e-12), 1.0)
 
 
 def p_ellipticity_range(A) -> tuple[float, float]:
@@ -288,48 +286,23 @@ def delta_p_oracle(A, p: float, *, samples: int = 4096, refine: int = 8,
     """Sampled + locally refined minimum of
     Re<A xi, xi> - |1 - 2/p| |<A xi, conj xi>| over the unit sphere."""
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
-    mats = _cells(A)
+        raise ParameterError("exponent p must satisfy p > 1")
     s = abs(1.0 - 2.0 / p)
-    rng = np.random.default_rng(rng)
-    best = math.inf
-    for Amat in mats:
-        n = Amat.shape[-1]
-
-        def objective(x):
-            xi = x[:n] + 1j * x[n:]
-            nrm = np.linalg.norm(xi)
-            if nrm < 1e-14:
-                return math.inf
-            xi = xi / nrm
-            Axi = Amat @ xi
-            return float(
-                np.real(np.sum(Axi * xi.conjugate()))
-                - s * abs(np.sum(Axi * xi))
-            )
-
-        X = rng.standard_normal((samples, 2 * n))
-        Xi = X[:, :n] + 1j * X[:, n:]
-        Xi = Xi / np.linalg.norm(Xi, axis=1, keepdims=True)
-        AXi = Xi @ Amat.T
-        vals = (
-            np.real(np.sum(AXi * Xi.conjugate(), axis=1))
-            - s * np.abs(np.sum(AXi * Xi, axis=1))
-        )
-        order = np.argsort(vals)
-        cand = float(vals[order[0]])
-        for idx in order[:refine]:
-            res = scipy.optimize.minimize(
-                objective, X[idx], method="Nelder-Mead",
-                options={"maxiter": 800, "xatol": 1e-10, "fatol": 1e-13},
-            )
-            cand = min(cand, float(res.fun))
-        best = min(best, cand)
-    return best
+    return _sphere_min(_cells(A), lambda inner, skew: inner.real - s * np.abs(skew),
+                       samples, refine, rng, 800, 1e-13)
 
 
 # ---------------------------------------------------------------------------
 # W_p and closed forms
+
+
+def _inv_sqrt(U: np.ndarray, message: str) -> np.ndarray:
+    """U^{-1/2} for a real symmetric positive definite U; ``message``
+    names U in the error raised otherwise."""
+    evals, evecs = np.linalg.eigh(U)
+    if evals[0] <= 0:
+        raise ValueError(message)
+    return (evecs / np.sqrt(evals)) @ evecs.T
 
 
 def _script_v_p(V: np.ndarray, p: float) -> np.ndarray:
@@ -344,15 +317,11 @@ def script_w_p(A, p: float):
     is <= 1 exactly when delta_p(A) >= 0.
     """
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
+        raise ParameterError("exponent p must satisfy p > 1")
     mats = _cells(A)
     Ws, norms = [], []
     for Amat in mats:
-        Us = sym_part(Amat.real)
-        evals, evecs = np.linalg.eigh(Us)
-        if evals[0] <= 0:
-            raise ValueError("(Re A)_s must be positive definite")
-        S_inv = (evecs / np.sqrt(evals)) @ evecs.T
+        S_inv = _inv_sqrt(sym_part(Amat.real), "(Re A)_s must be positive definite")
         W = S_inv @ _script_v_p(Amat.imag, p) @ S_inv
         Ws.append(W)
         norms.append(np.linalg.norm(W, 2))
@@ -370,25 +339,21 @@ def closed_form_delta(kind: str, params: dict, p: float) -> float:
     tan^2(phi) (||Bs^{-1/2} Ba Bs^{-1/2}||^2 + phat^2) / (1 - phat^2).
     """
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
+        raise ParameterError("exponent p must satisfy p > 1")
     ph = 1.0 - 2.0 / p
     if kind == "rotation":
         return math.cos(params["phi"]) - abs(ph)
     if kind == "skew":
         if p < 2:
-            raise ValueError("skew closed form requires p >= 2")
+            raise ParameterError("skew closed form requires p >= 2")
         return 1.0 - math.sqrt(ph * ph + params["w"] ** 2)
     if kind == "rotated_wp_norm":
         B = np.asarray(params["B"], dtype=float)
         phi = params["phi"]
-        Bs = sym_part(B)
-        evals, evecs = np.linalg.eigh(Bs)
-        if evals[0] <= 0:
-            raise ValueError("B must have positive definite symmetric part")
-        S_inv = (evecs / np.sqrt(evals)) @ evecs.T
+        S_inv = _inv_sqrt(sym_part(B), "B must have positive definite symmetric part")
         core = np.linalg.norm(S_inv @ antisym_part(B) @ S_inv, 2)
         return math.tan(phi) ** 2 * (core**2 + ph * ph) / (1.0 - ph * ph)
-    raise ValueError(f"unknown closed form kind {kind!r}")
+    raise ParameterError(f"unknown closed form kind {kind!r}")
 
 
 def sector_test_symmetric(A, p: float, *, tol: float = 1e-12) -> bool:
@@ -400,19 +365,14 @@ def sector_test_symmetric(A, p: float, *, tol: float = 1e-12) -> bool:
     (V_s, U_s) stays below tan of the critical sector angle.
     """
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
+        raise ParameterError("exponent p must satisfy p > 1")
     if abs(p - 2) < 1e-15:
         return True
-    thresh = 2.0 * math.sqrt(p - 1) / abs(p - 2)
-    for Amat in _cells(A):
-        Us = sym_part(Amat.real)
-        Vs = sym_part(Amat.imag)
-        if np.linalg.eigvalsh(Us)[0] <= 0:
-            return False
-        g = float(np.abs(scipy.linalg.eigh(Vs, Us, eigvals_only=True)).max())
-        if g > thresh + tol:
-            return False
-    return True
+    mats = _cells(A)
+    Us, Vs = sym_part(mats.real), sym_part(mats.imag)
+    if np.linalg.eigvalsh(Us)[..., 0].min() <= 0:
+        return False
+    return _pencil_radius(Vs, Us) <= 2.0 * math.sqrt(p - 1) / abs(p - 2) + tol
 
 
 def ellipticity_report(A, p: float) -> EllipticityReport:

@@ -20,9 +20,10 @@ import math
 import numpy as np
 import scipy.linalg
 
+from . import ParameterError
 from . import bellman as _bellman
 from . import ellipticity as _ellipticity
-from .realform import realify, sym_part
+from .realform import realify
 
 __all__ = [
     "Grid",
@@ -34,7 +35,6 @@ __all__ = [
     "integrate",
     "lp_norm",
     "constant_field",
-    "field_from_cells",
     "two_value_field",
     "section7_field",
     "mollify",
@@ -63,13 +63,13 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
+            raise ParameterError("dim must be 1 or 2")
         if self.cells < 8:
-            raise ValueError("need at least 8 cells per axis")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+            raise ParameterError("need at least 8 cells per axis")
+        if not 0 < self.extent < math.inf:
+            raise ParameterError("extent must be positive and finite")
         if self.boundary not in ("periodic", "dirichlet"):
-            raise ValueError("boundary must be 'periodic' or 'dirichlet'")
+            raise ParameterError("boundary must be 'periodic' or 'dirichlet'")
 
     @property
     def h(self) -> float:
@@ -162,25 +162,17 @@ class MatrixField:
         if m.shape != self.grid.shape + (d, d):
             raise ValueError("matrix array does not match the grid")
         object.__setattr__(self, "mats", m)
-        # lambda/Lambda only (skip the per-cell sector angle: fields can
-        # have tens of thousands of cells)
-        flat = m.reshape((-1,) + m.shape[-2:])
-        lam = float(np.linalg.eigvalsh(sym_part(realify(flat)))[..., 0].min())
-        Lam = float(np.linalg.svd(flat, compute_uv=False)[..., 0].max())
+        lam, Lam, _ = _ellipticity.accretivity_bounds(m)
         if not lam > 0:
             raise ValueError("field is not uniformly accretive (lambda <= 0)")
-        object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "Lam", float(Lam))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "Lam", Lam)
 
 
 def constant_field(grid: Grid, A: np.ndarray) -> MatrixField:
     A = np.asarray(A, dtype=complex)
     return MatrixField(grid, np.broadcast_to(
         A, grid.shape + A.shape).copy())
-
-
-def field_from_cells(grid: Grid, mats: np.ndarray) -> MatrixField:
-    return MatrixField(grid, mats)
 
 
 def two_value_field(grid: Grid, A0: np.ndarray, A1: np.ndarray,
@@ -196,9 +188,9 @@ def two_value_field(grid: Grid, A0: np.ndarray, A1: np.ndarray,
 def section7_field(grid: Grid, gamma: float) -> MatrixField:
     """I - i*gamma*chi_E*R on the plane, E = {|x1| >= |x2|}."""
     if grid.dim != 2:
-        raise ValueError("requires a 2-D grid")
+        raise ParameterError("requires a 2-D grid")
     if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
+        raise ParameterError("gamma must lie in [0, 1)")
     X, Y = grid.meshes()
     chi = np.abs(X) >= np.abs(Y)
     A0 = np.eye(2, dtype=complex)
@@ -215,10 +207,10 @@ def mollify(field: MatrixField, eps: float) -> MatrixField:
     can only improve.
     """
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
+        raise ParameterError("eps must be nonnegative")
     g = field.grid
     if g.boundary != "periodic":
-        raise ValueError("mollification requires a periodic grid")
+        raise ParameterError("mollification requires a periodic grid")
     K = int(math.ceil(eps / g.h)) - 1 if eps > 0 else 0
     K = max(K, 0)
     offsets, weights = [], []
@@ -256,7 +248,7 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     dual form with the adjoint field and the conjugate exponent.
     """
     if p < 2:
-        raise ValueError(
+        raise ParameterError(
             "p >= 2 required; for p < 2 use the adjoint field with the "
             "conjugate exponent (duality of the form)")
     g = A.grid
@@ -278,6 +270,27 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     return value, companion
 
 
+def _polar_terms(p: float, r, grad_r, grad_phi, w, weights):
+    """Polar data of f = r e^{i phi}: the pointwise u = e^{-i phi} grad f
+    and v = e^{-i phi} grad(|f|^{p-2} f), and the decomposition terms
+      (p-1) r^{p-2} |grad r|^2,  r^p |grad phi|^2,  w J(r^p, phi)
+    integrated against the quadrature ``weights``.  Their sum is the
+    integral of Re<A u, v> when Im A = w R (w is None: no Im A term).
+    """
+    u = grad_r + 1j * r[..., None] * grad_phi
+    v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
+        + 1j * r[..., None] ** (p - 1.0) * grad_phi
+    t1 = float(np.sum(weights * (p - 1.0) * r ** (p - 2.0)
+                      * np.sum(grad_r ** 2, axis=-1)))
+    t2 = float(np.sum(weights * r ** p * np.sum(grad_phi ** 2, axis=-1)))
+    t3 = 0.0
+    if w is not None:
+        jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
+                                    - grad_r[..., 1] * grad_phi[..., 0])
+        t3 = float(np.sum(weights * w * jac))
+    return u, v, (t1, t2, t3)
+
+
 def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
                              grad_r: np.ndarray, grad_phi: np.ndarray):
     """Dissipativity value for f = r e^{i phi} given closed-form polar
@@ -293,22 +306,10 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
     self-check.
     """
     g = A.grid
-    u = grad_r + 1j * r[..., None] * grad_phi
-    v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
-        + 1j * r[..., None] ** (p - 1.0) * grad_phi
-    integrand = np.real(_pairing(A.mats, u, v))
-    value = float(g.h ** g.dim * np.sum(integrand))
-
-    t1 = (p - 1.0) * r ** (p - 2.0) * np.sum(grad_r ** 2, axis=-1)
-    t2 = r ** p * np.sum(grad_phi ** 2, axis=-1)
-    if g.dim == 2:
-        w = A.mats[..., 1, 0].imag  # Im A = w R with R the rotation generator
-        jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
-                                    - grad_r[..., 1] * grad_phi[..., 0])
-        t3 = w * jac
-    else:
-        t3 = np.zeros_like(t1)
-    terms = tuple(float(g.h ** g.dim * np.sum(t)) for t in (t1, t2, t3))
+    # Im A = w R with R the rotation generator (2-D)
+    w = A.mats[..., 1, 0].imag if g.dim == 2 else None
+    u, v, terms = _polar_terms(p, r, grad_r, grad_phi, w, g.h ** g.dim)
+    value = float(g.h ** g.dim * np.sum(np.real(_pairing(A.mats, u, v))))
     return value, terms
 
 
@@ -468,34 +469,21 @@ def counterexample_section7(p: float, gamma: float, grid: Grid) -> dict:
     elliptic ones for gamma close to 1 and the functional goes negative.
     """
     if p <= 2:
-        raise ValueError("requires p > 2")
+        raise ParameterError("requires p > 2")
     if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
+        raise ParameterError("gamma must lie in [0, 1)")
     if grid.dim != 2 or grid.extent < 4:
-        raise ValueError("requires a 2-D grid with extent >= 4")
+        raise ParameterError("requires a 2-D grid with extent >= 4")
     X, Y, W = _s7_quadrature(grid, p)
     r = np.exp(-np.pi * (X * X + Y * Y))
     grad_r = np.stack([-2.0 * np.pi * X * r, -2.0 * np.pi * Y * r], axis=-1)
     # f = r e^{i phi} with phi = -p x1 x2
     grad_phi = np.stack([-p * Y, -p * X], axis=-1)
     w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
-
-    # direct integrand: Re<A u, v> with u, v the polar gradient data
-    u = grad_r + 1j * r[..., None] * grad_phi
-    v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
-        + 1j * r[..., None] ** (p - 1.0) * grad_phi
+    u, v, terms = _polar_terms(p, r, grad_r, grad_phi, w, W)
     # A = I + i w R with R the rotation generator, so (A u) = u + i w R u
     Au = u + 1j * w[..., None] * np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    integrand = np.real(np.sum(Au * v.conjugate(), axis=-1))
-    value = float(np.sum(W * integrand))
-
-    t1 = float(np.sum(W * (p - 1.0) * r ** (p - 2.0)
-                      * np.sum(grad_r ** 2, axis=-1)))
-    t2 = float(np.sum(W * r ** p * np.sum(grad_phi ** 2, axis=-1)))
-    jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
-                                - grad_r[..., 1] * grad_phi[..., 0])
-    t3 = float(np.sum(W * w * jac))
-    terms = (t1, t2, t3)
+    value = float(np.sum(W * np.real(np.sum(Au * v.conjugate(), axis=-1))))
     total = sum(terms)
     rel = abs(value - total) / max(abs(value), 1e-300)
     return {"value": value, "terms": terms, "decomposition_error": rel}
@@ -560,7 +548,7 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
     g = A.grid
     N = g.size
     if N > 4096:
-        raise ValueError("operator too large for dense storage")
+        raise ParameterError("operator too large for dense storage")
     c, h = g.cells, g.h
     periodic = g.boundary == "periodic"
     coeff = A.mats.reshape((N, g.dim, g.dim))
@@ -601,7 +589,7 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:
     """e^{-tL} f via dense scaling-and-squaring matrix exponential."""
     if t < 0:
-        raise ValueError("time must be nonnegative")
+        raise ParameterError("time must be nonnegative")
     E = scipy.linalg.expm(-t * L.matrix)
     return GridFunction(L.grid, (E @ f.values.reshape(-1)).reshape(L.grid.shape))
 
@@ -616,14 +604,10 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     compares with both the energy budget E(0)/a0 and the closed
     constant (20/delta_p)(Lam/lam) ||f||_p ||g||_q.
     """
-    dp = min(_ellipticity.delta_p(A, p), _ellipticity.delta_p(B, p))
-    if not dp > 0:
-        raise ValueError("joint p-ellipticity constant must be positive")
-    lam = min(A.lam, B.lam)
-    Lam = max(A.Lam, B.Lam)
-    q = p / (p - 1.0)
-    delta = _bellman.delta_choice(lam, Lam, _ellipticity.delta_p(B, q))
-    params = _bellman.BellmanParams(p, delta)
+    c = _bellman.pair_constants(A, B, p)
+    if not c.delta_p > 0:
+        raise ParameterError("joint p-ellipticity constant must be positive")
+    params = _bellman.BellmanParams(p, c.delta)
     gr = A.grid
     if times is None:
         times = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
@@ -646,9 +630,9 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     monotone = bool(np.all(np.diff(energy) <= tol * np.maximum(energy[:-1], 1.0)))
     trapz = getattr(np, "trapezoid", None) or np.trapz
     time_integral = float(trapz(bilinear, times))
-    a0 = dp / 5.0 * lam / Lam
+    a0 = c.bound
     budget_ok = a0 * time_integral <= energy[0] + tol
-    closed = (20.0 / dp) * (Lam / lam) * lp_norm(f, p) * lp_norm(g, q)
+    closed = (20.0 / c.delta_p) * (c.Lam / c.lam) * lp_norm(f, p) * lp_norm(g, params.q)
     return {
         "times": np.asarray(times),
         "energy": energy,
@@ -658,7 +642,7 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
         "time_integral": time_integral,
         "ratio": time_integral / closed,
         "a0": a0,
-        "delta": delta,
+        "delta": params.delta,
     }
 
 
@@ -668,7 +652,7 @@ def contractivity_probe(L: OperatorMatrix, p: float, t: float,
     refined by the nonlinear power method for p-norms.  Evidence only:
     a lower bound on the discrete operator norm."""
     if not p > 1:
-        raise ValueError("exponent p must satisfy p > 1")
+        raise ParameterError("exponent p must satisfy p > 1")
     rng = np.random.default_rng(rng)
     E = scipy.linalg.expm(-t * L.matrix)
     q = p / (p - 1.0)

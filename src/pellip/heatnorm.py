@@ -18,6 +18,8 @@ import math
 import numpy as np
 import scipy.optimize
 
+from . import ParameterError
+
 __all__ = [
     "HeatNormResult",
     "phi_p",
@@ -41,7 +43,7 @@ class HeatNormResult:
 def phi_p(p: float) -> float:
     """Contractivity angle arccos|1 - 2/p|; symmetric in p <-> p/(p-1)."""
     if not 1 < p < math.inf:
-        raise ValueError("exponent must lie in (1, inf)")
+        raise ParameterError("exponent must lie in (1, inf)")
     return math.acos(abs(1.0 - 2.0 / p))
 
 
@@ -49,9 +51,9 @@ def heat_norm_constant(phi: float, p: float) -> float:
     """Per-dimension L^p norm C(phi, p) of the complex-time heat
     evolution, |phi| < pi/2, p in [1, inf]."""
     if not abs(phi) < math.pi / 2:
-        raise ValueError("|phi| must be less than pi/2")
+        raise ParameterError("|phi| must be less than pi/2")
     if not 1 <= p <= math.inf:
-        raise ValueError("exponent must lie in [1, inf]")
+        raise ParameterError("exponent must lie in [1, inf]")
     if p in (1, math.inf):
         # sigma = 1: the fourth-root expression degenerates to this limit
         return 1.0 / math.sqrt(math.cos(phi))
@@ -87,11 +89,11 @@ def gaussian_oracle(phi: float, p: float, t: float = 1.0) -> float:
     better Gaussian.  The result is independent of t.
     """
     if not abs(phi) < math.pi / 2:
-        raise ValueError("|phi| must be less than pi/2")
+        raise ParameterError("|phi| must be less than pi/2")
     if not 1 < p < math.inf:
-        raise ValueError("exponent must lie in (1, inf)")
+        raise ParameterError("exponent must lie in (1, inf)")
     if t <= 0:
-        raise ValueError("time must be positive")
+        raise ParameterError("time must be positive")
     z = t * complex(math.cos(phi), math.sin(phi))
 
     def neg(x):
@@ -114,7 +116,7 @@ def tensorized_demo(phi: float, p: float, n: int) -> HeatNormResult:
     """Dimension-n norm C^n and the induced lower bound C^n / 2 on the
     bilinear-embedding constant for the pair (e^{i phi} I, its adjoint)."""
     if n < 1:
-        raise ValueError("dimension must be at least 1")
+        raise ParameterError("dimension must be at least 1")
     C = heat_norm_constant(phi, p)
     oracle = gaussian_oracle(phi, p)
     C_pow_n = C ** n

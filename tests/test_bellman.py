@@ -319,3 +319,31 @@ def test_violation_search_finds_negative_form():
     assert abs(val - out["value"]) < 1e-12
     with pytest.raises(ValueError):
         bl.violation_search(params, np.eye(2) + 0j, np.eye(2) + 0j)
+
+
+def test_pair_constants_match_their_definitions():
+    A, B = el.rotation_matrix(0.3, 2), random_accretive(2, scale=0.2)
+    for p in (2.0, 3.0, 8.0):
+        c = bl.pair_constants(A, B, p)
+        lamA, LamA, _ = el.accretivity_bounds(A)
+        lamB, LamB, _ = el.accretivity_bounds(B)
+        assert c.delta_p == min(el.delta_p(A, p), el.delta_p(B, p))
+        assert (c.lam, c.Lam) == (min(lamA, lamB), max(LamA, LamB))
+        assert c.bound == c.delta_p / 5.0 * c.lam / c.Lam
+        assert c.delta == bl.delta_choice(c.lam, c.Lam, el.delta_p(B, p / (p - 1)))
+    # a non-elliptic pair still has constants, but no admissible delta
+    c = bl.pair_constants(el.rotation_matrix(1.5, 2), B, 3.0)
+    assert c.delta_p < 0
+    with pytest.raises(ValueError):
+        bl.pair_constants(A, el.rotation_matrix(1.5, 2), 3.0).delta
+
+
+def test_hessian_q_inner_branch_at_p2():
+    # q = 2: the |eta|^{2-q} factor is constant, so the tensor Hessian
+    # has no eta-eta block and no cross terms
+    pr = bl.BellmanParams(p=2.0, delta=0.07)
+    z, e = 0.4 + 0.3j, 1.1 - 0.6j  # |zeta|^2 < |eta|^2: inner branch
+    H = bl.hessian_q(pr, z, e)
+    F = bl.hessian_fd(lambda a, b: bl.bellman_value(pr, a, b), z, e)
+    assert np.abs(H - F).max() < 1e-5
+    assert np.allclose(bl._tensor_hessian_4x4(2.0, z, e), np.diag([2.0, 2.0, 0.0, 0.0]))

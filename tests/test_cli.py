@@ -153,3 +153,27 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert row["value"] > 0
     assert row["antisymmetric_divfree"] < 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["ellipticity", "--p", "0.5"],
+    ["ellipticity", "--p", "nan"],
+    ["heatnorm", "--p", "1.0"],
+    ["counterexample", "--p", "1.5"],
+    ["heatflow", "--grid-cells", "4"],
+    ["dissipativity", "--extent", "-1"],
+])
+def test_bad_flag_values_are_input_errors(tmp_path, capsys, argv):
+    n = 1 if argv[0] == "heatflow" else 2
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3, "n": n})
+    assert cli.main(argv + ["--spec", spec]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_other_library_errors_stay_internal(tmp_path, capsys, monkeypatch):
+    # only the range checks map to exit 2; any other ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("unexpected")
+    monkeypatch.setattr(heatnorm, "tensorized_demo", broken)
+    assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 1
+    assert "internal error" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellip import ellipticity as el
 from pellip import field as fd
@@ -238,3 +240,55 @@ def test_mollify_basics():
         G = fd.mollify(F2, eps)
         assert el.delta_p(G, 4) >= el.delta_p(F2, 4) - 1e-10
         assert el.mu(G) >= el.mu(F2) - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the sector angle nu (exact pencil reduction)
+
+
+def _sampled_max_arg(A, samples=4000):
+    """max |arg<A xi, xi>| over random complex directions."""
+    n = A.shape[-1]
+    X = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    z = np.sum((X @ A.T) * X.conjugate(), axis=1)  # <A xi, xi>
+    return float(np.abs(np.angle(z)).max())
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, -0.8, 0.99])
+def test_nu_of_skew_is_zero(w):
+    # A = I + i w R with R antisymmetric: <A xi, xi> = |xi|^2 is real
+    assert el.accretivity_bounds(el.skew_matrix(w))[2] < 1e-15
+
+
+def test_nu_of_section7_field_is_zero():
+    F = fd.section7_field(fd.Grid(2, 16, 4.0), 0.9)
+    assert el.accretivity_bounds(F)[2] < 1e-15
+
+
+@given(n=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(min_value=0.05, max_value=1.5))
+@settings(max_examples=60, deadline=None)
+def test_nu_bounds_sampled_arguments(n, seed, scale):
+    r = np.random.default_rng(seed)
+    A = scale * (r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))) + 2.0 * np.eye(n)
+    lam, _, nu = el.accretivity_bounds(A)
+    assume(lam > 1e-3)
+    assert _sampled_max_arg(A) <= nu + 1e-12
+    assert nu < math.pi / 2
+
+
+def test_nu_of_stack_is_max_over_cells():
+    cells = [random_accretive(3, scale=rng.uniform(0.1, 0.9)) for _ in range(7)]
+    stack = np.stack(cells)
+    want = max(el.accretivity_bounds(A)[2] for A in cells)
+    assert abs(el.accretivity_bounds(stack)[2] - want) < 1e-15
+    assert abs(el.accretivity_bounds(stack.reshape(7, 1, 3, 3))[2] - want) < 1e-15
+
+
+def test_matrix_field_bounds_are_accretivity_bounds():
+    grid = fd.Grid(2, 8, 1.0)
+    mats = np.stack([random_accretive(2, scale=0.3) for _ in range(64)]).reshape(8, 8, 2, 2)
+    F = fd.MatrixField(grid, mats)
+    assert (F.lam, F.Lam) == el.accretivity_bounds(mats)[:2]
+    S7 = fd.section7_field(grid, 0.6)
+    assert (S7.lam, S7.Lam) == el.accretivity_bounds(S7.mats)[:2]
