@@ -15,11 +15,10 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
 
 from . import ParameterError
 from .ellipticity import accretivity_bounds, delta_p, delta_r_extended
-from .realform import realify, rotation_form, sym_part, vectorize
+from .realform import devectorize, realify, rotation_form, sym_part, vectorize
 
 __all__ = [
     "BellmanParams",
@@ -36,7 +35,6 @@ __all__ = [
     "delta_choice",
     "PairConstants",
     "pair_constants",
-    "inf_hyperbola",
     "convexity_verify",
     "violation_search",
 ]
@@ -254,32 +252,25 @@ def hessian_fd(func, zeta: complex, eta: complex, step: float = 1e-5) -> np.ndar
 
 def _pair(H4: np.ndarray, MA: np.ndarray, MB: np.ndarray,
           w1: np.ndarray, w2: np.ndarray):
-    """Pair a (batched) 4x4 Hessian with the real forms of (A, B).
-
-    w1, w2 are (batched) real 2n-vectors; each 2x2 block H_ab of the
-    Hessian expands to H_ab (x) I_n and is evaluated between the
-    appropriate real-form images:
-      sum over blocks <(H_ab (x) I) w_b, M_row w_a>.
-    """
+    """Pair a (batched) 4x4 Hessian with the real forms of (A, B):
+    <diag(M(A), M(B)) w, (H4 (x) I_n) w> at w = (w1, w2), where w1, w2
+    are (batched) real 2n-vectors.  (H4 (x) I_n) w is H4 acting on w
+    read as four rows of n numbers."""
     n = MA.shape[-1] // 2
-    u1, v1 = w1[..., :n], w1[..., n:]
-    u2, v2 = w2[..., :n], w2[..., n:]
-    # (H_ab (x) I_n) acting on a real 2n-vector (u, v):
-    # rows are H[a0]*u + H[a1]*v componentwise in the 2x2 index.
-    def kron_apply(Hblk, u, v):
-        return np.concatenate(
-            [Hblk[..., 0, 0, None] * u + Hblk[..., 0, 1, None] * v,
-             Hblk[..., 1, 0, None] * u + Hblk[..., 1, 1, None] * v],
-            axis=-1,
-        )
+    w = np.concatenate([w1, w2], axis=-1)
+    Hw = (H4 @ w.reshape(w.shape[:-1] + (4, n))).reshape(w.shape)
+    Dw = np.concatenate([np.einsum("...ij,...j->...i", MA, w1),
+                         np.einsum("...ij,...j->...i", MB, w2)], axis=-1)
+    return np.sum(Dw * Hw, axis=-1)
 
-    Aw1 = np.einsum("...ij,...j->...i", MA, w1)
-    Bw2 = np.einsum("...ij,...j->...i", MB, w2)
-    t11 = np.sum(kron_apply(H4[..., :2, :2], u1, v1) * Aw1, axis=-1)
-    t12 = np.sum(kron_apply(H4[..., :2, 2:], u2, v2) * Aw1, axis=-1)
-    t21 = np.sum(kron_apply(H4[..., 2:, :2], u1, v1) * Bw2, axis=-1)
-    t22 = np.sum(kron_apply(H4[..., 2:, 2:], u2, v2) * Bw2, axis=-1)
-    return t11 + t12 + t21 + t22
+
+def _form_matrix(H4: np.ndarray, MA: np.ndarray, MB: np.ndarray) -> np.ndarray:
+    """Symmetric (batched) 4n x 4n matrix K with w^T K w = _pair(H4, MA,
+    MB, w1, w2) at w = (w1, w2): K = sym(diag(M(A), M(B))^T (H4 (x) I_n))."""
+    n = MA.shape[-1] // 2
+    zero = np.zeros_like(MA)
+    D = np.block([[MA, zero], [zero, MB]])
+    return sym_part(D.T @ np.kron(H4, np.eye(n)))
 
 
 def bellman_hessian_form(params: BellmanParams, A: np.ndarray, B: np.ndarray,
@@ -422,93 +413,100 @@ def pair_constants(A, B, p: float) -> PairConstants:
                          delta_q_B=delta_p(B, p / (p - 1.0)))
 
 
-def inf_hyperbola(a: float, b: float, c: float) -> float:
-    """inf over X > 0 of aX - b + c/X; -inf when a < 0 or c < 0."""
-    if a < 0 or c < 0:
-        return -math.inf
-    return 2.0 * math.sqrt(a * c) - b
+# The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the
+# phases (zeta, o1) -> e^{ia}(zeta, o1), (eta, o2) -> e^{ib}(eta, o2) and
+# the scaling (s^{1/p} zeta, s^{1/q} eta, s^{1/p} o1, s^{1/q} o2), so the
+# points reduce to v = (1, rho^{1/q}) with rho = |eta|^q / |zeta|^p.
+# log rho is scanned at offsets from rho = 1, dense there: to e^140 on the
+# inner branch, to e^-20 on the outer one (the ratio is a power of rho).
+# log tau is bisected on [-300, 300] down to 5e-16.
+_LOG_RHO = np.geomspace(1e-10, 140.0, 160)
+_LOG_RHO_SCAN = np.concatenate([-_LOG_RHO[_LOG_RHO <= 20.0][::-1], _LOG_RHO])
+_ZOOMS, _ZOOM_POINTS, _LOG_TAU_SPAN, _BISECTIONS = 6, 9, 300.0, 60
 
 
-def _sample_points(params: BellmanParams, rng, m: int):
-    """Batched off-singular-set points and unit directions."""
-    p, q = params.p, params.q
-    # radii around the branch interface; log-uniform keeps both branches
-    # and a range of scales represented
-    log_r = rng.uniform(-1.5, 1.5, size=(2, m))
-    zeta = 10.0 ** log_r[0] * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    eta = 10.0 ** log_r[1] * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-    gap = np.abs(np.abs(zeta) ** p - np.abs(eta) ** q)
-    keep = (gap > 1e-9 * np.maximum(1.0, np.abs(zeta) ** p)) & (np.abs(eta) > 1e-9)
-    return zeta[keep], eta[keep]
+def _scaled(K: np.ndarray, log_tau) -> np.ndarray:
+    """K_tau = [[K11 / tau, K12], [K21, tau K22]] of a (batched) K."""
+    d = np.exp(np.multiply.outer(0.5 * np.asarray(log_tau),
+                                 np.repeat([-1.0, 1.0], K.shape[-1] // 2)))
+    return d[..., :, None] * K * d[..., None, :]
 
 
-def _unit_directions(rng, m: int, n: int) -> np.ndarray:
-    w = rng.standard_normal((m, 2 * n))
-    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+def _direction_inf(K: np.ndarray):
+    """(value, log tau): exact inf over w = (w1, w2), w1, w2 != 0, of
+    w^T K w / (|w1||w2|) for a batch of symmetric 4n x 4n K.  Each tau > 0
+    gives the lower bound 2 lam_min(K_tau) where that is nonnegative, and
+    lam_min(K_tau) is quasi-concave in log tau with slope lam_min (|x2|^2 -
+    |x1|^2) at its unit eigenvector x: bisection on |x2|^2 - 1/2 finds the
+    maximizer, where w = (x1, tau x2) attains the bound, negative or not."""
+    m = K.shape[-1] // 2
+    lo, hi = -_LOG_TAU_SPAN, _LOG_TAU_SPAN
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        x2 = np.linalg.eigh(_scaled(K, mid))[1][..., m:, 0]
+        rising = np.sum(x2 ** 2, axis=-1) > 0.5
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    s = 0.5 * (lo + hi)
+    return 2.0 * np.linalg.eigvalsh(_scaled(K, s))[..., 0], s
+
+
+def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
+    """Unit x = (x1, x2) in the lam_min eigenspace of K_tau with |x1| =
+    |x2|, also where a multiple lam_min (outer branch, multiples of the
+    identity) has unbalanced eigenvectors: sqrt(g1) u0 + sqrt(-g0) u1 for
+    (g0 < 0, u0), (g1 > 0, u1) extreme eigenpairs of |x2|^2 - |x1|^2 there."""
+    m = Kt.shape[-1] // 2
+    evals, evecs = np.linalg.eigh(Kt)
+    E = evecs[:, evals - evals[0] <= 1e-9 * max(abs(evals[0]), 1e-9)]  # ties
+    g, U = np.linalg.eigh(E[m:].T @ E[m:] - E[:m].T @ E[:m])
+    if not g[0] < 0 < g[-1]:
+        return E @ U[:, np.argmin(np.abs(g))]
+    c = math.sqrt(g[-1]) * U[:, 0] + math.sqrt(-g[0]) * U[:, -1]
+    return E @ c / np.linalg.norm(c)
 
 
 def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
-                     budget: int = 10_000, rng=None, refine: int = 6,
                      tol: float = 1e-8) -> dict:
-    """Search for the minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over
-    off-singular-set points v and unit directions, and compare with the
-    proven lower bound (delta_p / 5)(lam / Lam).
+    """Minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over off-singular-set
+    points v and nonzero directions, against the proven lower bound
+    (delta_p / 5)(lam / Lam): the rho scan above, zoomed around its best
+    point, and for p > 2 the rho -> infinity limit (at p = 2 the ratio
+    does not depend on rho).  The witness attains the best scanned value.
 
     Refuses when the joint ellipticity constant min(delta_p(A),
     delta_p(B)) is not positive; use :func:`violation_search` there.
     """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
     constants = pair_constants(A, B, params.p)
     if not constants.delta_p > 0:
         raise ValueError("joint p-ellipticity constant is not positive")
-    bound = constants.bound
-    rng = np.random.default_rng(rng)
-    n = A.shape[-1]
     MA, MB = realify(A), realify(B)
 
-    zeta, eta = _sample_points(params, rng, budget)
-    m = zeta.shape[0]
-    w1 = _unit_directions(rng, m, n)
-    w2 = _unit_directions(rng, m, n)
-    H4 = hessian_q(params, zeta, eta)
-    vals = _pair(H4, MA, MB, w1, w2)
+    def form(log_rho):
+        return _form_matrix(hessian_q(params, 1.0, np.exp(log_rho / params.q)), MA, MB)
 
-    order = np.argsort(vals)
-    starts = np.column_stack([zeta.real, zeta.imag, eta.real, eta.imag, w1, w2])
-    best_val, best_x = float(vals[order[0]]), starts[order[0]]
-
-    def objective(x):
-        z = complex(x[0], x[1])
-        e = complex(x[2], x[3])
-        if on_singular_set(params, z, e, tol=1e-9):
-            return math.inf
-        u1 = x[4:4 + 2 * n]
-        u2 = x[4 + 2 * n:]
-        n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-        if n1 < 1e-12 or n2 < 1e-12:
-            return math.inf
-        H4 = hessian_q(params, z, e)
-        return float(_pair(H4, MA, MB, u1 / n1, u2 / n2))
-
-    for idx in order[:refine]:
-        res = scipy.optimize.minimize(
-            objective, starts[idx], method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    witness = {
-        "zeta": complex(best_x[0], best_x[1]),
-        "eta": complex(best_x[2], best_x[3]),
-        "omega1": best_x[4:4 + 2 * n][:n] + 1j * best_x[4:4 + 2 * n][n:],
-        "omega2": best_x[4 + 2 * n:][:n] + 1j * best_x[4 + 2 * n:][n:],
-    }
+    x = _LOG_RHO_SCAN
+    for _ in range(_ZOOMS):
+        i = int(np.argmin(_direction_inf(form(x))[0]))
+        # the bracket around the best point, on its branch
+        lo = x[i - 1] if i > 0 and x[i - 1] * x[i] > 0 else x[i]
+        hi = x[i + 1] if i + 1 < x.size and x[i + 1] * x[i] > 0 else x[i]
+        x = np.concatenate([np.linspace(lo, x[i], _ZOOM_POINTS),
+                            np.linspace(x[i], hi, _ZOOM_POINTS)[1:]])
+    K = form(x)
+    vals, log_tau = _direction_inf(K)
+    i = int(np.argmin(vals))
+    w1, w2 = np.split(_balanced_minimizer(_scaled(K[i], log_tau[i])), 2)
+    min_ratio = float(vals[i])
+    if params.p > 2:
+        min_ratio = min(min_ratio, 2.0 * params.q * math.sqrt(
+            params.delta * accretivity_bounds(A)[0] * constants.delta_q_B))
     return {
-        "min_ratio": best_val,
-        "bound": bound,
-        "witness": witness,
-        "pass": best_val >= bound - tol,
+        "min_ratio": min_ratio,
+        "bound": constants.bound,
+        "witness": {"zeta": 1.0 + 0.0j, "eta": complex(math.exp(x[i] / params.q)),
+                    "omega1": devectorize(w1),
+                    "omega2": math.exp(log_tau[i]) * devectorize(w2)},
+        "pass": min_ratio >= constants.bound - tol,
     }
 
 

@@ -19,6 +19,7 @@ import concurrent.futures
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -117,16 +118,20 @@ def _coefficient(spec, grid: field.Grid) -> field.MatrixField:
     return field.constant_field(grid, A)
 
 
+_MAX_SCAN_VALUES = 10_000
+
+
 def _parse_scan(text: str) -> np.ndarray:
-    """'start:stop:step' -> inclusive grid of values."""
+    """'start:stop:step' -> inclusive grid of at most _MAX_SCAN_VALUES values."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise InputError(f"bad scan range {text!r} (want start:stop:step)") from exc
-    if step <= 0 or stop < start:
-        raise InputError(f"bad scan range {text!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    span = (stop - start) / step + 1e-9 if start <= stop and step > 0 else -1.0
+    if not 0 <= span < _MAX_SCAN_VALUES:  # also rejects nan and inf
+        raise InputError(f"bad scan range {text!r} (want finite start <= stop, "
+                         f"step > 0, at most {_MAX_SCAN_VALUES} values)")
+    return start + step * np.arange(int(span) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +156,10 @@ def _cmd_bellman(args) -> list[dict]:
     A = spec.realize()
     B = A if args.spec_b is None else load_spec(args.spec_b).realize()
     p = args.p
-    if p < 2:
-        raise InputError("bellman verification needs p >= 2")
     c = bellman.pair_constants(A, B, p)
     if c.delta_p > 0:
         params = bellman.BellmanParams(p, c.delta)
-        out = bellman.convexity_verify(params, A, B, budget=args.budget,
-                                       rng=args.seed)
+        out = bellman.convexity_verify(params, A, B)
         row = {"p": p, "delta": params.delta, "delta_p": c.delta_p,
                "min_ratio": out["min_ratio"], "bound": out["bound"],
                "passed": out["pass"], "violation": ""}
@@ -185,9 +187,6 @@ def _cmd_dissipativity(args) -> list[dict]:
     A = _coefficient(spec, grid if not isinstance(spec, field.MatrixField)
                      else spec.grid)
     grid = A.grid
-    if args.p < 2:
-        raise InputError("dissipativity subcommand evaluates p >= 2 "
-                         "(use the adjoint field and conjugate exponent below 2)")
     rng = np.random.default_rng(args.seed)
     B = A
     f_probe, g_probe = _smooth_pair(grid, rng)
@@ -294,7 +293,8 @@ def _cmd_heatnorm(args) -> list[dict]:
 
 
 def _map(fn, tasks, workers):
-    if workers and workers > 1:
+    workers = min(workers or 1, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gamma-scan", help="gamma sweep start:stop:step")
         sp.add_argument("--grid-cells", type=int, default=64)
         sp.add_argument("--extent", type=float, default=4.0)
-        sp.add_argument("--budget", type=int, default=10_000)
+        sp.add_argument("--budget", type=int, default=10_000, help="unused; kept for old argv")
         sp.add_argument("--n", type=int, default=1)
         sp.add_argument("--seed", type=int, default=20_240_817)
         sp.add_argument("--out", help="output path (default stdout)")

@@ -297,12 +297,12 @@ def delta_p_oracle(A, p: float, *, samples: int = 4096, refine: int = 8,
 
 
 def _inv_sqrt(U: np.ndarray, message: str) -> np.ndarray:
-    """U^{-1/2} for a real symmetric positive definite U; ``message``
-    names U in the error raised otherwise."""
+    """U^{-1/2} for a (stack of) real symmetric positive definite U;
+    ``message`` names U in the error raised otherwise."""
     evals, evecs = np.linalg.eigh(U)
-    if evals[0] <= 0:
+    if np.any(evals[..., 0] <= 0):
         raise ValueError(message)
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
 def _script_v_p(V: np.ndarray, p: float) -> np.ndarray:
@@ -319,15 +319,12 @@ def script_w_p(A, p: float):
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     mats = _cells(A)
-    Ws, norms = [], []
-    for Amat in mats:
-        S_inv = _inv_sqrt(sym_part(Amat.real), "(Re A)_s must be positive definite")
-        W = S_inv @ _script_v_p(Amat.imag, p) @ S_inv
-        Ws.append(W)
-        norms.append(np.linalg.norm(W, 2))
-    if len(Ws) == 1 and np.asarray(A if not hasattr(A, "mats") else A.mats).ndim == 2:
-        return Ws[0], float(norms[0])
-    return np.stack(Ws), float(max(norms))
+    S_inv = _inv_sqrt(sym_part(mats.real), "(Re A)_s must be positive definite")
+    W = S_inv @ _script_v_p(mats.imag, p) @ S_inv
+    norms = np.linalg.norm(W, 2, axis=(-2, -1))
+    if np.ndim(A.mats if hasattr(A, "mats") else A) == 2:
+        return W[0], float(norms[0])
+    return W, float(norms.max())
 
 
 def closed_form_delta(kind: str, params: dict, p: float) -> float:

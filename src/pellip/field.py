@@ -51,6 +51,8 @@ __all__ = [
     "contractivity_probe",
 ]
 
+MAX_CELLS = 2 ** 18  # 512^2; Grid checks it before any array is built
+
 
 @dataclasses.dataclass(frozen=True)
 class Grid:
@@ -66,6 +68,8 @@ class Grid:
             raise ParameterError("dim must be 1 or 2")
         if self.cells < 8:
             raise ParameterError("need at least 8 cells per axis")
+        if self.cells ** self.dim > MAX_CELLS:
+            raise ParameterError(f"grid has more than {MAX_CELLS} cells")
         if not 0 < self.extent < math.inf:
             raise ParameterError("extent must be positive and finite")
         if self.boundary not in ("periodic", "dirichlet"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellip import bellman as bl
 from pellip import ellipticity as el
@@ -268,41 +270,199 @@ def test_tensor_lower_bound_holds():
 # convexity machinery
 
 
-def test_delta_choice_and_hyperbola():
+def test_delta_choice():
     assert abs(bl.delta_choice(1.0, 1.0, 1.0) - 0.1) < 1e-15
     assert abs(bl.delta_choice(2.0, 4.0, 0.8) - 2.0 * 0.8 / 160.0) < 1e-15
     with pytest.raises(ValueError):
         bl.delta_choice(-1.0, 1.0, 1.0)
-    assert abs(bl.inf_hyperbola(1.0, 0.0, 1.0) - 2.0) < 1e-15
-    assert abs(bl.inf_hyperbola(1.0, 3.0, 1.0) + 1.0) < 1e-15
-    assert bl.inf_hyperbola(-1.0, 0.0, 1.0) == -math.inf
-    assert bl.inf_hyperbola(1.0, 0.0, -0.5) == -math.inf
 
 
-def test_convexity_verify_elliptic_pair():
-    A = el.rotation_matrix(0.3, 2)
-    B = random_accretive(2, scale=0.2)
-    p = 3.0
-    lam, Lam, _ = el.accretivity_bounds(A)
-    lamB, LamB, _ = el.accretivity_bounds(B)
-    delta = bl.delta_choice(min(lam, lamB), max(Lam, LamB), el.delta_p(B, p))
-    params = bl.BellmanParams(p=p, delta=delta)
-    out = bl.convexity_verify(params, A, B, budget=4000, rng=11, refine=2)
+def elliptic_pair(kind, n, p, seed=0):
+    """(A, B) with positive joint p-ellipticity constant."""
+    angle = math.acos(abs(1 - 2 / p))
+    if kind == "rotation":
+        A = el.rotation_matrix(0.7 * angle, n)
+        return A, A
+    if kind == "skew":
+        A = el.skew_matrix(0.6 * math.sin(angle))
+        return A, A
+    local = np.random.default_rng(seed)
+    while True:
+        A, B = (2.0 * np.eye(n) + 0.25 * (local.standard_normal((n, n))
+                                          + 1j * local.standard_normal((n, n)))
+                for _ in range(2))
+        if min(el.delta_p(A, p), el.delta_p(B, p)) > 0.02:
+            return A, B
+
+
+def verified(kind, n, p, seed=0):
+    A, B = elliptic_pair(kind, n, p, seed)
+    params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
+    return params, A, B, bl.convexity_verify(params, A, B)
+
+
+def _form_ratio(params, A, B, z, e, o1, o2):
+    val = bl.bellman_hessian_form(params, A, B, (z, e), (o1, o2))
+    return val / (np.linalg.norm(o1) * np.linalg.norm(o2))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 8.0])
+@pytest.mark.parametrize("kind,n", [("rotation", 1), ("rotation", 2),
+                                    ("rotation", 3), ("skew", 2),
+                                    ("random", 1), ("random", 2),
+                                    ("random", 3)])
+def test_convexity_verify_elliptic_pair(kind, n, p):
+    params, A, B, out = verified(kind, n, p)
     assert out["pass"]
     assert out["min_ratio"] >= out["bound"] - 1e-8
     w = out["witness"]
-    val = bl.bellman_hessian_form(
-        params, A, B, (w["zeta"], w["eta"]),
-        (w["omega1"] / np.linalg.norm(w["omega1"]),
-         w["omega2"] / np.linalg.norm(w["omega2"])))
+    val = _form_ratio(params, A, B, w["zeta"], w["eta"], w["omega1"], w["omega2"])
     assert abs(val - out["min_ratio"]) < 1e-6 * max(1.0, abs(val))
+
+
+def test_convexity_verify_is_deterministic():
+    first = verified("random", 2, 4.0)[3]
+    again = verified("random", 2, 4.0)[3]
+    assert first["min_ratio"] == again["min_ratio"]
+    assert first["bound"] == again["bound"]
+    for key, val in first["witness"].items():
+        assert np.array_equal(val, again["witness"][key])
+
+
+@pytest.mark.parametrize("kind,n,p", [("rotation", 2, 3.0), ("skew", 2, 8.0),
+                                      ("random", 1, 4.0), ("random", 2, 2.0),
+                                      ("random", 3, 3.0)])
+def test_convexity_verify_below_random_search(kind, n, p):
+    # no sampled point and direction, at any scale of (omega1, omega2),
+    # falls below the reported minimum
+    params, A, B, out = verified(kind, n, p, seed=1)
+    local = np.random.default_rng(2)
+    m = 20_000
+    z = 10.0 ** local.uniform(-3, 3, m) * np.exp(1j * local.uniform(0, 7, m))
+    e = 10.0 ** local.uniform(-3, 3, m) * np.exp(1j * local.uniform(0, 7, m))
+    zp = np.abs(z) ** p
+    keep = np.abs(zp - np.abs(e) ** params.q) > 1e-9 * np.maximum(1.0, zp)
+    z, e = z[keep], e[keep]
+    w1 = local.standard_normal((z.size, 2 * n))
+    w2 = local.standard_normal((z.size, 2 * n)) * 10.0 ** local.uniform(-3, 3, (z.size, 1))
+    vals = bl._pair(bl.hessian_q(params, z, e), realify(A), realify(B), w1, w2)
+    ratios = vals / (np.linalg.norm(w1, axis=-1) * np.linalg.norm(w2, axis=-1))
+    assert ratios.min() >= out["min_ratio"] * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("kind,n,p", [("rotation", 2, 3.0), ("skew", 2, 4.0),
+                                      ("random", 2, 4.0), ("random", 3, 8.0)])
+def test_inner_branch_limit_formula(kind, n, p):
+    # as rho -> infinity the exact direction infimum tends to
+    # 2 q sqrt(delta lam_A delta_q(B))
+    params, A, B, out = verified(kind, n, p)
+    eta = np.array([1e60 ** (1 / params.q)])
+    K = bl._form_matrix(bl.hessian_q(params, np.ones(1), eta), realify(A), realify(B))
+    far = bl._direction_inf(K)[0][0]
+    lamA = el.accretivity_bounds(A)[0]
+    limit = 2 * params.q * math.sqrt(params.delta * lamA * el.delta_p(B, params.q))
+    assert abs(far - limit) < 1e-6 * limit
+    assert out["min_ratio"] <= limit
+
+
+def test_convexity_verify_includes_limit_near_p2():
+    # near p = 2 the scan approaches the rho -> infinity limit too slowly,
+    # so min_ratio is the limit and the witness attains the best scanned value
+    params, A, B, out = verified("rotation", 2, 2.05)
+    lamA = el.accretivity_bounds(A)[0]
+    limit = 2 * params.q * math.sqrt(params.delta * lamA * el.delta_p(B, params.q))
+    assert out["min_ratio"] == limit
+    w = out["witness"]
+    val = _form_ratio(params, A, B, w["zeta"], w["eta"], w["omega1"], w["omega2"])
+    assert val > 1.2 * limit
+
+
+@pytest.mark.parametrize("kind,n,p", [("skew", 2, 8.0), ("random", 2, 4.0)])
+def test_convexity_verify_not_above_dense_scan(kind, n, p):
+    # the zoomed scan is at least as low as a dense scan of the inner branch
+    params, A, B, out = verified(kind, n, p)
+    log_rho = np.linspace(0.05, 60.0, 2000)
+    eta = np.exp(log_rho / params.q)
+    K = bl._form_matrix(bl.hessian_q(params, np.ones_like(eta), eta),
+                        realify(A), realify(B))
+    assert out["min_ratio"] <= bl._direction_inf(K)[0].min() * (1 + 1e-12)
+
+
+def test_form_matrix_reproduces_pair():
+    for n in (1, 2, 3):
+        H4 = rng.standard_normal((5, 4, 4))
+        MA, MB = realify(random_accretive(n)), realify(random_accretive(n))
+        w1, w2 = rng.standard_normal((5, 2 * n)), rng.standard_normal((5, 2 * n))
+        w = np.concatenate([w1, w2], axis=-1)
+        K = bl._form_matrix(H4, MA, MB)
+        assert np.allclose(K, np.swapaxes(K, -1, -2))
+        quad = np.einsum("...i,...ij,...j->...", w, K, w)
+        assert np.allclose(quad, bl._pair(H4, MA, MB, w1, w2), rtol=1e-12, atol=1e-12)
+
+
+def test_direction_inf_is_exact_and_attained():
+    # the bisection value is a lower bound at every tau and is attained by
+    # the balanced minimizer, also where lam_min is multiple
+    params = bl.BellmanParams(3.0, 0.05)
+    for kind, n in (("random", 2), ("rotation", 2)):
+        A, B = elliptic_pair(kind, n, params.p)
+        MA, MB = realify(A), realify(B)
+        for rho in (0.3, 4.0):  # one point on each branch
+            H4 = bl.hessian_q(params, 1.0 + 0j, complex(rho ** (1 / params.q)))
+            K = bl._form_matrix(H4, MA, MB)
+            val, log_tau = bl._direction_inf(K)
+            x = bl._balanced_minimizer(bl._scaled(K, log_tau))
+            w1, w2 = x[:2 * n], math.exp(log_tau) * x[2 * n:]
+            ratio = bl._pair(H4, MA, MB, w1, w2) / (np.linalg.norm(w1) * np.linalg.norm(w2))
+            assert abs(ratio - val) < 1e-9 * val
+            for s in log_tau + np.linspace(-3, 3, 13):
+                assert 2 * np.linalg.eigvalsh(bl._scaled(K, s))[0] <= val * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0, 2 * math.pi),
+       st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi),
+       st.floats(2.0, 12.0), st.integers(0, 10 ** 6))
+def test_ratio_phase_symmetry(rz, re_, tz, te, alpha, beta, p, seed):
+    local = np.random.default_rng(seed)
+    params = bl.BellmanParams(p, 0.05)
+    z, e = rz * np.exp(1j * tz), re_ * np.exp(1j * te)
+    assume(not bl.on_singular_set(params, z, e, tol=1e-6))
+    A, B = (2 * np.eye(2) + 0.4 * local.standard_normal((2, 2))
+            + 0.4j * local.standard_normal((2, 2)) for _ in range(2))
+    o1, o2 = (local.standard_normal(2) + 1j * local.standard_normal(2) for _ in range(2))
+    base = _form_ratio(params, A, B, z, e, o1, o2)
+    a, b = np.exp(1j * alpha), np.exp(1j * beta)
+    turned = _form_ratio(params, A, B, a * z, b * e, a * o1, b * o2)
+    assert abs(turned - base) <= 1e-9 * max(1.0, abs(base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(1e-3, 1e3),
+       st.floats(2.0, 12.0), st.integers(0, 10 ** 6))
+def test_ratio_scaling_symmetry(rz, re_, s, p, seed):
+    local = np.random.default_rng(seed)
+    params = bl.BellmanParams(p, 0.05)
+    q = params.q
+    z, e = complex(rz), re_ * np.exp(0.7j)
+    assume(not bl.on_singular_set(params, z, e, tol=1e-6))
+    A, B = (2 * np.eye(2) + 0.4 * local.standard_normal((2, 2))
+            + 0.4j * local.standard_normal((2, 2)) for _ in range(2))
+    o1, o2 = (local.standard_normal(2) + 1j * local.standard_normal(2) for _ in range(2))
+    base = bl.bellman_hessian_form(params, A, B, (z, e), (o1, o2))
+    a, b = s ** (1 / p), s ** (1 / q)
+    scaled = bl.bellman_hessian_form(params, A, B, (a * z, b * e), (a * o1, b * o2))
+    assert abs(scaled - s * base) <= 1e-9 * s * max(1.0, abs(base))
+    ratio = _form_ratio(params, A, B, z, e, o1, o2)
+    assert abs(_form_ratio(params, A, B, a * z, b * e, a * o1, b * o2)
+               - ratio) <= 1e-9 * max(1.0, abs(ratio))
 
 
 def test_convexity_verify_refuses_nonelliptic():
     A = el.rotation_matrix(1.5, 2)  # beyond the p=3 angle
     params = bl.BellmanParams(p=3.0, delta=0.05)
     with pytest.raises(ValueError):
-        bl.convexity_verify(params, A, np.eye(2) + 0j, budget=100)
+        bl.convexity_verify(params, A, np.eye(2) + 0j)
 
 
 def test_violation_search_finds_negative_form():

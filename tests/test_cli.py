@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -54,6 +55,58 @@ def test_parse_scan():
         cli._parse_scan("oops")
 
 
+@pytest.mark.parametrize("text", ["0:1e9:1", "0:10000:1", "0:1e308:1e-308",
+                                  "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:0"])
+def test_parse_scan_rejects_long_or_nonfinite_ranges(text):
+    # rejected from the three numbers, before any array is built
+    with pytest.raises(cli.InputError):
+        cli._parse_scan(text)
+
+
+def test_parse_scan_length_limit():
+    assert cli._parse_scan("0:9999:1").size == cli._MAX_SCAN_VALUES
+
+
+def test_oversized_inputs_exit_2(capsys):
+    assert cli.main(["counterexample", "--p", "40",
+                     "--gamma-scan", "0:1e9:1"]) == 2
+    assert cli.main(["dissipativity", "--grid-cells", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "at most 10000 values" in err
+    assert "more than 262144 cells" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,tasks,pools", [
+    (64, 3, [3]), (64, 500, [4]), (1, 500, []), (0, 500, []), (2, 1, [])])
+def test_map_caps_worker_processes(monkeypatch, workers, tasks, pools):
+    # 4 CPUs: at most min(workers, tasks, 4) processes, none for one
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    _RecordingPool.sizes = []
+    assert cli._map(abs, list(range(-tasks, 0)), workers) == list(range(tasks, 0, -1))
+    assert _RecordingPool.sizes == pools
+
+
 def test_ellipticity_subcommand_json(tmp_path, capsys):
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.5})
     code = cli.main(["ellipticity", "--spec", spec, "--p", "4"])
@@ -87,9 +140,7 @@ def test_reruns_are_byte_identical(tmp_path):
             "--seed", "5"]
     assert cli.main(argv + ["--out", out1]) == 0
     assert cli.main(argv + ["--out", out2]) == 0
-    b1 = open(out1, "rb").read()
-    b2 = open(out2, "rb").read()
-    assert b1 == b2
+    assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
 
 
 def test_csv_format(tmp_path):
@@ -97,7 +148,7 @@ def test_csv_format(tmp_path):
     out = str(tmp_path / "rep.csv")
     assert cli.main(["ellipticity", "--spec", spec, "--p", "3",
                      "--format", "csv", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = pathlib.Path(out).read_text().splitlines()
     assert lines[0].startswith("p,lambda,Lambda,nu,delta_p,mu")
     cells = lines[1].split(",")
     assert float(cells[0]) == 3.0
@@ -162,6 +213,8 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     ["counterexample", "--p", "1.5"],
     ["heatflow", "--grid-cells", "4"],
     ["dissipativity", "--extent", "-1"],
+    ["dissipativity", "--p", "1.5"],
+    ["bellman", "--p", "1.5"],
 ])
 def test_bad_flag_values_are_input_errors(tmp_path, capsys, argv):
     n = 1 if argv[0] == "heatflow" else 2

@@ -150,6 +150,19 @@ def test_script_w_p():
         assert abs(nrm - p * w / (2 * math.sqrt(p - 1))) < 1e-12
 
 
+def test_script_w_p_stack_matches_cells():
+    # a stack returns each cell's W_p and the sup of the norms
+    mats = np.stack([random_accretive(2) for _ in range(7)])
+    for p in (1.5, 4.0, 40.0):
+        W, sup = el.script_w_p(mats, p)
+        cells = [el.script_w_p(A, p) for A in mats]
+        assert W.shape == mats.shape
+        assert np.allclose(W, np.stack([c[0] for c in cells]), rtol=1e-13, atol=1e-15)
+        assert abs(sup - max(c[1] for c in cells)) < 1e-13 * sup
+    with pytest.raises(ValueError):
+        el.script_w_p(np.stack([np.eye(2), -np.eye(2)]) + 0j, 3.0)
+
+
 def test_w_p_norm_sign_equivalence():
     for _ in range(40):
         A = random_accretive(2, scale=rng.uniform(0.3, 1.2))

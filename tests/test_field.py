@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pellip import ParameterError
 from pellip import bellman as bl
 from pellip import ellipticity as el
 from pellip import field as fd
@@ -23,6 +24,14 @@ def test_grid_validation():
         fd.Grid(2, 16, -1.0)
     with pytest.raises(ValueError):
         fd.Grid(2, 16, 1.0, "neumann")
+    # the cell count is bounded before any array is built
+    assert fd.Grid(2, 512, 1.0).size == fd.MAX_CELLS
+    with pytest.raises(ParameterError):
+        fd.Grid(2, 513, 1.0)
+    with pytest.raises(ParameterError):
+        fd.Grid(2, 100_000, 1.0)
+    with pytest.raises(ParameterError):
+        fd.Grid(1, fd.MAX_CELLS + 1, 1.0)
     g = fd.Grid(2, 16, 2.0)
     assert g.h == 0.25 and g.size == 256
     assert abs(g.axis()[0] + 2.0 - g.h / 2) < 1e-15
