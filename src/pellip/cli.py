@@ -47,6 +47,8 @@ def _entries_to_array(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
     if arr.shape[-1] != 2:
         raise InputError("matrix entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise InputError("matrix entries must be finite (no NaN or Infinity)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

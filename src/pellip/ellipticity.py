@@ -2,9 +2,10 @@
 
 Computes the accretivity bounds (lambda, Lambda, nu), the p-ellipticity
 constant delta_p, the angle-like quantity mu, the normalized matrix W_p
-and the closed-form special cases.  lambda, nu and delta_p are exact
-eigenvalue reductions of the real form of A; tan(nu) is the largest
-|eigenvalue| of the (Im-form, Re-form) pencil, batched over cells.
+and the closed-form special cases.  lambda, nu, delta_p and mu are
+exact eigenvalue reductions of the real form of A, batched over cells:
+tan(nu) is the largest |eigenvalue| of the (Im-form, Re-form) pencil,
+and 1/mu that of the (conjugation-weighted form, Re-form) pencil.
 Sampling oracles for delta_p and mu cross-check the exact reductions.
 
 Every public function accepts either a single complex (n, n) array, a
@@ -200,42 +201,32 @@ def _pencil_radius(S: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))).max())
 
 
-def mu(A, *, tol: float = 1e-12, maxiter: int = 80) -> float:
-    """Infimum of Re<A xi, xi> / |<A xi, conj xi>|.
+def mu(A) -> float:
+    """Infimum of Re<A xi, xi> / |<A xi, conj xi>|, exact.
 
-    Primary method: bisection on s = |1 - 2/p| in [0, 1) for the sign
-    change of delta_p, which is Lipschitz and nonincreasing in s.
-    Returns 1 when delta stays positive up to s = 1 - 1e-9.
+    At s = |1 - 2/p| the p-ellipticity constant is lambda_min(P - s T)
+    with P = sym(M(A)) and T = sym(diag(I, -I) M(A)).  The phase symmetry
+    xi -> e^{i alpha} xi makes it even in s, so the spectrum of the pencil
+    (T, P) is symmetric and delta_p > 0 exactly when s < mu =
+    1 / (largest |eigenvalue| of the pencil) over all cells.  Returns 1
+    when mu is within 1e-9 of 1 (e.g. real matrices).
     """
-    mats = _distinct(_cells(A))
-
-    def delta_of_s(s: float) -> float:
-        # p >= 2 with |1 - 2/p| = s
-        return float(_delta_cells(mats, 2.0 / (1.0 - s)).min())
-
-    hi = 1.0 - 1e-9
-    if delta_of_s(hi) > 0:
-        return 1.0
-    lo = 0.0
-    if delta_of_s(lo) <= 0:
+    M = realify(_distinct(_cells(A)))
+    P = sym_part(M)
+    if np.linalg.eigvalsh(P)[..., 0].min() <= 0:
         raise ValueError("matrix is not accretive (delta_2 <= 0)")
-    for _ in range(maxiter):
-        mid = (lo + hi) / 2
-        if delta_of_s(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return (lo + hi) / 2
+    n = M.shape[-1] // 2
+    conj = np.concatenate([np.ones(n), -np.ones(n)])
+    m = 1.0 / _pencil_radius(sym_part(conj[:, None] * M), P)
+    return 1.0 if m >= 1.0 - 1e-9 else m
 
 
-def _sphere_min(mats, form, samples, refine, rng, maxiter, fatol) -> float:
-    """Sampled, then Nelder-Mead refined, minimum over cells and unit xi
-    of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches."""
+def _sphere_min(A, form, samples, refine, rng, maxiter, fatol) -> float:
+    """Sampled, then Nelder-Mead refined, minimum over distinct cells and
+    unit xi of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches."""
     rng = np.random.default_rng(rng)
     best = math.inf
-    for Amat in mats:
+    for Amat in _distinct(_cells(A)):
         n = Amat.shape[-1]
 
         def values(X):
@@ -264,18 +255,21 @@ def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None,
     """Direct sphere minimization of the mu quotient.
 
     Points with |<A xi, conj xi>| below ``guard`` are excluded; the
-    bisection path is authoritative, this is a cross-check.
+    pencil reduction in :func:`mu` is authoritative, this is a cross-check.
     """
     def quotient(inner, skew):
         den = np.abs(skew)
         return np.where(den < guard, math.inf, inner.real / np.maximum(den, guard))
 
-    return min(_sphere_min(_cells(A), quotient, samples, refine, rng, 600, 1e-12), 1.0)
+    return min(_sphere_min(A, quotient, samples, refine, rng, 600, 1e-12), 1.0)
 
 
 def p_ellipticity_range(A) -> tuple[float, float]:
     """Open interval of exponents p with |1 - 2/p| < mu(A); endpoints conjugate."""
-    m = mu(A)
+    return _p_range(mu(A))
+
+
+def _p_range(m: float) -> tuple[float, float]:
     if m >= 1.0:
         return 1.0, math.inf
     return 2.0 / (1.0 + m), 2.0 / (1.0 - m)
@@ -288,7 +282,7 @@ def delta_p_oracle(A, p: float, *, samples: int = 4096, refine: int = 8,
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     s = abs(1.0 - 2.0 / p)
-    return _sphere_min(_cells(A), lambda inner, skew: inner.real - s * np.abs(skew),
+    return _sphere_min(A, lambda inner, skew: inner.real - s * np.abs(skew),
                        samples, refine, rng, 800, 1e-13)
 
 
@@ -375,13 +369,14 @@ def sector_test_symmetric(A, p: float, *, tol: float = 1e-12) -> bool:
 def ellipticity_report(A, p: float) -> EllipticityReport:
     lam, Lam, nu = accretivity_bounds(A)
     _, wnorm = script_w_p(A, p)
+    m = mu(A)
     return EllipticityReport(
         lam=lam,
         Lam=Lam,
         nu=nu,
         p=p,
         delta_p=delta_p(A, p),
-        mu=mu(A),
+        mu=m,
         w_p_norm=wnorm,
-        p_range=p_ellipticity_range(A),
+        p_range=_p_range(m),
     )

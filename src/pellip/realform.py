@@ -18,10 +18,7 @@ __all__ = [
     "sym_antisym_split",
     "sym_part",
     "antisym_part",
-    "kron_identity",
     "rotation_form",
-    "interleave",
-    "conj_block",
 ]
 
 
@@ -74,11 +71,6 @@ def antisym_part(M: np.ndarray) -> np.ndarray:
     return sym_antisym_split(M)[1]
 
 
-def kron_identity(D: np.ndarray, n: int) -> np.ndarray:
-    """Kronecker product D (x) I_n, block (i, j) equal to d_ij * I_n."""
-    return np.kron(np.asarray(D, dtype=float), np.eye(n))
-
-
 def rotation_form(psi):
     """The symmetric reflection-like 2x2 matrix [[cos, sin], [sin, -cos]](psi).
 
@@ -89,16 +81,3 @@ def rotation_form(psi):
     return np.stack(
         [np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2
     )
-
-
-def interleave(n: int) -> np.ndarray:
-    """Permutation W_n turning (Re w1, Re w2, Im w1, Im w2) block order
-    into (Re w1, Im w1, Re w2, Im w2); an involution."""
-    P = np.zeros((4, 4))
-    P[0, 0] = P[1, 2] = P[2, 1] = P[3, 3] = 1.0
-    return kron_identity(P, n)
-
-
-def conj_block(n: int) -> np.ndarray:
-    """U_n = diag(I_n, -I_n); sends vectorize(xi) to vectorize(conj(xi))."""
-    return kron_identity(np.diag([1.0, -1.0]), n)

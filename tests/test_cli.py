@@ -4,6 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from pellip import cli, heatnorm
 from pellip.ellipticity import MatrixSpec
@@ -230,3 +231,34 @@ def test_other_library_errors_stay_internal(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(heatnorm, "tensorized_demo", broken)
     assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+_INF_FIELD_ENTRIES = [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8] * 8
+_INF_FIELD_ENTRIES[3] = [[[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8
+
+
+@pytest.mark.parametrize("command", ["ellipticity", "bellman"])
+@pytest.mark.parametrize("doc", [
+    {"kind": "constant", "entries": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    {"kind": "field", "grid": {"dim": 2, "cells": 8, "extent": 4.0},
+     "entries": _INF_FIELD_ENTRIES},
+], ids=["nan-constant", "inf-field"])
+def test_nonfinite_spec_entries_are_input_errors(tmp_path, capsys, command, doc):
+    spec = write_spec(tmp_path, "bad.json", doc)
+    assert cli.main([command, "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "entries must be finite" in err
+
+
+def test_cli_paths_run_no_optimizer(tmp_path, capsys, monkeypatch):
+    # ellipticity, bellman and heatnorm are exact reductions and scans;
+    # a Nelder-Mead call on their path would now be an internal error
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.5})
+    for argv in (["ellipticity", "--spec", spec, "--p", "4"],
+                 ["bellman", "--spec", spec, "--p", "3"],
+                 ["heatnorm", "--p", "4", "--phi-grid", "0:1.4:0.7"]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()

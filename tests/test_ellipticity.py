@@ -305,3 +305,43 @@ def test_matrix_field_bounds_are_accretivity_bounds():
     assert (F.lam, F.Lam) == el.accretivity_bounds(mats)[:2]
     S7 = fd.section7_field(grid, 0.6)
     assert (S7.lam, S7.Lam) == el.accretivity_bounds(S7.mats)[:2]
+
+
+# ---------------------------------------------------------------------------
+# mu as a pencil eigenvalue
+
+
+@given(n=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(min_value=0.05, max_value=1.0), p=st.floats(min_value=1.05, max_value=40.0))
+@settings(max_examples=100, deadline=None)
+def test_delta_p_positive_iff_inside_mu(n, seed, scale, p):
+    # the paper's characterization: delta_p(A) > 0 exactly when |1 - 2/p| < mu(A)
+    r = np.random.default_rng(seed)
+    A = scale * (r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))) + 2.0 * np.eye(n)
+    assume(el.accretivity_bounds(A)[0] > 1e-3)
+    m, s = el.mu(A), abs(1 - 2 / p)
+    assume(abs(s - m) > 1e-9)
+    assert (el.delta_p(A, p) > 0) == (s < m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mu_of_rotation_is_cos_phi(n):
+    for phi in np.linspace(-1.5, 1.5, 31):
+        assert abs(el.mu(el.rotation_matrix(phi, n)) - math.cos(phi)) <= 1e-15
+
+
+def test_mu_rejects_non_accretive():
+    with pytest.raises(ValueError):
+        el.mu(-np.eye(2))
+    with pytest.raises(ValueError):
+        el.mu(el.rotation_matrix(2.0, 2))
+
+
+def test_ellipticity_report_computes_mu_once(monkeypatch):
+    calls = []
+    real_mu = el.mu
+    monkeypatch.setattr(el, "mu", lambda A: calls.append(A) or real_mu(A))
+    rep = el.ellipticity_report(el.rotation_matrix(math.pi / 3, 2), 4.0)
+    assert len(calls) == 1
+    assert rep.p_range == el._p_range(rep.mu)
+    assert abs(rep.p_range[1] - 4.0) < 1e-12

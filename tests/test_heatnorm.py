@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellip import heatnorm as hn
 
@@ -82,3 +84,45 @@ def test_tensorized_demo_divergence():
     assert out.N_p_lower > 1e3
     inside = hn.tensorized_demo(0.2, p, 50)
     assert inside.C == 1.0 and inside.C_pow_n == 1.0
+
+
+# Near |phi| = pi/2 both the closed form and the oracle lose accuracy in
+# floating point (relative errors reach 1e-12 by |phi| = 1.547 and 1e-9 by
+# 1.5707), so the two are compared on |phi| <= 1.5.
+
+
+@given(p=st.floats(min_value=1.05, max_value=40.0), phi=st.floats(min_value=-1.5, max_value=1.5))
+@settings(max_examples=150, deadline=None)
+def test_oracle_is_the_sharp_constant(p, phi):
+    o = hn.gaussian_oracle(phi, p)
+    if abs(phi) <= hn.phi_p(p) - 1e-9:
+        assert o == 1.0
+    else:
+        assert abs(o - hn.heat_norm_constant(phi, p)) <= 1e-12
+
+
+def _direct_ratio(a, phi, p, t):
+    """The Gaussian norm ratio straight from its definition: the evolution
+    at z maps exp(-a x^2) to (1+4za)^{-1/2} exp(-b x^2), b = a/(1+4za)."""
+    den = 1.0 + 4.0 * t * np.exp(1j * phi) * a
+    return np.abs(den) ** -0.5 * (a.real / (a / den).real) ** (1.0 / (2.0 * p))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0])
+@pytest.mark.parametrize("phi", [0.3, 0.9, 1.2, 1.45, -1.1])
+def test_random_gaussians_never_beat_the_oracle(p, phi):
+    r = np.random.default_rng(int(1000 * p + 100 * phi) % 2**32)
+    t = 0.7
+    rho = np.exp(r.uniform(-12.0, 12.0, 50_000))
+    a = rho * np.exp(1j * r.uniform(-math.pi / 2, math.pi / 2, rho.size)) / (4.0 * t)
+    direct = _direct_ratio(a, phi, p, t)
+    z = t * complex(math.cos(phi), math.sin(phi))
+    assert np.allclose(hn._gaussian_ratio(a, z, p), direct, rtol=1e-13, atol=0.0)
+    assert direct.max() <= hn.gaussian_oracle(phi, p, t) + 1e-12
+
+
+def test_gaussian_ratio_vanishes_off_the_admissible_widths():
+    z = complex(math.cos(0.4), math.sin(0.4))
+    a = np.array([-1.0 + 0.5j, 0.0, 1j, 0.3 + 0.2j])
+    vals = hn._gaussian_ratio(a, z, 4.0)
+    assert vals[:3].tolist() == [0.0, 0.0, 0.0] and 0.0 < vals[3] <= 1.0

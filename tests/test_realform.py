@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from pellip.realform import (
     antisym_part,
-    conj_block,
     devectorize,
-    interleave,
-    kron_identity,
     realify,
     rotation_form,
     sym_antisym_split,
@@ -74,17 +71,6 @@ def test_sym_antisym_split():
         sym_antisym_split(np.zeros((2, 3)))
 
 
-def test_kron_identity():
-    D = rng.standard_normal((1, 2))
-    K = kron_identity(D, 3)
-    assert K.shape == (3, 6)
-    assert np.allclose(K[:, :3], D[0, 0] * np.eye(3))
-    assert np.allclose(kron_identity(D, 1), D)
-    D1, D2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-    assert np.allclose(kron_identity(D1 @ D2, 2),
-                       kron_identity(D1, 2) @ kron_identity(D2, 2))
-
-
 @pytest.mark.parametrize("psi", [0.0, 0.3, -1.2, 2.9])
 def test_rotation_form(psi):
     K = rotation_form(psi)
@@ -92,24 +78,6 @@ def test_rotation_form(psi):
     assert np.allclose(K @ K, np.eye(2))
     if psi == 0.0:
         assert np.allclose(K, [[1, 0], [0, -1]])
-
-
-def test_interleave_is_pair_vectorization():
-    # W takes the stacked vectorization of a C^{2n} vector to the
-    # concatenation of the vectorizations of its two halves
-    n = 3
-    z, w = cvec(n), cvec(n)
-    stacked = vectorize(np.concatenate([z, w]))
-    split = np.concatenate([vectorize(z), vectorize(w)])
-    W = interleave(n)
-    assert np.allclose(W @ stacked, split)
-    assert np.allclose(W @ W, np.eye(4 * n))
-
-
-def test_conj_block_action():
-    n = 4
-    z = cvec(n)
-    assert np.allclose(conj_block(n) @ vectorize(z), vectorize(z.conj()))
 
 
 def test_real_form_quadratic_expansions():
