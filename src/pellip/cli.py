@@ -238,7 +238,6 @@ def _scan_gamma(task):
 
 def _cmd_counterexample(args) -> list[dict]:
     gammas = _parse_scan(args.gamma_scan or "0.5:0.99:0.01")
-    gammas = gammas[(gammas > 0) & (gammas < 1)]
     tasks = [(args.p, float(gv), args.grid_cells, args.extent) for gv in gammas]
     rows = list(_map(_scan_gamma, tasks, args.workers))
     first = True
@@ -250,9 +249,11 @@ def _cmd_counterexample(args) -> list[dict]:
 
 
 def _cmd_heatflow(args) -> list[dict]:
-    grid = field.Grid(1, args.grid_cells, args.extent, "periodic")
     spec = load_spec(_require(args, "spec"))
-    A = _coefficient(spec, grid)
+    A = _coefficient(spec, field.Grid(1, args.grid_cells, args.extent, "periodic"))
+    grid = A.grid  # a field spec brings its own grid
+    if grid.dim != 1:
+        raise InputError("heatflow needs a 1-D coefficient field")
     B = A
     rng = np.random.default_rng(args.seed)
     x = grid.axis()
@@ -283,7 +284,6 @@ def _heatnorm_point(task):
 def _cmd_heatnorm(args) -> list[dict]:
     phis = (_parse_scan(args.phi_grid) if args.phi_grid
             else np.array([args.phi if args.phi is not None else 0.0]))
-    phis = phis[np.abs(phis) < math.pi / 2]
     tasks = sorted((float(ph), args.p, args.n) for ph in phis)
     rows = list(_map(_heatnorm_point, tasks, args.workers))
     for row in rows:
@@ -377,8 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec-b", help="optional second matrix spec")
         sp.add_argument("--p", type=float, default=4.0)
         sp.add_argument("--phi", type=float)
-        sp.add_argument("--phi-grid", help="phi sweep start:stop:step")
-        sp.add_argument("--gamma-scan", help="gamma sweep start:stop:step")
+        # argparse reads a value starting with '-' as an option
+        sp.add_argument("--phi-grid", help="phi sweep start:stop:step; give a "
+                        "negative start with '=': --phi-grid=-1.5:0:0.1")
+        sp.add_argument("--gamma-scan", help="gamma sweep start:stop:step; give "
+                        "a negative start with '=': --gamma-scan=START:STOP:STEP")
         sp.add_argument("--grid-cells", type=int, default=64)
         sp.add_argument("--extent", type=float, default=4.0)
         sp.add_argument("--budget", type=int, default=10_000, help="unused; kept for old argv")

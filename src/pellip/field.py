@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import ParameterError
 from . import bellman as _bellman
@@ -504,97 +505,80 @@ class OperatorMatrix:
     field: MatrixField
 
 
-def _centered_1d(c: int, h: float, periodic: bool) -> np.ndarray:
-    D = np.zeros((c, c))
-    idx = np.arange(c)
-    D[idx, (idx + 1) % c] = 1.0 / (2 * h)
-    D[idx, (idx - 1) % c] = -1.0 / (2 * h)
-    if not periodic:
-        # zero ghost values outside the walls
-        D[0, c - 1] = 0.0
-        D[c - 1, 0] = 0.0
-    return D
+def _centered_1d(c: int, h: float, periodic: bool):
+    """Centered difference on c cells; periodic wrap, or zero ghost
+    values outside Dirichlet walls."""
+    w = 1.0 / (2 * h)
+    offsets = (1, -1, 1 - c, c - 1) if periodic else (1, -1)
+    return scipy.sparse.diags((w, -w, w, -w)[:len(offsets)], offsets,
+                              shape=(c, c), format="csr")
 
 
-def _face_grad_1d(c: int, h: float) -> np.ndarray:
+def _face_grad_1d(c: int, h: float):
     """(c+1) x c forward difference to faces, zero Dirichlet ghosts."""
-    G = np.zeros((c + 1, c))
-    for i in range(c + 1):
-        if i < c:
-            G[i, i] = 1.0 / h
-        if i > 0:
-            G[i, i - 1] = -1.0 / h
-    return G
+    return scipy.sparse.diags((1.0 / h, -1.0 / h), (0, -1), shape=(c + 1, c),
+                              format="csr")
+
+
+def _along(D1, axis: int, dim: int):
+    """The 1-D difference D1 acting along one axis of a dim-D grid."""
+    if dim == 1:
+        return D1
+    eye = scipy.sparse.identity(D1.shape[1])
+    if axis == 0:
+        return scipy.sparse.kron(D1, eye, format="csr")
+    return scipy.sparse.kron(eye, D1, format="csr")
 
 
 def _face_average(a: np.ndarray, axis: int) -> np.ndarray:
     """Cell values to faces along an axis; boundary faces copy the
     adjacent cell."""
-    lo = np.take(a, [0], axis=axis)
-    hi = np.take(a, [-1], axis=axis)
-    sl_lo = [slice(None)] * a.ndim
-    sl_hi = [slice(None)] * a.ndim
-    sl_lo[axis] = slice(None, -1)
-    sl_hi[axis] = slice(1, None)
-    mid = (a[tuple(sl_lo)] + a[tuple(sl_hi)]) / 2.0
-    return np.concatenate([lo, mid, hi], axis=axis)
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (1, 1)
+    e = np.moveaxis(np.pad(a, pad, mode="edge"), axis, 0)
+    return np.moveaxis((e[:-1] + e[1:]) / 2.0, 0, axis)
 
 
 def discretize_operator(A: MatrixField) -> OperatorMatrix:
-    """Dense matrix of -div(A grad) on cell values.
+    """Dense matrix of -div(A grad) on cell values, the sum over (j, k)
+    of C_j^T diag(a_jk) C_k with C_j the centered difference along axis j.
 
     Periodic grids use centered differences throughout, which gives
     exact summation by parts against :func:`gradient` and exact adjoint
-    consistency.  Dirichlet grids use a face-flux form for the diagonal
-    coefficients (the classical second-difference stencil) and centered
-    differences with zero ghosts for mixed terms.
+    consistency.  Dirichlet grids replace the diagonal terms by the
+    face-flux form G_j^T diag(a_jj at faces) G_j (the classical
+    second-difference stencil) and use zero ghosts for mixed terms.
     """
     g = A.grid
     N = g.size
     if N > 4096:
         raise ParameterError("operator too large for dense storage")
-    c, h = g.cells, g.h
     periodic = g.boundary == "periodic"
-    coeff = A.mats.reshape((N, g.dim, g.dim))
-    L = np.zeros((N, N), dtype=complex)
+    C1 = _centered_1d(g.cells, g.h, periodic)
+    G1 = _face_grad_1d(g.cells, g.h)
+    L = scipy.sparse.csr_matrix((N, N), dtype=complex)
+    for j in range(g.dim):
+        for k in range(g.dim):
+            if j == k and not periodic:
+                a = _face_average(A.mats[..., j, j], axis=j)
+                Dj = Dk = _along(G1, j, g.dim)
+            else:
+                a = A.mats[..., j, k]
+                Dj, Dk = _along(C1, j, g.dim), _along(C1, k, g.dim)
+            L = L + Dj.T @ (scipy.sparse.diags(a.reshape(-1)) @ Dk)
+    return OperatorMatrix(L.toarray(), g, A)
 
-    if periodic:
-        D1 = _centered_1d(c, h, True)
-        if g.dim == 1:
-            Ds = [D1]
-        else:
-            I = np.eye(c)
-            Ds = [np.kron(D1, I), np.kron(I, D1)]
-        for j in range(g.dim):
-            for k in range(g.dim):
-                L += Ds[j].T @ (coeff[:, j, k, None] * Ds[k])
-        return OperatorMatrix(L, g, A)
 
-    # Dirichlet
-    G1 = _face_grad_1d(c, h)
-    C1 = _centered_1d(c, h, False)
-    if g.dim == 1:
-        a_face = _face_average(A.mats[:, 0, 0], axis=0)
-        L = G1.T @ (a_face[:, None] * G1)
-        return OperatorMatrix(L.astype(complex), g, A)
-    I = np.eye(c)
-    Gs = [np.kron(G1, I), np.kron(I, G1)]
-    Cs = [np.kron(C1, I), np.kron(I, C1)]
-    for j in range(2):
-        a_face = _face_average(A.mats[..., j, j], axis=j).reshape(-1)
-        L += Gs[j].T @ (a_face[:, None] * Gs[j])
-    for j in range(2):
-        for k in range(2):
-            if j != k:
-                L += Cs[j].T @ (coeff[:, j, k, None] * Cs[k])
-    return OperatorMatrix(L, g, A)
+def _propagator(L: OperatorMatrix, t: float) -> np.ndarray:
+    """Dense e^{-tL} by scaling and squaring, t >= 0."""
+    if t < 0:
+        raise ParameterError("time must be nonnegative")
+    return scipy.linalg.expm(-t * L.matrix)
 
 
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:
-    """e^{-tL} f via dense scaling-and-squaring matrix exponential."""
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
-    E = scipy.linalg.expm(-t * L.matrix)
+    """e^{-tL} f via the dense matrix exponential."""
+    E = _propagator(L, t)
     return GridFunction(L.grid, (E @ f.values.reshape(-1)).reshape(L.grid.shape))
 
 
@@ -658,7 +642,7 @@ def contractivity_probe(L: OperatorMatrix, p: float, t: float,
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     rng = np.random.default_rng(rng)
-    E = scipy.linalg.expm(-t * L.matrix)
+    E = _propagator(L, t)
     q = p / (p - 1.0)
     N = L.grid.size
     best = 0.0

@@ -63,9 +63,15 @@ def heat_norm_constant(phi: float, p: float) -> float:
     c = math.cos(phi)
     if c >= sigma:  # |phi| <= phi_p
         return 1.0
-    gamma = math.sqrt(sigma * sigma - c * c) / abs(math.sin(phi))
-    val = ((1.0 - gamma) / (1.0 + gamma)) \
-        * ((sigma + gamma) / (sigma - gamma)) ** sigma
+    s2 = math.sin(phi) ** 2
+    gamma = math.sqrt((sigma * sigma - c * c) / s2)
+    # 1 - gamma and sigma - gamma cancel as |phi| -> pi/2; with
+    # 1 - sigma^2 = 4(p-1)/p^2 they follow from products instead:
+    #   1 - gamma^2 = (1 - sigma^2) / sin^2 phi,
+    #   sigma - gamma = cos^2 phi (1 - sigma^2) / (sin^2 phi (sigma + gamma)).
+    r = 4.0 * (p - 1.0) / (p * p)
+    val = (r / (s2 * (1.0 + gamma) ** 2)) \
+        * ((sigma + gamma) ** 2 * s2 / (c * c * r)) ** sigma
     return val ** 0.25
 
 

@@ -198,6 +198,45 @@ def test_heatflow_subcommand(tmp_path, capsys):
     assert rows[0]["ratio"] <= 1.0
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_heatflow_runs_on_the_field_grid(tmp_path, capsys, boundary):
+    # the field's 48 cells, not --grid-cells (64), set the probe grid
+    spec = write_spec(tmp_path, "fld.json", {
+        "kind": "field",
+        "grid": {"dim": 1, "cells": 48, "extent": 6.0, "boundary": boundary},
+        "generator": {"name": "rotation", "phi": 0.3}})
+    assert cli.main(["heatflow", "--spec", spec, "--p", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 41
+
+
+def test_heatflow_rejects_2d_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, "s7.json", {
+        "kind": "field", "grid": {"dim": 2, "cells": 16, "extent": 4.0},
+        "generator": {"name": "section7", "gamma": 0.5}})
+    assert cli.main(["heatflow", "--spec", spec, "--p", "3"]) == 2
+    assert "1-D" in capsys.readouterr().err
+
+
+def test_counterexample_accepts_gamma_zero(capsys):
+    assert cli.main(["counterexample", "--p", "4", "--gamma-scan", "0:0.1:0.1",
+                     "--grid-cells", "32"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["gamma"] for r in rows] == [0.0, 0.1]
+    assert rows[0]["rotational"] == 0.0
+
+
+def test_negative_sweep_needs_equals_sign(capsys):
+    assert cli.main(["heatnorm", "--p", "4", "--phi-grid=-1.5:0:0.5"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["phi"] for r in rows] == [-1.5, -1.0, -0.5, 0.0]
+    assert rows[0]["C"] == heatnorm.heat_norm_constant(1.5, 4.0)
+    # without '=' argparse takes the range for an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["heatnorm", "--phi-grid", "-1.5:0:0.5"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_dissipativity_subcommand(tmp_path, capsys):
     spec = write_spec(tmp_path, "skew.json", {"kind": "skew", "w": 0.4})
     assert cli.main(["dissipativity", "--spec", spec, "--p", "4",
@@ -216,6 +255,10 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     ["dissipativity", "--extent", "-1"],
     ["dissipativity", "--p", "1.5"],
     ["bellman", "--p", "1.5"],
+    ["counterexample", "--gamma-scan", "1:1.2:0.1"],
+    ["counterexample", "--gamma-scan=-0.2:0.2:0.1"],
+    ["heatnorm", "--phi", "1.6"],
+    ["heatnorm", "--phi-grid", "1.5:1.6:0.05"],
 ])
 def test_bad_flag_values_are_input_errors(tmp_path, capsys, argv):
     n = 1 if argv[0] == "heatflow" else 2

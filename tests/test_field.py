@@ -127,6 +127,98 @@ def test_summation_by_parts_periodic():
     assert abs(lhs.conjugate() - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
+def _random_field(grid, seed):
+    """Every cell its own accretive matrix 2I + 0.25 * complex noise."""
+    r = np.random.default_rng(seed)
+    shape = grid.shape + (grid.dim, grid.dim)
+    noise = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    return fd.MatrixField(grid, 2 * np.eye(grid.dim) + 0.25 * noise)
+
+
+def _variable_field(kind, grid):
+    if kind == "section7":
+        return fd.section7_field(grid, 0.7)
+    return _random_field(grid, 31)
+
+
+def _dense_reference(A):
+    """-div(A grad) term by term with dense matrices: the sum over (j, k)
+    of C_j^T diag(a_jk) C_k with centered differences C_j, where a
+    Dirichlet grid takes G_j^T diag(a_jj on faces) G_j with forward
+    differences G_j to the c + 1 faces (zero ghosts) for j = k."""
+    g = A.grid
+    c, h, d = g.cells, g.h, g.dim
+    periodic = g.boundary == "periodic"
+    C = np.zeros((c, c))
+    G = np.zeros((c + 1, c))
+    for i in range(c):
+        if periodic or i + 1 < c:
+            C[i, (i + 1) % c] = 1 / (2 * h)
+        if periodic or i > 0:
+            C[i, (i - 1) % c] = -1 / (2 * h)
+        G[i, i], G[i + 1, i] = 1 / h, -1 / h
+
+    def along(D, axis):
+        if d == 1:
+            return D
+        return np.kron(D, np.eye(c)) if axis == 0 else np.kron(np.eye(c), D)
+
+    # face i lies between cells i - 1 and i; wall faces take the wall cell
+    lo = np.clip(np.arange(c + 1) - 1, 0, c - 1)
+    hi = np.minimum(np.arange(c + 1), c - 1)
+    L = np.zeros((g.size, g.size), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            if j == k and not periodic:
+                a = A.mats[..., j, j]
+                face = (np.take(a, lo, axis=j) + np.take(a, hi, axis=j)) / 2
+                L += along(G, j).T @ np.diag(face.reshape(-1)) @ along(G, j)
+            else:
+                L += (along(C, j).T @ np.diag(A.mats[..., j, k].reshape(-1))
+                      @ along(C, k))
+    return L
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_matches_dense_reference(boundary, dim):
+    grid = fd.Grid(dim, 8, 1.0, boundary)
+    fields = [_random_field(grid, 7)]
+    if dim == 2:
+        fields.append(fd.section7_field(grid, 0.7))
+    for F in fields:
+        L = fd.discretize_operator(F).matrix
+        want = _dense_reference(F)
+        assert np.abs(L - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("kind", ["section7", "random"])
+def test_variable_operator_adjoint_consistency(boundary, kind):
+    grid = fd.Grid(2, 8, 1.0, boundary)
+    F = _variable_field(kind, grid)
+    Fstar = fd.MatrixField(grid, F.mats.conj().swapaxes(-1, -2))
+    L = fd.discretize_operator(F).matrix
+    Lstar = fd.discretize_operator(Fstar).matrix
+    assert np.abs(L.conj().T - Lstar).max() <= 1e-14 * np.abs(L).max()
+
+
+@pytest.mark.parametrize("kind", ["section7", "random"])
+def test_variable_summation_by_parts_periodic(kind):
+    grid = fd.Grid(2, 16, 2.0, "periodic")
+    F = _variable_field(kind, grid)
+    L = fd.discretize_operator(F)
+    f = fd.sample(grid, lambda X, Y: np.exp(np.sin(np.pi * X / 2))
+                  + 1j * np.cos(np.pi * Y / 2))
+    g = fd.sample(grid, lambda X, Y: np.sin(np.pi * (X + Y) / 2))
+    lhs = grid.h**2 * np.vdot(g.values.reshape(-1),
+                              L.matrix @ f.values.reshape(-1))
+    gf, gg = fd.gradient(f).values, fd.gradient(g).values
+    rhs = grid.h**2 * np.sum(fd._pairing(F.mats, gf, gg))
+    # <g, L f> = integral of <A grad f, grad g>, no conjugate
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+
+
 def test_numerical_range_in_sector():
     grid = fd.Grid(1, 32, 2.0, "periodic")
     phi = 0.8
@@ -305,3 +397,11 @@ def test_contractivity_probe_regimes():
         fd.constant_field(grid, np.array([[np.exp(1.4j)]])))
     assert fd.contractivity_probe(bad, p, 0.05, trials=4, rng=1) > 1.0 + 1e-3
     assert 1.4 > crit  # the probe exceeds 1 only past the critical angle
+
+
+def test_contractivity_probe_rejects_negative_time():
+    # e^{+tL} is the backward heat flow, whose norm exceeds 1
+    grid = fd.Grid(1, 32, np.pi, "periodic")
+    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    with pytest.raises(ParameterError):
+        fd.contractivity_probe(L, 4.0, -0.05, trials=1, rng=1)

@@ -52,6 +52,17 @@ def test_endpoint_limit():
     assert errs[2] < 1e-4
 
 
+@pytest.mark.parametrize("phi,p,want", [
+    # 40-digit evaluations of the closed form, rounded to double
+    (-1.547, 37.9, 5.5285002342627547),
+    (1.57, 1.5, 2.6070030906670331),
+    (1.57, 1.05, 22.952656761489755),
+])
+def test_constant_accurate_near_right_angle(phi, p, want):
+    # sigma - gamma and 1 - gamma cancel as |phi| -> pi/2
+    assert abs(hn.heat_norm_constant(phi, p) - want) <= 1e-15 * want
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         hn.heat_norm_constant(1.6, 4.0)
