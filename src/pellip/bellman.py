@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import ParameterError
-from .ellipticity import accretivity_bounds, delta_p, delta_r_extended
+from .ellipticity import accretivity_bounds, delta_p, delta_r_extended, weighted_form
 from .realform import devectorize, realify, rotation_form, sym_part, vectorize
 
 __all__ = [
@@ -117,20 +117,13 @@ def delta_from_hessian(A: np.ndarray, p: float) -> float:
     """p-ellipticity constant recovered from the power-function Hessian.
 
     Writes A = U + iV and minimizes the quadratic form of the real block
-    matrix [[U/q, -V/q], [V/p, U/p]] over the unit sphere (times 2); by
-    exponent duality this equals :func:`pellip.ellipticity.delta_p`.
+    matrix [[U/q, -V/q], [V/p, U/p]] (the weighted form at r = q) over the
+    unit sphere (times 2); by exponent duality this equals
+    :func:`pellip.ellipticity.delta_p`.
     """
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
-    return 2.0 * float(np.linalg.eigvalsh(_hessian_block(A, p))[0])
-
-
-def _hessian_block(A: np.ndarray, p: float) -> np.ndarray:
-    """sym([[U/q, -V/q], [V/p, U/p]]) for A = U + iV and q = p/(p-1)."""
-    q = p / (p - 1)
-    A = np.asarray(A, dtype=complex)
-    U, V = A.real, A.imag
-    return sym_part(np.block([[U / q, -V / q], [V / p, U / p]]))
+    return 2.0 * float(np.linalg.eigvalsh(weighted_form(A, p / (p - 1)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +515,7 @@ def violation_search(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dic
     if not delta_p(A, params.p) < 0:
         raise ValueError("no violation to construct: delta_p(A) >= 0")
     n = A.shape[-1]
-    x = np.linalg.eigh(_hessian_block(A, params.p))[1][:, 0]
+    x = np.linalg.eigh(weighted_form(A, params.q))[1][:, 0]
     xi = x[:n] + 1j * x[n:]
     v = (1.0 + 0.0j, 0.1 + 0.0j)  # outer branch: 1 >= 0.1^q
     value = bellman_hessian_form(params, A, B, v,

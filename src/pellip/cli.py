@@ -1,8 +1,12 @@
 """Batch command-line front end.
 
 Subcommands wrap the library modules one-to-one and hold no numerics of
-their own: ``ellipticity``, ``bellman``, ``dissipativity``,
-``counterexample``, ``heatflow`` and ``heatnorm``.  Reports are emitted
+their own.  Each declares only the flags it reads (``_COMMANDS``) besides
+the shared ``--seed``, ``--out`` and ``--format``; argparse rejects any
+other flag with exit 2.  A spec file loads to a validated complex (n, n)
+matrix or a ``field.MatrixField``: ``bellman`` takes matrices of one
+size, ``dissipativity`` and ``heatflow`` spread a matrix over their
+--grid-cells grid and run a field on its own grid.  Reports are emitted
 as CSV or JSON with the seed recorded, so a rerun with the same config
 is byte-identical.
 
@@ -64,28 +68,49 @@ def load_spec(path: str):
     return spec_from_dict(doc)
 
 
+# e^{i phi} I_n is dense and bellman solves 4n x 4n eigenproblems at
+# every scan point: its run takes ~4x longer per doubling of n, 37 s at
+# n = 32 on one core.  So a rotation spec's n is capped there.
+_MAX_ROTATION_N = 32
+
+
 def spec_from_dict(doc: dict):
+    """A validated complex (n, n) matrix, or a field.MatrixField."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("spec must be an object with a 'kind' key")
     kind = doc["kind"]
     try:
         if kind == "rotation":
-            return ellipticity.MatrixSpec(kind="rotation", phi=float(doc["phi"]),
-                                          n=int(doc.get("n", 2)))
+            phi, n = float(doc["phi"]), doc.get("n", 2)
+            if not abs(phi) < math.pi / 2:
+                raise InputError("rotation angle must satisfy |phi| < pi/2")
+            if type(n) is not int or not 1 <= n <= _MAX_ROTATION_N:
+                raise InputError("rotation dimension n must be an integer in "
+                                 f"[1, {_MAX_ROTATION_N}], got {n!r}")
+            return ellipticity.rotation_matrix(phi, n)
         if kind == "skew":
-            return ellipticity.MatrixSpec(kind="skew", w=float(doc["w"]))
+            w = float(doc["w"])
+            if not abs(w) < 1:
+                raise InputError("skew parameter must satisfy |w| < 1")
+            return ellipticity.skew_matrix(w)
         if kind == "constant":
-            return ellipticity.MatrixSpec(
-                kind="constant", matrix=_entries_to_array(doc["entries"]))
+            return _accretive(_entries_to_array(doc["entries"]))
         if kind == "rotated":
-            B = _entries_to_array(doc["entries"])
-            return ellipticity.MatrixSpec(kind="rotated", matrix=B,
-                                          phi=float(doc["phi"]))
+            return _accretive(ellipticity.rotated_matrix(
+                _entries_to_array(doc["entries"]), float(doc["phi"])))
         if kind == "field":
             return _field_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid spec: {exc}") from exc
     raise InputError(f"unknown spec kind {kind!r}")
+
+
+def _accretive(A: np.ndarray) -> np.ndarray:
+    if A.ndim != 2:
+        raise InputError("a matrix spec needs n x n entries")
+    if not ellipticity.accretivity_bounds(A)[0] > 0:
+        raise InputError("matrix is not accretive (lambda <= 0)")
+    return A
 
 
 def _field_from_dict(doc: dict) -> field.MatrixField:
@@ -109,11 +134,24 @@ def _field_from_dict(doc: dict) -> field.MatrixField:
     raise InputError(f"unknown field generator {name!r}")
 
 
-def _coefficient(spec, grid: field.Grid) -> field.MatrixField:
-    """Realize a spec as a matrix field on the given grid."""
-    if isinstance(spec, field.MatrixField):
-        return spec
-    A = spec.realize()
+def _spec(path, flag: str = "--spec"):
+    if path is None:
+        raise InputError(f"{flag} is required")
+    return load_spec(path)
+
+
+def _matrix(path, flag: str = "--spec") -> np.ndarray:
+    """A constant matrix spec; a field spec is an input error."""
+    A = _spec(path, flag)
+    if isinstance(A, field.MatrixField):
+        raise InputError(f"{flag} must be a constant matrix spec, not a field")
+    return A
+
+
+def _coefficient(A, grid: field.Grid) -> field.MatrixField:
+    """A matrix spread over ``grid``; a field keeps its own grid."""
+    if isinstance(A, field.MatrixField):
+        return A
     if A.shape[-1] != grid.dim:
         raise InputError(
             f"matrix dimension {A.shape[-1]} does not match grid dim {grid.dim}")
@@ -141,9 +179,7 @@ def _parse_scan(text: str) -> np.ndarray:
 
 
 def _cmd_ellipticity(args) -> list[dict]:
-    spec = load_spec(_require(args, "spec"))
-    A = spec.realize() if isinstance(spec, ellipticity.MatrixSpec) else spec
-    rep = ellipticity.ellipticity_report(A, args.p)
+    rep = ellipticity.ellipticity_report(_spec(args.spec), args.p)
     return [{
         "p": rep.p, "lambda": rep.lam, "Lambda": rep.Lam, "nu": rep.nu,
         "delta_p": rep.delta_p, "mu": rep.mu, "w_p_norm": rep.w_p_norm,
@@ -152,11 +188,11 @@ def _cmd_ellipticity(args) -> list[dict]:
 
 
 def _cmd_bellman(args) -> list[dict]:
-    spec = load_spec(_require(args, "spec"))
-    if isinstance(spec, field.MatrixField):
-        raise InputError("bellman verification needs a constant matrix spec")
-    A = spec.realize()
-    B = A if args.spec_b is None else load_spec(args.spec_b).realize()
+    A = _matrix(args.spec)
+    B = A if args.spec_b is None else _matrix(args.spec_b, "--spec-b")
+    if B.shape != A.shape:
+        raise InputError(f"--spec-b is {B.shape[0]}x{B.shape[0]} but --spec "
+                         f"is {A.shape[0]}x{A.shape[0]}")
     p = args.p
     c = bellman.pair_constants(A, B, p)
     if c.delta_p > 0:
@@ -185,18 +221,13 @@ _DELTA_Q_FLOOR = 1e-6
 
 def _cmd_dissipativity(args) -> list[dict]:
     grid = field.Grid(2, args.grid_cells, args.extent, "periodic")
-    spec = load_spec(_require(args, "spec"))
-    A = _coefficient(spec, grid if not isinstance(spec, field.MatrixField)
-                     else spec.grid)
-    grid = A.grid
-    rng = np.random.default_rng(args.seed)
-    B = A
-    f_probe, g_probe = _smooth_pair(grid, rng)
+    A = _coefficient(_spec(args.spec), grid)  # a field brings its own grid
+    f_probe, g_probe = _smooth_pair(A.grid, np.random.default_rng(args.seed))
     value, companion = field.dissipativity_functional(A, f_probe, args.p)
-    c = bellman.pair_constants(A, B, args.p)
+    c = bellman.pair_constants(A, A, args.p)
     delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_q_B, _DELTA_Q_FLOOR))
     params = bellman.BellmanParams(args.p, delta)
-    res = field.identity_checks(A, B, f_probe, g_probe, params)
+    res = field.identity_checks(A, A, f_probe, g_probe, params)
     row = {"p": args.p, "value": value, "companion": companion,
            "hessian_identity": res["hessian_identity"],
            "antisymmetric_divfree": res["antisymmetric_divfree"],
@@ -237,7 +268,7 @@ def _scan_gamma(task):
 
 
 def _cmd_counterexample(args) -> list[dict]:
-    gammas = _parse_scan(args.gamma_scan or "0.5:0.99:0.01")
+    gammas = _parse_scan(args.gamma_scan)
     tasks = [(args.p, float(gv), args.grid_cells, args.extent) for gv in gammas]
     rows = list(_map(_scan_gamma, tasks, args.workers))
     first = True
@@ -249,19 +280,18 @@ def _cmd_counterexample(args) -> list[dict]:
 
 
 def _cmd_heatflow(args) -> list[dict]:
-    spec = load_spec(_require(args, "spec"))
-    A = _coefficient(spec, field.Grid(1, args.grid_cells, args.extent, "periodic"))
+    A = _coefficient(_spec(args.spec),
+                     field.Grid(1, args.grid_cells, args.extent, "periodic"))
     grid = A.grid  # a field spec brings its own grid
     if grid.dim != 1:
         raise InputError("heatflow needs a 1-D coefficient field")
-    B = A
     rng = np.random.default_rng(args.seed)
     x = grid.axis()
     fv = np.exp(-x * x) * np.exp(1j * rng.uniform(0, 2 * np.pi) * np.sin(np.pi * x / grid.extent))
     gv = np.exp(-0.5 * x * x) * (1 + 0.2 * np.cos(np.pi * x / grid.extent))
     f = field.GridFunction(grid, fv)
     g = field.GridFunction(grid, gv)
-    rep = field.heat_flow_experiment(A, B, f, g, args.p)
+    rep = field.heat_flow_experiment(A, A, f, g, args.p)
     rows = [{"t": float(t), "energy": float(e), "bilinear": float(b),
              "ratio": rep["ratio"], "monotone": rep["monotone"]}
             for t, e, b in zip(rep["times"], rep["energy"], rep["bilinear"])]
@@ -282,8 +312,10 @@ def _heatnorm_point(task):
 
 
 def _cmd_heatnorm(args) -> list[dict]:
-    phis = (_parse_scan(args.phi_grid) if args.phi_grid
-            else np.array([args.phi if args.phi is not None else 0.0]))
+    if args.phi_grid is not None and args.phi is not None:
+        raise InputError("give --phi or --phi-grid, not both")
+    phis = (_parse_scan(args.phi_grid) if args.phi_grid is not None
+            else np.array([0.0 if args.phi is None else args.phi]))
     tasks = sorted((float(ph), args.p, args.n) for ph in phis)
     rows = list(_map(_heatnorm_point, tasks, args.workers))
     for row in rows:
@@ -300,13 +332,6 @@ def _map(fn, tasks, workers):
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]
-
-
-def _require(args, name):
-    val = getattr(args, name, None)
-    if val is None:
-        raise InputError(f"--{name.replace('_', '-')} is required")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +380,34 @@ def _json_default(obj):
 # entry point
 
 
-_DISPATCH = {
-    "ellipticity": _cmd_ellipticity,
-    "bellman": _cmd_bellman,
-    "dissipativity": _cmd_dissipativity,
-    "counterexample": _cmd_counterexample,
-    "heatflow": _cmd_heatflow,
-    "heatnorm": _cmd_heatnorm,
+_FLAGS = {
+    "--spec": dict(help="path to a JSON matrix or field spec"),
+    "--spec-b": dict(help="second constant matrix spec, the size of --spec "
+                     "(default: --spec)"),
+    "--p": dict(type=float, default=4.0),
+    "--phi": dict(type=float, help="one angle (default 0)"),
+    # argparse reads a value starting with '-' as an option
+    "--phi-grid": dict(help="phi sweep start:stop:step; give a negative start "
+                       "with '=': --phi-grid=-1.5:0:0.1"),
+    "--gamma-scan": dict(default="0.5:0.99:0.01", help="gamma sweep "
+                         "start:stop:step; give a negative start with '=': "
+                         "--gamma-scan=START:STOP:STEP"),
+    "--grid-cells": dict(type=int, default=64),
+    "--extent": dict(type=float, default=4.0),
+    "--budget": dict(type=int, default=10_000, help="no-op, accepted for old argv"),
+    "--n": dict(type=int, default=1),
+    "--workers": dict(type=int, default=1),
+}
+
+# The flags a subcommand reads, and nothing else: argparse rejects the rest.
+_COMMANDS = {
+    "ellipticity": (_cmd_ellipticity, "--spec --p"),
+    "bellman": (_cmd_bellman, "--spec --spec-b --p --budget"),
+    "dissipativity": (_cmd_dissipativity, "--spec --p --grid-cells --extent"),
+    "counterexample": (_cmd_counterexample,
+                       "--p --gamma-scan --grid-cells --extent --workers"),
+    "heatflow": (_cmd_heatflow, "--spec --p --grid-cells --extent"),
+    "heatnorm": (_cmd_heatnorm, "--p --phi --phi-grid --n --workers"),
 }
 
 
@@ -370,35 +416,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pellip",
         description="Numerical toolkit for p-ellipticity of complex "
                     "coefficient matrices and the associated operators")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=20_240_817)
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in _DISPATCH:
-        sp = sub.add_parser(name)
-        sp.add_argument("--spec", help="path to a JSON matrix/field spec")
-        sp.add_argument("--spec-b", help="optional second matrix spec")
-        sp.add_argument("--p", type=float, default=4.0)
-        sp.add_argument("--phi", type=float)
-        # argparse reads a value starting with '-' as an option
-        sp.add_argument("--phi-grid", help="phi sweep start:stop:step; give a "
-                        "negative start with '=': --phi-grid=-1.5:0:0.1")
-        sp.add_argument("--gamma-scan", help="gamma sweep start:stop:step; give "
-                        "a negative start with '=': --gamma-scan=START:STOP:STEP")
-        sp.add_argument("--grid-cells", type=int, default=64)
-        sp.add_argument("--extent", type=float, default=4.0)
-        sp.add_argument("--budget", type=int, default=10_000, help="unused; kept for old argv")
-        sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=20_240_817)
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--workers", type=int, default=1)
+    for name, (cmd, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[shared])
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(cmd=cmd)
     return ap
 
 
 def run(args) -> int:
     for name in ("p", "phi", "extent"):
-        val = getattr(args, name)
+        val = getattr(args, name, None)
         if val is not None and not math.isfinite(val):
             raise InputError(f"--{name} must be finite, got {val}")
-    rows = _DISPATCH[args.subcommand](args)
+    rows = args.cmd(args)
     meta = {"seed": args.seed, "version": __version__,
             "command": args.subcommand}
     emit_report(rows, args.format, args.out, meta)

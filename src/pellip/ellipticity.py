@@ -27,12 +27,12 @@ from . import ParameterError
 from .realform import antisym_part, realify, sym_part
 
 __all__ = [
-    "MatrixSpec",
     "EllipticityReport",
     "rotation_matrix",
     "skew_matrix",
     "rotated_matrix",
     "accretivity_bounds",
+    "weighted_form",
     "delta_p",
     "delta_r_extended",
     "delta_p_oracle",
@@ -85,47 +85,6 @@ def rotated_matrix(B: np.ndarray, phi: float) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class MatrixSpec:
-    """Declarative description of a coefficient matrix.
-
-    kind is one of 'constant', 'rotation', 'skew', 'rotated', 'field';
-    the payload fields used depend on the kind.  Validation happens on
-    construction: constant/field payloads must be accretive, rotation
-    requires |phi| < pi/2, skew requires |w| < 1.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-    phi: float = 0.0
-    w: float = 0.0
-    n: int = 2
-    field: object | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "rotation", "skew", "rotated", "field"):
-            raise ParameterError(f"unknown matrix kind {self.kind!r}")
-        if self.kind == "rotation" and not abs(self.phi) < math.pi / 2:
-            raise ParameterError("rotation angle must satisfy |phi| < pi/2")
-        if self.kind == "skew" and not abs(self.w) < 1:
-            raise ParameterError("skew parameter must satisfy |w| < 1")
-        if self.kind in ("constant", "rotated", "field"):
-            lam, _, _ = accretivity_bounds(self.realize())
-            if not lam > 0:
-                raise ValueError("matrix is not accretive (lambda <= 0)")
-
-    def realize(self):
-        if self.kind == "constant":
-            return np.asarray(self.matrix, dtype=complex)
-        if self.kind == "rotation":
-            return rotation_matrix(self.phi, self.n)
-        if self.kind == "skew":
-            return skew_matrix(self.w)
-        if self.kind == "rotated":
-            return rotated_matrix(self.matrix, self.phi)
-        return self.field
-
-
-@dataclasses.dataclass(frozen=True)
 class EllipticityReport:
     lam: float
     Lam: float
@@ -141,18 +100,24 @@ class EllipticityReport:
 # exact eigenvalue reductions
 
 
-def _delta_cells(mats: np.ndarray, r: float) -> np.ndarray:
-    """Per-cell p-ellipticity constant, exact.
+def weighted_form(A, r: float) -> np.ndarray:
+    """sym(D_r M(A)) of a matrix or a stack, where D_r scales the real
+    part rows of M(A) by 1/r and the imaginary part rows by 1 - 1/r.
 
-    Equals twice the smallest eigenvalue of sym(D_r M(A)) where D_r
-    scales the real part rows by 1/r and the imaginary part rows by
-    1 - 1/r; for r > 1 this is the conjugate-exponent weight 1/r*.
+    delta_r(A) is twice its smallest eigenvalue.  For A = U + iV and
+    r = q = p/(p - 1) it is sym([[U/q, -V/q], [V/p, U/p]]), the block the
+    Hessian of the power function |zeta|^p pairs with A.
     """
-    n = mats.shape[-1]
-    M = realify(mats)
+    M = realify(A)
+    n = M.shape[-1] // 2
     scale = np.concatenate([np.full(n, 1.0 / r), np.full(n, 1.0 - 1.0 / r)])
-    S = sym_part(scale[:, None] * M)
-    return 2.0 * np.linalg.eigvalsh(S)[..., 0]
+    return sym_part(scale[:, None] * M)
+
+
+def _delta_cells(mats: np.ndarray, r: float) -> np.ndarray:
+    """Per-cell p-ellipticity constant, exact: 2 lambda_min of the
+    weighted form; for r > 1 the weight is the conjugate-exponent 1/r*."""
+    return 2.0 * np.linalg.eigvalsh(weighted_form(mats, r))[..., 0]
 
 
 def delta_r_extended(A, r: float) -> float:

@@ -145,7 +145,10 @@ def tensorized_demo(phi: float, p: float, n: int) -> HeatNormResult:
     if n < 1:
         raise ParameterError("dimension must be at least 1")
     C = heat_norm_constant(phi, p)
+    try:
+        C_pow_n = C ** n
+    except OverflowError as exc:
+        raise ParameterError(f"C^n overflows a float at n = {n}") from exc
     oracle = gaussian_oracle(phi, p)
-    C_pow_n = C ** n
     return HeatNormResult(phi=phi, p=p, C=C, oracle=oracle, n=n,
                           C_pow_n=C_pow_n, N_p_lower=C_pow_n / 2.0)

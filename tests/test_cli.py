@@ -1,13 +1,14 @@
+import importlib.util
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from pellip import cli, heatnorm
-from pellip.ellipticity import MatrixSpec
 
 
 def write_spec(tmp_path, name, doc):
@@ -22,11 +23,11 @@ def test_spec_round_trips(tmp_path):
         "entries": [[[1, 0], [0, -0.5]], [[0, 0.5], [1, 0]]],
     })
     spec = cli.load_spec(path)
-    assert isinstance(spec, MatrixSpec)
+    assert isinstance(spec, np.ndarray)
     want = np.eye(2) + 0.5j * np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(spec.realize(), want)
+    assert np.allclose(spec, want)
     rot = cli.spec_from_dict({"kind": "rotation", "phi": 0.4, "n": 3})
-    assert np.allclose(rot.realize(), np.exp(0.4j) * np.eye(3))
+    assert np.allclose(rot, np.exp(0.4j) * np.eye(3))
     fld = cli.spec_from_dict({
         "kind": "field",
         "grid": {"dim": 2, "cells": 16, "extent": 4.0},
@@ -261,9 +262,11 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     ["heatnorm", "--phi-grid", "1.5:1.6:0.05"],
 ])
 def test_bad_flag_values_are_input_errors(tmp_path, capsys, argv):
-    n = 1 if argv[0] == "heatflow" else 2
-    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3, "n": n})
-    assert cli.main(argv + ["--spec", spec]) == 2
+    if argv[0] not in ("counterexample", "heatnorm"):  # they take no --spec
+        n = 1 if argv[0] == "heatflow" else 2
+        spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3, "n": n})
+        argv = argv + ["--spec", spec]
+    assert cli.main(argv) == 2
     assert "input error" in capsys.readouterr().err
 
 
@@ -305,3 +308,103 @@ def test_cli_paths_run_no_optimizer(tmp_path, capsys, monkeypatch):
                  ["heatnorm", "--p", "4", "--phi-grid", "0:1.4:0.7"]):
         assert cli.main(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
+
+
+# the flags each subcommand reads, besides the shared --seed --out --format
+_DECLARED = {
+    "ellipticity": {"--spec", "--p"},
+    "bellman": {"--spec", "--spec-b", "--p", "--budget"},
+    "dissipativity": {"--spec", "--p", "--grid-cells", "--extent"},
+    "counterexample": {"--p", "--gamma-scan", "--grid-cells", "--extent", "--workers"},
+    "heatflow": {"--spec", "--p", "--grid-cells", "--extent"},
+    "heatnorm": {"--p", "--phi", "--phi-grid", "--n", "--workers"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, cli.argparse._SubParsersAction)).choices
+    assert set(subs) == set(_DECLARED)
+    total = 0
+    for name, sp in subs.items():
+        flags = {a.option_strings[0] for a in sp._actions
+                 if not isinstance(a, cli.argparse._HelpAction)}
+        assert flags == _DECLARED[name] | {"--seed", "--out", "--format"}
+        total += len(flags)
+    assert total == 42
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+def test_undeclared_flags_exit_2(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
+    values = {"--spec": spec, "--spec-b": spec, "--phi-grid": "0:0.1:0.1",
+              "--gamma-scan": "0.5:0.5:0.1"}
+    for flag in set().union(*_DECLARED.values()) - _DECLARED[name]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, flag, values.get(flag, "1")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_phi_and_phi_grid_exclude_each_other(capsys):
+    assert cli.main(["heatnorm", "--phi", "0.3", "--phi-grid", "0:0.2:0.1"]) == 2
+    assert "not both" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def benchmark_jobs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass looks the module up
+    spec.loader.exec_module(mod)
+    yield mod
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_argv_parses(benchmark_jobs, seed, warm):
+    # every argv the benchmark streams send is accepted by the parser
+    parser = cli._build_parser()
+    for workload in benchmark_jobs.WORKLOADS:
+        for job in benchmark_jobs.generate(workload, seed, warm):
+            args = parser.parse_args(job.argv + ["--format", "json"])
+            assert args.subcommand == job.argv[0]
+
+
+def test_bellman_rejects_field_spec_b(tmp_path, capsys):
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
+    fld = write_spec(tmp_path, "fld.json", {
+        "kind": "field", "grid": {"dim": 2, "cells": 8, "extent": 4.0},
+        "generator": {"name": "rotation", "phi": 0.3}})
+    assert cli.main(["bellman", "--spec", spec, "--spec-b", fld]) == 2
+    assert "--spec-b must be a constant matrix spec" in capsys.readouterr().err
+    assert cli.main(["bellman", "--spec", fld]) == 2
+    assert "--spec must be a constant matrix spec" in capsys.readouterr().err
+
+
+def test_bellman_rejects_spec_b_of_another_size(tmp_path, capsys):
+    a = write_spec(tmp_path, "a.json", {"kind": "rotation", "phi": 0.3})
+    b = write_spec(tmp_path, "b.json", {"kind": "rotation", "phi": 0.3, "n": 3})
+    assert cli.main(["bellman", "--spec", a, "--spec-b", b]) == 2
+    assert "--spec-b is 3x3 but --spec is 2x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -1, cli._MAX_ROTATION_N + 1, 3000, 100_000,
+                               2.7, 2.0, True, "2"])
+def test_rotation_dimension_is_bounded(tmp_path, capsys, n):
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3, "n": n})
+    assert cli.main(["ellipticity", "--spec", spec]) == 2
+    assert "rotation dimension n must be an integer" in capsys.readouterr().err
+
+
+def test_rotation_dimension_cap_is_accepted():
+    n = cli._MAX_ROTATION_N
+    A = cli.spec_from_dict({"kind": "rotation", "phi": 0.3, "n": n})
+    assert A.shape == (n, n)
+
+
+def test_heatnorm_overflow_is_input_error(capsys):
+    assert cli.main(["heatnorm", "--phi", "1.4", "--p", "4", "--n", "100000"]) == 2
+    assert "overflows" in capsys.readouterr().err

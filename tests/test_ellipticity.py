@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pellip import cli
 from pellip import ellipticity as el
 from pellip import field as fd
 
@@ -222,14 +223,15 @@ def test_sector_test_symmetric():
 
 
 def test_matrix_spec_validation():
-    with pytest.raises(ValueError):
-        el.MatrixSpec(kind="rotation", phi=1.8)
-    with pytest.raises(ValueError):
-        el.MatrixSpec(kind="skew", w=1.1)
-    with pytest.raises(ValueError):
-        el.MatrixSpec(kind="constant", matrix=-np.eye(2))
-    spec = el.MatrixSpec(kind="rotation", phi=0.7, n=3)
-    assert np.allclose(spec.realize(), np.exp(0.7j) * np.eye(3))
+    with pytest.raises(cli.InputError):
+        cli.spec_from_dict({"kind": "rotation", "phi": 1.8})
+    with pytest.raises(cli.InputError):
+        cli.spec_from_dict({"kind": "skew", "w": 1.1})
+    with pytest.raises(cli.InputError):
+        cli.spec_from_dict({"kind": "constant",
+                            "entries": [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]]})
+    A = cli.spec_from_dict({"kind": "rotation", "phi": 0.7, "n": 3})
+    assert np.allclose(A, np.exp(0.7j) * np.eye(3))
 
 
 def test_field_reduction_is_min_over_cells():
@@ -322,6 +324,37 @@ def test_delta_p_positive_iff_inside_mu(n, seed, scale, p):
     m, s = el.mu(A), abs(1 - 2 / p)
     assume(abs(s - m) > 1e-9)
     assert (el.delta_p(A, p) > 0) == (s < m)
+
+
+_EXPONENTS = st.floats(min_value=1.05, max_value=40.0, exclude_min=True,
+                       exclude_max=True)
+
+
+@given(n=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(min_value=0.05, max_value=3.0), p=_EXPONENTS)
+@settings(max_examples=100, deadline=None)
+def test_delta_p_duality_and_conjugation(n, seed, scale, p):
+    # delta_p(A) = delta_{p/(p-1)}(A) = delta_p(conj A), for any complex A
+    r = np.random.default_rng(seed)
+    A = r.standard_normal((n, n)) + 1j * scale * r.standard_normal((n, n))
+    d = el.delta_p(A, p)
+    tol = 1e-12 * max(1.0, np.linalg.norm(A, 2))
+    assert abs(el.delta_p(A, p / (p - 1)) - d) <= tol
+    assert abs(el.delta_p(A.conj(), p) - d) <= tol
+
+
+@given(n=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(min_value=0.05, max_value=3.0), p=_EXPONENTS)
+@settings(max_examples=100, deadline=None)
+def test_w_p_norm_at_most_one_iff_delta_p_nonnegative(n, seed, scale, p):
+    r = np.random.default_rng(seed)
+    U = np.eye(n) + 0.3 * r.standard_normal((n, n))
+    assume(np.linalg.eigvalsh((U + U.T) / 2)[0] > 1e-3)
+    A = U + 1j * scale * r.standard_normal((n, n))
+    d = el.delta_p(A, p)
+    _, nrm = el.script_w_p(A, p)
+    assume(abs(d) > 1e-9 and abs(nrm - 1.0) > 1e-9)
+    assert (nrm <= 1.0) == (d >= 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

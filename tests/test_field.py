@@ -119,12 +119,16 @@ def test_summation_by_parts_periodic():
     L = fd.discretize_operator(F)
     f = fd.sample(grid, lambda X, Y: np.exp(np.sin(np.pi * X / 2))
                   + 1j * np.cos(np.pi * Y / 2))
-    g = fd.sample(grid, lambda X, Y: np.sin(np.pi * (X + Y) / 2))
+    g = fd.sample(grid, lambda X, Y: np.sin(np.pi * X / 2) + np.cos(np.pi * Y / 2))
     lhs = grid.h**2 * np.vdot(g.values.reshape(-1),
                               L.matrix @ f.values.reshape(-1))
     gf, gg = fd.gradient(f).values, fd.gradient(g).values
     rhs = grid.h**2 * np.sum(fd._pairing(F.mats, gf, gg))
-    assert abs(lhs.conjugate() - rhs) < 1e-12 * max(1.0, abs(rhs))
+    # a pairing far above rounding, with real and imaginary parts (about
+    # 21 + 19i), so that a conjugated side cannot pass
+    assert abs(rhs.real) > 1 and abs(rhs.imag) > 1
+    # <g, L f> = integral of <A grad f, grad g>, no conjugate
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 def _random_field(grid, seed):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pellip import ParameterError
 from pellip import heatnorm as hn
 
 
@@ -95,6 +96,13 @@ def test_tensorized_demo_divergence():
     assert out.N_p_lower > 1e3
     inside = hn.tensorized_demo(0.2, p, 50)
     assert inside.C == 1.0 and inside.C_pow_n == 1.0
+
+
+def test_tensorized_demo_overflow_is_parameter_error():
+    # C(1.4, 4) ~ 1.23, so C^n passes the largest float near n = 3381
+    with pytest.raises(ParameterError, match="overflows"):
+        hn.tensorized_demo(1.4, 4.0, 100_000)
+    assert hn.tensorized_demo(0.2, 4.0, 10**9).C_pow_n == 1.0
 
 
 # Near |phi| = pi/2 both the closed form and the oracle lose accuracy in
