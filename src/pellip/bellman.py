@@ -24,7 +24,6 @@ __all__ = [
     "BellmanParams",
     "hess_power",
     "hess_form_power",
-    "delta_from_hessian",
     "bellman_value",
     "bellman_gradient",
     "hessian_q",
@@ -40,6 +39,12 @@ __all__ = [
 ]
 
 _BRANCH_TOL = 1e-12
+# hessian_fd's step: central second differences err by O(h^2) plus
+# rounding O(eps / h^2), and h = 1e-5 balances the two at size O(1).
+_FD_STEP = 1e-5
+# Slack of convexity_verify's pass test min_ratio >= bound - _VERIFY_TOL,
+# for rounding in the eigenvalue reductions behind min_ratio.
+_VERIFY_TOL = 1e-8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,47 +88,25 @@ def hess_power(r: float, zeta) -> np.ndarray:
     return amp[..., None, None] * (np.eye(2) + rhat * K)
 
 
-def hess_form_power(A: np.ndarray, r: float, zeta: complex, xi: np.ndarray,
-                    method: str = "closed") -> float:
-    """Generalized Hessian form of |zeta|^r against A at direction xi.
+def hess_form_power(A: np.ndarray, r: float, zeta, xi: np.ndarray):
+    """Generalized Hessian form of |zeta|^r against A at direction xi,
+    (r^2/2)|zeta|^{r-2} Re(<A xi, xi> + (1-2/r) e^{-2i arg zeta} <A xi, conj xi>).
 
-    'closed': (r^2/2)|zeta|^{r-2} Re(<A xi, xi> + (1-2/r) e^{-2i arg zeta}
-    <A xi, conj xi>).  'assembly': pair the Kronecker-expanded 2x2 real
-    Hessian with the real form of A.  The two must agree.
+    Broadcasts over a stack of cells, A (..., n, n), zeta (...) and xi
+    (..., n); returns a float for a single cell.
     """
-    if zeta == 0:
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(zeta == 0):
         raise ValueError("zeta must be nonzero")
-    A = np.asarray(A, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    if method == "closed":
-        rhat = 1.0 - 2.0 / r
-        Axi = A @ xi
-        inner = np.sum(Axi * xi.conjugate())
-        skew = np.sum(Axi * xi)
-        phase = np.exp(-2j * np.angle(zeta))
-        return float(
-            (r * r / 2.0) * abs(zeta) ** (r - 2.0)
-            * (inner + rhat * phase * skew).real
-        )
-    if method == "assembly":
-        n = xi.shape[-1]
-        H = np.kron(hess_power(r, zeta), np.eye(n))
-        x = vectorize(xi)
-        return float((realify(A) @ x) @ (H @ x))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def delta_from_hessian(A: np.ndarray, p: float) -> float:
-    """p-ellipticity constant recovered from the power-function Hessian.
-
-    Writes A = U + iV and minimizes the quadratic form of the real block
-    matrix [[U/q, -V/q], [V/p, U/p]] (the weighted form at r = q) over the
-    unit sphere (times 2); by exponent duality this equals
-    :func:`pellip.ellipticity.delta_p`.
-    """
-    if not p > 1:
-        raise ParameterError("exponent p must satisfy p > 1")
-    return 2.0 * float(np.linalg.eigvalsh(weighted_form(A, p / (p - 1)))[0])
+    Axi = np.einsum("...jk,...k->...j", np.asarray(A, dtype=complex), xi)
+    inner = np.sum(Axi * xi.conjugate(), axis=-1)
+    skew = np.sum(Axi * xi, axis=-1)
+    az = np.abs(zeta)
+    phase = (zeta.conjugate() / az) ** 2  # e^{-2i arg zeta}
+    H = (r * r / 2.0) * az ** (r - 2.0) \
+        * np.real(inner + (1.0 - 2.0 / r) * phase * skew)
+    return float(H) if H.ndim == 0 else H
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +203,9 @@ def hessian_q(params: BellmanParams, zeta, eta) -> np.ndarray:
     return H[0] if scalar else H
 
 
-def hessian_fd(func, zeta: complex, eta: complex, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference 4x4 Hessian of a scalar function of
-    (zeta, eta) in the real coordinates (Re z, Im z, Re e, Im e)."""
+def hessian_fd(func, zeta: complex, eta: complex) -> np.ndarray:
+    """Central finite-difference 4x4 Hessian, step ``_FD_STEP``, of a scalar
+    function of (zeta, eta) in the real coordinates (Re z, Im z, Re e, Im e)."""
     x0 = np.array([zeta.real, zeta.imag, eta.real, eta.imag])
 
     def f(x):
@@ -231,10 +214,10 @@ def hessian_fd(func, zeta: complex, eta: complex, step: float = 1e-5) -> np.ndar
     H = np.zeros((4, 4))
     for i in range(4):
         for j in range(i, 4):
-            ei = np.eye(4)[i] * step
-            ej = np.eye(4)[j] * step
+            ei = np.eye(4)[i] * _FD_STEP
+            ej = np.eye(4)[j] * _FD_STEP
             val = (f(x0 + ei + ej) - f(x0 + ei - ej)
-                   - f(x0 - ei + ej) + f(x0 - ei - ej)) / (4 * step * step)
+                   - f(x0 - ei + ej) + f(x0 - ei - ej)) / (4 * _FD_STEP * _FD_STEP)
             H[i, j] = H[j, i] = val
     return H
 
@@ -322,8 +305,6 @@ def tensor_hessian_form(A: np.ndarray, B: np.ndarray, q: float,
     o1 = np.atleast_1d(np.asarray(omega[0], dtype=complex))
     o2 = np.atleast_1d(np.asarray(omega[1], dtype=complex))
     ae = abs(eta)
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
 
     term1 = ae ** (2.0 - q) * hess_form_power(A, 2.0, 1.0 if zeta == 0 else zeta, o1)
     term2 = abs(zeta) ** 2 * hess_form_power(B, 2.0 - q, eta, o2) if zeta != 0 else 0.0
@@ -458,13 +439,13 @@ def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
     return E @ c / np.linalg.norm(c)
 
 
-def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
-                     tol: float = 1e-8) -> dict:
+def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dict:
     """Minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over off-singular-set
     points v and nonzero directions, against the proven lower bound
     (delta_p / 5)(lam / Lam): the rho scan above, zoomed around its best
     point, and for p > 2 the rho -> infinity limit (at p = 2 the ratio
     does not depend on rho).  The witness attains the best scanned value.
+    Passes when min_ratio >= bound - ``_VERIFY_TOL``.
 
     Refuses when the joint ellipticity constant min(delta_p(A),
     delta_p(B)) is not positive; use :func:`violation_search` there.
@@ -499,7 +480,7 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray,
         "witness": {"zeta": 1.0 + 0.0j, "eta": complex(math.exp(x[i] / params.q)),
                     "omega1": devectorize(w1),
                     "omega2": math.exp(log_tau[i]) * devectorize(w2)},
-        "pass": min_ratio >= constants.bound - tol,
+        "pass": min_ratio >= constants.bound - _VERIFY_TOL,
     }
 
 

@@ -115,7 +115,7 @@ def _accretive(A: np.ndarray) -> np.ndarray:
 
 def _field_from_dict(doc: dict) -> field.MatrixField:
     gdoc = doc["grid"]
-    grid = field.Grid(dim=int(gdoc["dim"]), cells=int(gdoc["cells"]),
+    grid = field.Grid(dim=gdoc["dim"], cells=gdoc["cells"],
                       extent=float(gdoc["extent"]),
                       boundary=gdoc.get("boundary", "periodic"))
     if "entries" in doc:

@@ -47,6 +47,12 @@ __all__ = [
 
 # 2x2 rotation generator, the building block of the skew family.
 ROT_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
+# mu_oracle leaves out directions with |<A xi, conj xi>| below this:
+# there the quotient is unbounded and its value is rounding.
+_MU_GUARD = 1e-12
+# Slack of sector_test_symmetric, so that matrices on the boundary
+# delta_p(A_s) = 0 pass despite rounding in the pencil radius.
+_SECTOR_TOL = 1e-12
 
 
 def _cells(A) -> np.ndarray:
@@ -215,16 +221,16 @@ def _sphere_min(A, form, samples, refine, rng, maxiter, fatol) -> float:
     return best
 
 
-def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None,
-              guard: float = 1e-12) -> float:
+def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None) -> float:
     """Direct sphere minimization of the mu quotient.
 
-    Points with |<A xi, conj xi>| below ``guard`` are excluded; the
+    Points with |<A xi, conj xi>| below ``_MU_GUARD`` are excluded; the
     pencil reduction in :func:`mu` is authoritative, this is a cross-check.
     """
     def quotient(inner, skew):
         den = np.abs(skew)
-        return np.where(den < guard, math.inf, inner.real / np.maximum(den, guard))
+        return np.where(den < _MU_GUARD, math.inf,
+                        inner.real / np.maximum(den, _MU_GUARD))
 
     return min(_sphere_min(A, quotient, samples, refine, rng, 600, 1e-12), 1.0)
 
@@ -312,8 +318,8 @@ def closed_form_delta(kind: str, params: dict, p: float) -> float:
     raise ParameterError(f"unknown closed form kind {kind!r}")
 
 
-def sector_test_symmetric(A, p: float, *, tol: float = 1e-12) -> bool:
-    """True iff delta_p(A_s) >= 0.
+def sector_test_symmetric(A, p: float) -> bool:
+    """True iff delta_p(A_s) >= 0, up to the slack ``_SECTOR_TOL``.
 
     Checked without going through delta_p: the condition is
     |p - 2| |<V alpha, alpha>| <= 2 sqrt(p-1) <U alpha, alpha> for all
@@ -328,7 +334,7 @@ def sector_test_symmetric(A, p: float, *, tol: float = 1e-12) -> bool:
     Us, Vs = sym_part(mats.real), sym_part(mats.imag)
     if np.linalg.eigvalsh(Us)[..., 0].min() <= 0:
         return False
-    return _pencil_radius(Vs, Us) <= 2.0 * math.sqrt(p - 1) / abs(p - 2) + tol
+    return _pencil_radius(Vs, Us) <= 2.0 * math.sqrt(p - 1) / abs(p - 2) + _SECTOR_TOL
 
 
 def ellipticity_report(A, p: float) -> EllipticityReport:

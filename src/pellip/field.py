@@ -53,6 +53,18 @@ __all__ = [
 ]
 
 MAX_CELLS = 2 ** 18  # 512^2; Grid checks it before any array is built
+# default_identity_case lives on [-3, 3]^2, one period of its data.
+_IDENTITY_EXTENT = 3.0
+# refinement_study treats residuals below this as rounding: identity
+# (ii) of identity_checks is exact and reads ~2e-17 on every grid.
+_RESIDUAL_FLOOR = 1e-12
+# heat_flow_experiment samples t = 0 and 40 geometric steps from 1e-3 to
+# 50, and integrates the bilinear integrand by the trapezoid rule on them.
+_HEAT_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
+# Slack of its monotonicity and budget checks, for expm rounding.
+_HEAT_TOL = 1e-9
+# Power-method steps per start of contractivity_probe (evidence only).
+_POWER_ITERS = 40
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,6 +77,10 @@ class Grid:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in (self.dim, self.cells)):
+            raise ParameterError(f"dim and cells must be integers, got "
+                                 f"{self.dim!r} and {self.cells!r}")
         if self.dim not in (1, 2):
             raise ParameterError("dim must be 1 or 2")
         if self.cells < 8:
@@ -247,7 +263,8 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
                              p: float) -> tuple[float, float]:
     """Re integral of <A grad f, grad(|f|^{p-2} f)> with discrete
     gradients, together with the companion value
-    (1/p) integral of the power-function Hessian form at (f, grad f).
+    (1/p) integral of the power-function Hessian form at (f, grad f),
+    evaluated cell-wise by :func:`pellip.bellman.hess_form_power`.
 
     The two agree up to O(h^2); p >= 2 only — for p < 2 evaluate the
     dual form with the adjoint field and the conjugate exponent.
@@ -265,12 +282,9 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     gu = gradient(GridFunction(g, u)).values
     value = float(np.real(g.h ** g.dim * np.sum(_pairing(A.mats, grad, gu))))
 
+    # cells where f = 0 get zeta = 1 and are then left out
     nz = af > 0
-    inner = _pairing(A.mats, grad, grad)
-    skew = np.sum(np.einsum("...jk,...k->...j", A.mats, grad) * grad, axis=-1)
-    phase = (f.values.conjugate() / afs) ** 2
-    phat = 1.0 - 2.0 / p
-    H = (p * p / 2.0) * afs ** (p - 2.0) * np.real(inner + phat * phase * skew)
+    H = _bellman.hess_form_power(A.mats, p, np.where(nz, f.values, 1.0), grad)
     companion = float(g.h ** g.dim * np.sum(np.where(nz, H, 0.0)) / p)
     return value, companion
 
@@ -301,20 +315,24 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
     """Dissipativity value for f = r e^{i phi} given closed-form polar
     data (the global phase cancels, so phi itself is not needed).
 
+    Requires A = I + i w R cell-wise, with R the rotation generator and
+    w real (in 1-D, A = 1); raises ParameterError for any other field.
     Returns (value, terms) where terms = (elliptic-in-r, elliptic-in-phi,
     rotational) is the decomposition
       (p-1) r^{p-2} |grad r|^2 + r^p |grad phi|^2 + w J(r^p, phi),
-    with w the scalar coefficient of the antisymmetric imaginary part of
-    A (2-D fields; terms[2] = 0 when Im A vanishes) and J the Jacobian
-    determinant.  value integrates the exact sesquilinear integrand;
-    both quantities agree pointwise by algebra, so the pair serves as a
-    self-check.
+    with J the Jacobian determinant.  value integrates the exact
+    sesquilinear integrand; both quantities agree pointwise by algebra,
+    so the pair serves as a self-check.
     """
     g = A.grid
-    # Im A = w R with R the rotation generator (2-D)
-    w = A.mats[..., 1, 0].imag if g.dim == 2 else None
+    m = A.mats
+    if not (np.all(m.real == np.eye(g.dim))
+            and np.all(m.imag == -np.swapaxes(m.imag, -1, -2))):
+        raise ParameterError(
+            "polar decomposition needs Re A = I and antisymmetric Im A")
+    w = m[..., 1, 0].imag if g.dim == 2 else None
     u, v, terms = _polar_terms(p, r, grad_r, grad_phi, w, g.h ** g.dim)
-    value = float(g.h ** g.dim * np.sum(np.real(_pairing(A.mats, u, v))))
+    value = float(g.h ** g.dim * np.sum(np.real(_pairing(m, u, v))))
     return value, terms
 
 
@@ -386,10 +404,11 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
             "chain_rule": res_iii}
 
 
-def default_identity_case(cells: int, extent: float = 3.0):
-    """Smooth periodic 2-D test data staying on one Bellman branch."""
-    grid = Grid(2, cells, extent, "periodic")
-    L = extent
+def default_identity_case(cells: int):
+    """Smooth periodic 2-D test data staying on one Bellman branch, on
+    [-_IDENTITY_EXTENT, _IDENTITY_EXTENT]^2."""
+    L = _IDENTITY_EXTENT
+    grid = Grid(2, cells, L, "periodic")
 
     # exp-of-trig data: smooth and periodic but not band-limited, so the
     # discretization error is visible (pure trig polynomials integrate
@@ -412,24 +431,24 @@ def default_identity_case(cells: int, extent: float = 3.0):
     return A, B, f, g
 
 
-def refinement_study(params, cells=(64, 128, 256), case=default_identity_case,
-                     floor: float = 1e-12) -> dict:
-    """Residuals of :func:`identity_checks` under grid doubling, with
-    empirical convergence orders.  Residuals below ``floor`` are treated
-    as converged (order reported as inf)."""
+def refinement_study(params, cells=(64, 128, 256)) -> dict:
+    """Residuals of :func:`identity_checks` on :func:`default_identity_case`
+    under grid doubling, with empirical convergence orders; residuals
+    below ``_RESIDUAL_FLOOR`` count as converged (order inf)."""
     residuals = []
     for c in cells:
-        A, B, f, g = case(c)
+        A, B, f, g = default_identity_case(c)
         residuals.append(identity_checks(A, B, f, g, params))
     orders = {}
     for key in residuals[0]:
         seq = [r[key] for r in residuals]
         ords = []
         for r0, r1 in zip(seq, seq[1:]):
-            if max(r0, r1) < floor:
+            if max(r0, r1) < _RESIDUAL_FLOOR:
                 ords.append(math.inf)
             else:
-                ords.append(math.log2(max(r0, floor) / max(r1, floor)))
+                ords.append(math.log2(max(r0, _RESIDUAL_FLOOR)
+                                      / max(r1, _RESIDUAL_FLOOR)))
         orders[key] = ords
     return {"cells": list(cells), "residuals": residuals, "orders": orders}
 
@@ -583,28 +602,25 @@ def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunctio
 
 
 def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
-                         g: GridFunction, p: float, times=None,
-                         tol: float = 1e-9) -> dict:
-    """Bellman energy flow along the two semigroups.
+                         g: GridFunction, p: float) -> dict:
+    """Bellman energy flow along the two semigroups at ``_HEAT_TIMES``.
 
     Tracks E(t) = integral of Q(e^{-tL_A} f, e^{-tL_B} g), checks it is
     nonincreasing, accumulates the bilinear gradient integrand and
     compares with both the energy budget E(0)/a0 and the closed
-    constant (20/delta_p)(Lam/lam) ||f||_p ||g||_q.
+    constant (20/delta_p)(Lam/lam) ||f||_p ||g||_q, with slack ``_HEAT_TOL``.
     """
     c = _bellman.pair_constants(A, B, p)
     if not c.delta_p > 0:
         raise ParameterError("joint p-ellipticity constant must be positive")
     params = _bellman.BellmanParams(p, c.delta)
     gr = A.grid
-    if times is None:
-        times = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
     LA = discretize_operator(A)
     LB = discretize_operator(B)
     energy, bilinear = [], []
     ft, gt = f, g
     prev = 0.0
-    for t in times:
+    for t in _HEAT_TIMES:
         ft = semigroup_apply(LA, t - prev, ft)
         gt = semigroup_apply(LB, t - prev, gt)
         prev = t
@@ -615,14 +631,14 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
         bilinear.append(float(gr.h ** gr.dim * np.sum(nf * ng)))
     energy = np.array(energy)
     bilinear = np.array(bilinear)
-    monotone = bool(np.all(np.diff(energy) <= tol * np.maximum(energy[:-1], 1.0)))
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    time_integral = float(trapz(bilinear, times))
+    monotone = bool(np.all(np.diff(energy) <= _HEAT_TOL * np.maximum(energy[:-1], 1.0)))
+    time_integral = float(np.sum(np.diff(_HEAT_TIMES)
+                                 * (bilinear[1:] + bilinear[:-1]) / 2.0))
     a0 = c.bound
-    budget_ok = a0 * time_integral <= energy[0] + tol
+    budget_ok = a0 * time_integral <= energy[0] + _HEAT_TOL
     closed = (20.0 / c.delta_p) * (c.Lam / c.lam) * lp_norm(f, p) * lp_norm(g, params.q)
     return {
-        "times": np.asarray(times),
+        "times": _HEAT_TIMES.copy(),
         "energy": energy,
         "bilinear": bilinear,
         "monotone": monotone,
@@ -635,10 +651,10 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
 
 
 def contractivity_probe(L: OperatorMatrix, p: float, t: float,
-                        trials: int = 10, iters: int = 40, rng=None) -> float:
-    """Largest observed ||e^{-tL} f||_p / ||f||_p over random starts
-    refined by the nonlinear power method for p-norms.  Evidence only:
-    a lower bound on the discrete operator norm."""
+                        trials: int = 10, rng=None) -> float:
+    """Largest observed ||e^{-tL} f||_p / ||f||_p over random starts, each
+    refined by ``_POWER_ITERS`` nonlinear power-method steps for p-norms.
+    Evidence only: a lower bound on the discrete operator norm."""
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     rng = np.random.default_rng(rng)
@@ -654,7 +670,7 @@ def contractivity_probe(L: OperatorMatrix, p: float, t: float,
     for _ in range(trials):
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         x /= np.linalg.norm(x)
-        for _ in range(iters):
+        for _ in range(_POWER_ITERS):
             y = E @ x
             ay = np.abs(y)
             u = np.where(ay == 0, 0.0, ay ** (p - 2.0)) * y

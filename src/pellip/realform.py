@@ -15,7 +15,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "realify",
-    "sym_antisym_split",
     "sym_part",
     "antisym_part",
     "rotation_form",
@@ -50,25 +49,22 @@ def realify(A: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def sym_antisym_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a square matrix into (M + M^T)/2 and (M - M^T)/2.
-
-    Plain transpose, no conjugation, so the split is meaningful for
-    complex matrices as well.
-    """
+def _transpose(M: np.ndarray) -> np.ndarray:
+    """Plain transpose (no conjugation) of a square matrix or a stack."""
     M = np.asarray(M)
-    if M.shape[-1] != M.shape[-2]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("matrix must be square")
-    T = np.swapaxes(M, -1, -2)
-    return (M + T) / 2, (M - T) / 2
+    return np.swapaxes(M, -1, -2)
 
 
 def sym_part(M: np.ndarray) -> np.ndarray:
-    return sym_antisym_split(M)[0]
+    """(M + M^T)/2; plain transpose, so it applies to complex M as well."""
+    return (M + _transpose(M)) / 2
 
 
 def antisym_part(M: np.ndarray) -> np.ndarray:
-    return sym_antisym_split(M)[1]
+    """(M - M^T)/2; plain transpose, so it applies to complex M as well."""
+    return (M - _transpose(M)) / 2
 
 
 def rotation_form(psi):

@@ -38,15 +38,22 @@ def test_hess_power_closed_values():
         bl.hess_power(3.0, 0.0)
 
 
-def test_hess_form_power_closed_vs_assembly():
-    for _ in range(20):
-        n = rng.integers(1, 4)
-        A, xi = random_accretive(n), cvec(n)
-        z = complex(*rng.standard_normal(2))
-        r = rng.uniform(1.1, 8.0)
-        c = bl.hess_form_power(A, r, z, xi, method="closed")
-        a = bl.hess_form_power(A, r, z, xi, method="assembly")
-        assert abs(c - a) < 1e-10 * max(1.0, abs(c))
+def test_hess_form_power_batched_matches_cells():
+    for n in (1, 2, 3):
+        m = 50
+        A = np.stack([random_accretive(n) for _ in range(m)])
+        xi = np.stack([cvec(n) for _ in range(m)])
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        r = rng.uniform(0.5, 8.0)
+        batch = bl.hess_form_power(A, r, z, xi)
+        cells = [bl.hess_form_power(A[i], r, z[i], xi[i]) for i in range(m)]
+        assert batch.shape == (m,) and all(isinstance(c, float) for c in cells)
+        assert np.allclose(batch, cells, rtol=1e-14, atol=0.0)
+        z[m // 2] = 0.0
+        with pytest.raises(ValueError):
+            bl.hess_form_power(A, r, z, xi)
+    with pytest.raises(ValueError):
+        bl.hess_form_power(np.eye(2), 3.0, 0.0, cvec(2))
 
 
 def test_hess_form_identities():
@@ -79,16 +86,6 @@ def test_hess_form_lower_bound_and_minimizer():
             val = bl.hess_form_power(A, r, z, xi)
             lower = (r * r / 2) * abs(z) ** (r - 2) * np.vdot(xi, xi).real * d
             assert val >= lower - 1e-10 * max(1.0, abs(lower))
-
-
-def test_delta_from_hessian_matches_delta_p():
-    for _ in range(20):
-        A = random_accretive(3)
-        for p in (1.3, 2.0, 4.0, 11.0):
-            assert abs(bl.delta_from_hessian(A, p) - el.delta_p(A, p)) < 1e-10
-            q = p / (p - 1)
-            assert abs(bl.delta_from_hessian(A, p)
-                       - bl.delta_from_hessian(A, q)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +185,36 @@ def test_p2_closed_case_outer_branch():
     assert abs(got - want) < 1e-10 * abs(want)
 
 
+def _outer_block_pairs(block):
+    """(got, want) of the production form on the outer branch with one
+    direction zero, against the closed power-function form of the other
+    block, over random n, p in (2, 11) (so q reaches 1.1), zeta and xi."""
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        pr = bl.BellmanParams(p=rng.uniform(2.0, 11.0), delta=rng.uniform(0.01, 0.5))
+        A, B, xi = random_accretive(n), random_accretive(n), cvec(n)
+        z = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        # |eta|^q a fraction of |zeta|^p keeps (zeta, eta) on the outer branch
+        e = (abs(z) ** pr.p * rng.uniform(0.05, 0.9)) ** (1 / pr.q) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        zero = np.zeros(n, complex)
+        if block == 1:
+            got = bl.bellman_hessian_form(pr, A, B, (z, e), (xi, zero))
+            want = (1 + (2 / pr.p) * pr.delta) * bl.hess_form_power(A, pr.p, z, xi)
+        else:
+            got = bl.bellman_hessian_form(pr, A, B, (z, e), (zero, xi))
+            want = (1 + pr.phat * pr.delta) * bl.hess_form_power(B, pr.q, e, xi)
+        yield got, want
+
+
 def test_form_decouples_when_omega2_zero_outer():
-    pr = PARAMS
-    A, B = random_accretive(2), random_accretive(2)
-    xi = cvec(2)
-    v = (1.0 + 0j, 0.2 + 0j)
-    got = bl.bellman_hessian_form(pr, A, B, v, (xi, np.zeros(2, complex)))
-    want = (1 + (2 / pr.p) * pr.delta) * bl.hess_form_power(A, pr.p, v[0], xi)
-    assert abs(got - want) < 1e-10 * abs(want)
+    for got, want in _outer_block_pairs(1):
+        assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_form_decouples_when_omega1_zero_outer():
+    for got, want in _outer_block_pairs(2):
+        assert abs(got - want) < 1e-10 * abs(want)
 
 
 def test_power_form_at_one_is_quadratic_identity():

@@ -408,3 +408,14 @@ def test_rotation_dimension_cap_is_accepted():
 def test_heatnorm_overflow_is_input_error(capsys):
     assert cli.main(["heatnorm", "--phi", "1.4", "--p", "4", "--n", "100000"]) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("dim", 2.9), ("cells", 16.9), ("dim", True),
+                                        ("cells", "16")])
+def test_field_grid_sizes_must_be_integers(tmp_path, capsys, key, value):
+    # dim 2.9 and cells 16.9 were truncated to a 16^2 grid and ran
+    grid = {"dim": 2, "cells": 16, "extent": 4.0, key: value}
+    spec = write_spec(tmp_path, "f.json", {"kind": "field", "grid": grid,
+                                           "generator": {"name": "skew", "w": 0.4}})
+    assert cli.main(["ellipticity", "--spec", spec]) == 2
+    assert "must be integers" in capsys.readouterr().err

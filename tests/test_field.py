@@ -35,6 +35,13 @@ def test_grid_validation():
     g = fd.Grid(2, 16, 2.0)
     assert g.h == 0.25 and g.size == 256
     assert abs(g.axis()[0] + 2.0 - g.h / 2) < 1e-15
+    assert fd.Grid(np.int64(1), np.int64(16), 2.0).shape == (16,)
+    # sizes are integers: a float cell count was kept as is (shape
+    # (16.9, 16.9), size 285.6), and True passed for dim 1
+    for dim, cells in [(2, 16.9), (2.9, 16), (2, 16.0), (2.0, 16), (True, 16),
+                       (2, "16"), (2, None)]:
+        with pytest.raises(ParameterError):
+            fd.Grid(dim, cells, 4.0)
 
 
 def test_gaussian_mass():
@@ -285,8 +292,8 @@ def test_dissipativity_rejects_small_p():
 
 
 def test_polar_decomposition_real_field():
-    # for a real symmetric field the rotational term vanishes and the
-    # value equals the two elliptic terms
+    # for the identity field the rotational term vanishes and the value
+    # equals the two elliptic terms
     grid = fd.Grid(2, 64, 4.0, "periodic")
     F = fd.constant_field(grid, np.eye(2) + 0j)
     r, grad_r, grad_phi = fd.random_polar_probe(grid, rng)
@@ -304,6 +311,21 @@ def test_polar_decomposition_rotational_field():
         value, terms = fd.dissipativity_from_polar(F, 4.0, r, grad_r, grad_phi)
         assert abs(value - sum(terms)) < 1e-10 * max(1.0, abs(value))
         assert terms[0] >= 0 and terms[1] >= 0
+
+
+@pytest.mark.parametrize("dim, A", [
+    (2, 2.0 * np.eye(2)),
+    (2, np.array([[1.0, 0.3j], [0.3j, 1.0]])),  # Im A symmetric
+    (1, np.array([[2.0 + 0.5j]])),
+])
+def test_polar_decomposition_rejects_other_fields(dim, A):
+    # the terms assume A = I + i w R; on these fields they summed to 4.569,
+    # 4.569 and 1.861 against values 9.139, 4.352 and 3.721
+    grid = fd.Grid(dim, 64, 4.0, "periodic")
+    r, grad_r, grad_phi = fd.random_polar_probe(grid, 3)
+    F = fd.constant_field(grid, A)
+    with pytest.raises(ParameterError):
+        fd.dissipativity_from_polar(F, 4.0, r, grad_r, grad_phi)
 
 
 def test_identity_checks_and_refinement():

@@ -8,7 +8,6 @@ from pellip.realform import (
     devectorize,
     realify,
     rotation_form,
-    sym_antisym_split,
     sym_part,
     vectorize,
 )
@@ -60,15 +59,18 @@ def test_realify_homomorphisms(n):
 
 def test_sym_antisym_split():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s, a = sym_antisym_split(M)
+    s, a = sym_part(M), antisym_part(M)
     assert np.allclose(s, [[0, 0.5], [0.5, 0]])
     assert np.allclose(a, [[0, 0.5], [-0.5, 0]])
     M = cmat(4)
-    s, a = sym_antisym_split(M)
+    s, a = sym_part(M), antisym_part(M)
     assert np.allclose(s + a, M)
     assert np.allclose(s, s.T) and np.allclose(a, -a.T)
-    with pytest.raises(ValueError):
-        sym_antisym_split(np.zeros((2, 3)))
+    for bad in (np.zeros((2, 3)), np.zeros((1, 3)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            sym_part(bad)
+        with pytest.raises(ValueError):
+            antisym_part(bad)
 
 
 @pytest.mark.parametrize("psi", [0.0, 0.3, -1.2, 2.9])
@@ -97,6 +99,8 @@ def test_real_form_quadratic_expansions():
 
 def test_sym_part_antisym_part_shortcuts():
     M = cmat(5)
-    s, a = sym_antisym_split(M)
-    assert np.allclose(sym_part(M), s)
-    assert np.allclose(antisym_part(M), a)
+    T = M.T  # plain transpose, no conjugation
+    assert np.allclose(sym_part(M), (M + T) / 2)
+    assert np.allclose(antisym_part(M), (M - T) / 2)
+    stack = np.stack([cmat(3) for _ in range(4)])
+    assert np.allclose(sym_part(stack), np.stack([sym_part(m) for m in stack]))
