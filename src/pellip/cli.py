@@ -81,7 +81,7 @@ def spec_from_dict(doc: dict):
     kind = doc["kind"]
     try:
         if kind == "rotation":
-            phi, n = float(doc["phi"]), doc.get("n", 2)
+            phi, n = _number(doc, "phi"), doc.get("n", 2)
             if not abs(phi) < math.pi / 2:
                 raise InputError("rotation angle must satisfy |phi| < pi/2")
             if type(n) is not int or not 1 <= n <= _MAX_ROTATION_N:
@@ -89,7 +89,7 @@ def spec_from_dict(doc: dict):
                                  f"[1, {_MAX_ROTATION_N}], got {n!r}")
             return ellipticity.rotation_matrix(phi, n)
         if kind == "skew":
-            w = float(doc["w"])
+            w = _number(doc, "w")
             if not abs(w) < 1:
                 raise InputError("skew parameter must satisfy |w| < 1")
             return ellipticity.skew_matrix(w)
@@ -97,12 +97,20 @@ def spec_from_dict(doc: dict):
             return _accretive(_entries_to_array(doc["entries"]))
         if kind == "rotated":
             return _accretive(ellipticity.rotated_matrix(
-                _entries_to_array(doc["entries"]), float(doc["phi"])))
+                _entries_to_array(doc["entries"]), _number(doc, "phi")))
         if kind == "field":
             return _field_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid spec: {exc}") from exc
     raise InputError(f"unknown spec kind {kind!r}")
+
+
+def _number(doc: dict, key: str) -> float:
+    """A spec scalar: a JSON number, not a bool or a numeric string."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _accretive(A: np.ndarray) -> np.ndarray:
@@ -116,21 +124,21 @@ def _accretive(A: np.ndarray) -> np.ndarray:
 def _field_from_dict(doc: dict) -> field.MatrixField:
     gdoc = doc["grid"]
     grid = field.Grid(dim=gdoc["dim"], cells=gdoc["cells"],
-                      extent=float(gdoc["extent"]),
+                      extent=_number(gdoc, "extent"),
                       boundary=gdoc.get("boundary", "periodic"))
     if "entries" in doc:
         return field.MatrixField(grid, _entries_to_array(doc["entries"]))
     gen = doc["generator"]
     name = gen["name"]
     if name == "rotation":
-        A = ellipticity.rotation_matrix(float(gen["phi"]), grid.dim)
+        A = ellipticity.rotation_matrix(_number(gen, "phi"), grid.dim)
         return field.constant_field(grid, A)
     if name == "skew":
         if grid.dim != 2:
             raise InputError("skew generator needs a 2-D grid")
-        return field.constant_field(grid, ellipticity.skew_matrix(float(gen["w"])))
+        return field.constant_field(grid, ellipticity.skew_matrix(_number(gen, "w")))
     if name == "section7":
-        return field.section7_field(grid, float(gen["gamma"]))
+        return field.section7_field(grid, _number(gen, "gamma"))
     raise InputError(f"unknown field generator {name!r}")
 
 

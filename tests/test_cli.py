@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from pellip import cli, heatnorm
@@ -419,3 +420,44 @@ def test_field_grid_sizes_must_be_integers(tmp_path, capsys, key, value):
                                            "generator": {"name": "skew", "w": 0.4}})
     assert cli.main(["ellipticity", "--spec", spec]) == 2
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "rotation", "phi": True},  # loaded as e^{i} I
+    {"kind": "skew", "w": "0.4"},
+    {"kind": "rotated", "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+     "phi": "0.2"},
+    {"kind": "field", "grid": {"dim": 2, "cells": 16, "extent": True},
+     "generator": {"name": "skew", "w": 0.4}},
+    {"kind": "field", "grid": {"dim": 2, "cells": 16, "extent": 4.0},
+     "generator": {"name": "skew", "w": "0.4"}},
+    {"kind": "field", "grid": {"dim": 2, "cells": 16, "extent": 4.0},
+     "generator": {"name": "rotation", "phi": False}},
+    {"kind": "field", "grid": {"dim": 2, "cells": 16, "extent": 4.0},
+     "generator": {"name": "section7", "gamma": "0.5"}},
+], ids=["rotation-phi-bool", "skew-w-str", "rotated-phi-str", "extent-bool",
+        "gen-skew-w-str", "gen-rotation-phi-bool", "gen-gamma-str"])
+def test_spec_scalars_must_be_json_numbers(tmp_path, capsys, doc):
+    spec = write_spec(tmp_path, "s.json", doc)
+    assert cli.main(["ellipticity", "--spec", spec]) == 2
+    assert "must be a JSON number" in capsys.readouterr().err
+
+
+def test_spec_scalar_overflow_is_input_error(tmp_path, capsys):
+    # a JSON integer too large for a float
+    spec = write_spec(tmp_path, "s.json", {"kind": "skew", "w": 10 ** 400})
+    assert cli.main(["ellipticity", "--spec", spec]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_heatflow_runs_no_dense_expm(tmp_path, capsys, monkeypatch):
+    # a constant coefficient gives a normal operator, whose semigroup is
+    # elementwise on its Schur factor; an expm call would be an internal error
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    spec = write_spec(tmp_path, "rot1.json", {"kind": "rotation", "phi": 0.3, "n": 1})
+    assert cli.main(["heatflow", "--spec", spec, "--p", "3",
+                     "--grid-cells", "64", "--extent", "6"]) == 0, \
+        capsys.readouterr().err
+    capsys.readouterr()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pellip import ParameterError
 from pellip import bellman as bl
@@ -268,6 +269,82 @@ def test_semigroup_fourier_mode_decay():
         assert np.abs(got - math.exp(-0.7 * lam_k) * v).max() < 1e-12
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("cells", [64, 128, 192])
+def test_semigroup_matches_exact_reference(boundary, cells):
+    # L = a S with S real symmetric, so e^{-tL} = V e^{-t a s} V^T from
+    # eigh(S).  Eigenvalues carry an absolute error ~u ||L||, which the
+    # flow turns into ~t u ||L||: measured at most 4.4e-12 ||f|| over the
+    # heat times, largest at 192 periodic cells (stepwise expm: 7.6e-13)
+    grid = fd.Grid(1, cells, 6.0, boundary)
+    a = 1.3 * np.exp(0.7j)
+    S = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0]]))).matrix
+    assert not S.imag.any() and np.array_equal(S, S.T)
+    s, V = np.linalg.eigh(S.real)
+    L = fd.discretize_operator(fd.constant_field(grid, np.array([[a]])))
+    x = grid.axis()
+    f = fd.GridFunction(grid, np.exp(-x * x) * np.exp(0.4j * x))
+    for t in fd._HEAT_TIMES:
+        want = V @ (np.exp(-t * a * s) * (V.T @ f.values))
+        got = fd.semigroup_apply(L, t, f).values
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(f.values)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that its calls are counted; returns the list of
+    calls and the original function."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls, orig
+
+
+def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
+    # variable coefficients make L far from normal (Schur off-diagonal
+    # mass ~0.2), so e^{-tT} of the triangular factor is taken by expm;
+    # measured at most 4.5e-14 ||f|| from the dense oracle
+    expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
+    grid = fd.Grid(1, 32, np.pi, "dirichlet")
+    x = grid.axis()
+    a = (1.5 + np.cos(x)) * np.exp(0.3j * np.sin(2 * x))
+    L = fd.discretize_operator(fd.MatrixField(grid, a[:, None, None]))
+    f = fd.GridFunction(grid, np.exp(-x * x) * (1 + 0.3j * np.sin(x)))
+    for t in fd._HEAT_TIMES:
+        want = expm(-t * L.matrix) @ f.values
+        got = fd.semigroup_apply(L, t, f).values
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(f.values)
+    assert len(expm_calls) == len(fd._HEAT_TIMES)
+
+    # a constant coefficient gives a normal L: diagonal path, no expm
+    expm_calls.clear()
+    const = fd.discretize_operator(fd.constant_field(grid, np.array([[1.5]])))
+    for t in fd._HEAT_TIMES:
+        fd.semigroup_apply(const, t, f)
+    assert expm_calls == []
+
+
+def test_heat_flow_factors_each_operator_once(monkeypatch):
+    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    grid = fd.Grid(1, 32, 6.0, "periodic")
+    A = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
+    f, g = _gaussian_pair(grid)
+    fd.heat_flow_experiment(A, A, f, g, p=3.0)
+    assert len(schur_calls) == 1
+    # an equal-valued but distinct field is a second operator
+    schur_calls.clear()
+    B = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
+    fd.heat_flow_experiment(A, B, f, g, p=3.0)
+    assert len(schur_calls) == 2
+    # the factor belongs to the operator's entries, which stay fixed
+    L = fd.discretize_operator(A)
+    with pytest.raises(ValueError):
+        L.matrix[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # dissipativity
 
@@ -411,6 +488,20 @@ def test_heat_flow_rejects_nonelliptic():
     f, g = _gaussian_pair(grid)
     with pytest.raises(ValueError):
         fd.heat_flow_experiment(A, A, f, g, p=3.0)
+
+
+def test_heat_flow_and_semigroup_need_one_grid():
+    # both mismatches used to run, returning ratios 0.0054 and 0.0085
+    A = fd.constant_field(fd.Grid(1, 32, 6.0), np.array([[np.exp(0.3j)]]))
+    B = fd.constant_field(fd.Grid(1, 32, 2.0), np.array([[np.exp(0.3j)]]))
+    f, g = _gaussian_pair(A.grid)
+    with pytest.raises(ParameterError):
+        fd.heat_flow_experiment(A, B, f, g, p=3.0)
+    fw, _ = _gaussian_pair(fd.Grid(1, 32, 6.0, "dirichlet"))
+    with pytest.raises(ParameterError):
+        fd.heat_flow_experiment(A, A, fw, g, p=3.0)
+    with pytest.raises(ParameterError):
+        fd.semigroup_apply(fd.discretize_operator(A), 0.5, fw)
 
 
 def test_contractivity_probe_regimes():
