@@ -264,26 +264,20 @@ def _smooth_pair(grid, rng):
     return f, g
 
 
-def _scan_gamma(task):
-    p, gamma, cells, extent = task
-    grid = field.Grid(2, cells, extent, "periodic")
-    out = field.counterexample_section7(p, gamma, grid)
-    return {"gamma": gamma, "p": p, "value": out["value"],
-            "elliptic_r": out["terms"][0], "elliptic_phi": out["terms"][1],
-            "rotational": out["terms"][2],
-            "decomposition_error": out["decomposition_error"],
-            "negative": out["value"] < 0}
-
-
 def _cmd_counterexample(args) -> list[dict]:
-    gammas = _parse_scan(args.gamma_scan)
-    tasks = [(args.p, float(gv), args.grid_cells, args.extent) for gv in gammas]
-    rows = list(_map(_scan_gamma, tasks, args.workers))
-    first = True
-    for row in rows:
-        row["first_negative"] = bool(row["negative"] and first)
-        if row["negative"]:
-            first = False
+    grid = field.Grid(2, args.grid_cells, args.extent, "periodic")
+    gammas = [float(g) for g in _parse_scan(args.gamma_scan)]
+    rows, first = [], True
+    for gamma, out in zip(gammas, field.counterexample_section7(args.p, gammas, grid)):
+        negative = out["value"] < 0
+        rows.append({"gamma": gamma, "p": args.p, "value": out["value"],
+                     "elliptic_r": out["terms"][0],
+                     "elliptic_phi": out["terms"][1],
+                     "rotational": out["terms"][2],
+                     "decomposition_error": out["decomposition_error"],
+                     "negative": negative,
+                     "first_negative": negative and first})
+        first = first and not negative
     return rows
 
 
@@ -413,7 +407,7 @@ _COMMANDS = {
     "bellman": (_cmd_bellman, "--spec --spec-b --p --budget"),
     "dissipativity": (_cmd_dissipativity, "--spec --p --grid-cells --extent"),
     "counterexample": (_cmd_counterexample,
-                       "--p --gamma-scan --grid-cells --extent --workers"),
+                       "--p --gamma-scan --grid-cells --extent"),
     "heatflow": (_cmd_heatflow, "--spec --p --grid-cells --extent"),
     "heatnorm": (_cmd_heatnorm, "--p --phi --phi-grid --n --workers"),
 }

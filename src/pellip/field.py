@@ -77,6 +77,11 @@ _HEAT_TOL = 1e-9
 # measure 0.06 (2-D Dirichlet mixed terms) to 0.23 (1-D variable
 # coefficients) and take the expm fallback.
 _NORMAL_TOL = 1e-12
+# _s7_quadrature splits each cell of the active disk into _S7_REFINE^2
+# points and yields at most _S7_BLOCK points at a time: held at once, the
+# 8.1 M points of a 512^2 grid at p = 2.01 peaked at 1.8 GB.
+_S7_REFINE = 12
+_S7_BLOCK = 2 ** 14
 # Power-method steps per start of contractivity_probe (evidence only).
 _POWER_ITERS = 40
 
@@ -471,35 +476,50 @@ def refinement_study(params, cells=(64, 128, 256)) -> dict:
 # the rotational counterexample
 
 
-def _s7_quadrature(grid: Grid, p: float, refine: int = 12):
+def _s7_quadrature(grid: Grid, p: float):
     """Midpoint quadrature on the grid, with every cell where the weight
-    r^p = e^{-pi p rho^2} is non-negligible subdivided refine x refine.
+    r^p = e^{-pi p rho^2} is non-negligible subdivided
+    _S7_REFINE x _S7_REFINE.
 
     The rotational integrand has a derivative kink along the diagonals
     |x| = |y|; plain midpoint quadrature there carries an O(h^2) error
     whose constant can exceed the sign margin of the functional, so the
-    whole active disk is refined uniformly.  Returns flat (X, Y, W).
+    whole active disk is refined uniformly.  Yields flat (X, Y, W)
+    blocks of at most _S7_BLOCK points: the unrefined outer cells first,
+    then whole refined cells.  Besides the cell centers, at most one
+    block is held at once, however large the grid or the refined disk.
     """
     X, Y = (m.reshape(-1) for m in grid.meshes())
     h = grid.h
     R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + h  # r^p >= 1e-12
     active = X * X + Y * Y <= R * R
-    pts_x = [X[~active]]
-    pts_y = [Y[~active]]
-    wts = [np.full(int((~active).sum()), h * h)]
-    if np.any(active):
-        sub = (np.arange(refine) + 0.5) / refine - 0.5
-        dx, dy = np.meshgrid(sub * h, sub * h, indexing="ij")
-        pts_x.append((X[active, None] + dx.reshape(-1)).reshape(-1))
-        pts_y.append((Y[active, None] + dy.reshape(-1)).reshape(-1))
-        wts.append(np.full(pts_x[-1].shape, h * h / refine ** 2))
-    return (np.concatenate(pts_x), np.concatenate(pts_y), np.concatenate(wts))
+    Xo, Yo = X[~active], Y[~active]
+    for s in range(0, Xo.size, _S7_BLOCK):
+        x = Xo[s:s + _S7_BLOCK]
+        yield x, Yo[s:s + _S7_BLOCK], np.full(x.shape, h * h)
+    sub = (np.arange(_S7_REFINE) + 0.5) / _S7_REFINE - 0.5
+    dx, dy = (d.reshape(-1) for d in np.meshgrid(sub * h, sub * h, indexing="ij"))
+    Xa, Ya = X[active], Y[active]
+    step = _S7_BLOCK // dx.size  # whole refined cells per block
+    for s in range(0, Xa.size, step):
+        x = (Xa[s:s + step, None] + dx).reshape(-1)
+        y = (Ya[s:s + step, None] + dy).reshape(-1)
+        yield x, y, np.full(x.shape, h * h / dx.size)
 
 
-def counterexample_section7(p: float, gamma: float, grid: Grid) -> dict:
+def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
     """Dissipativity of A = I - i*gamma*chi_E*R on E = {|x1| >= |x2|},
     tested on f = exp(-pi |x|^2 - i p x1 x2), with the closed-form
-    decomposition into elliptic and rotational parts.
+    decomposition into elliptic and rotational parts, for every gamma
+    of ``gammas``: one dict per gamma, in input order.
+
+    Only w = -gamma*chi_E depends on gamma, and A = I + i w R gives
+    Re<A u, v> = Re<u, v> + w Re(i <R u, v>) exactly, so the value is
+    affine in gamma and the rotational term linear in it.  One pass over
+    the blocks of :func:`_s7_quadrature` accumulates the gamma-free sums
+    V0 = sum W Re<u, v>, V1 = sum W (-chi) Re(i <R u, v>), the elliptic
+    terms t1, t2 and T3 = sum W (-chi) p r^{p-1} J(r, phi); each gamma
+    reports value V0 + gamma V1 and terms (t1, t2, gamma T3).
 
     All gradients are closed-form, so the direct sesquilinear value and
     the decomposition are computed from identical point data and agree
@@ -508,23 +528,31 @@ def counterexample_section7(p: float, gamma: float, grid: Grid) -> dict:
     """
     if p <= 2:
         raise ParameterError("requires p > 2")
-    if not 0 <= gamma < 1:
+    gammas = [float(g) for g in gammas]
+    if not all(0 <= g < 1 for g in gammas):
         raise ParameterError("gamma must lie in [0, 1)")
     if grid.dim != 2 or grid.extent < 4:
         raise ParameterError("requires a 2-D grid with extent >= 4")
-    X, Y, W = _s7_quadrature(grid, p)
-    r = np.exp(-np.pi * (X * X + Y * Y))
-    grad_r = np.stack([-2.0 * np.pi * X * r, -2.0 * np.pi * Y * r], axis=-1)
-    # f = r e^{i phi} with phi = -p x1 x2
-    grad_phi = np.stack([-p * Y, -p * X], axis=-1)
-    w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
-    u, v, terms = _polar_terms(p, r, grad_r, grad_phi, w, W)
-    # A = I + i w R with R the rotation generator, so (A u) = u + i w R u
-    Au = u + 1j * w[..., None] * np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    value = float(np.sum(W * np.real(np.sum(Au * v.conjugate(), axis=-1))))
-    total = sum(terms)
-    rel = abs(value - total) / max(abs(value), 1e-300)
-    return {"value": value, "terms": terms, "decomposition_error": rel}
+    V0 = V1 = t1 = t2 = T3 = 0.0
+    for X, Y, W in _s7_quadrature(grid, p):
+        r = np.exp(-np.pi * (X * X + Y * Y))
+        grad_r = np.stack([-2.0 * np.pi * X * r, -2.0 * np.pi * Y * r], axis=-1)
+        # f = r e^{i phi} with phi = -p x1 x2
+        grad_phi = np.stack([-p * Y, -p * X], axis=-1)
+        neg_chi = np.where(np.abs(X) >= np.abs(Y), -1.0, 0.0)  # w / gamma
+        u, v, (b1, b2, b3) = _polar_terms(p, r, grad_r, grad_phi, neg_chi, W)
+        Ru = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        V0 += float(np.sum(W * np.real(np.sum(u * v.conjugate(), axis=-1))))
+        # Re(i z) = -Im z
+        V1 -= float(np.sum(W * neg_chi * np.imag(np.sum(Ru * v.conjugate(), axis=-1))))
+        t1, t2, T3 = t1 + b1, t2 + b2, T3 + b3
+    rows = []
+    for gamma in gammas:
+        value = V0 + gamma * V1
+        terms = (t1, t2, gamma * T3 + 0.0)  # + 0.0: gamma = 0 gives 0.0, not -0.0
+        rel = abs(value - sum(terms)) / max(abs(value), 1e-300)
+        rows.append({"value": value, "terms": terms, "decomposition_error": rel})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def test_identity_checks_and_refinement():
 def test_counterexample_analytic_terms():
     grid = fd.Grid(2, 128, 4.0, "periodic")
     p, gamma = 8.0, 0.8
-    out = fd.counterexample_section7(p, gamma, grid)
+    (out,) = fd.counterexample_section7(p, [gamma], grid)
     t1, t2, t3 = out["terms"]
     assert abs(t1 - 4 * math.pi * (p - 1) / p**2) < 1e-6
     assert abs(t2 - 1 / math.pi) < 1e-6
@@ -438,25 +438,79 @@ def test_counterexample_sign_threshold():
     grid = fd.Grid(2, 128, 4.0, "periodic")
     p = 40.0
     crit = 0.5 + 2 * math.pi**2 * (p - 1) / p**2
-    below = fd.counterexample_section7(p, crit - 0.01, grid)
-    above = fd.counterexample_section7(p, min(crit + 0.01, 0.999), grid)
+    below, above = fd.counterexample_section7(
+        p, [crit - 0.01, min(crit + 0.01, 0.999)], grid)
     assert below["value"] > 0 > above["value"]
     # moderate exponent and small gamma: genuinely dissipative
-    out = fd.counterexample_section7(4.0, 0.5, grid)
+    (out,) = fd.counterexample_section7(4.0, [0.5], grid)
     assert out["value"] > 0
     # real coefficient: the decomposition is a sum of squares
-    real_case = fd.counterexample_section7(40.0, 0.0, grid)
+    (real_case,) = fd.counterexample_section7(40.0, [0.0], grid)
     assert real_case["value"] > 0 and real_case["terms"][2] == 0.0
 
 
-def test_counterexample_domain_errors():
+def test_counterexample_domain_errors(monkeypatch):
     grid = fd.Grid(2, 64, 4.0, "periodic")
     with pytest.raises(ValueError):
-        fd.counterexample_section7(2.0, 0.5, grid)
+        fd.counterexample_section7(2.0, [0.5], grid)
     with pytest.raises(ValueError):
-        fd.counterexample_section7(4.0, 1.5, grid)
+        fd.counterexample_section7(4.0, [1.5], grid)
     with pytest.raises(ValueError):
-        fd.counterexample_section7(4.0, 0.5, fd.Grid(2, 64, 1.0))
+        fd.counterexample_section7(4.0, [0.5], fd.Grid(2, 64, 1.0))
+
+    # every gamma is checked before the first quadrature block is built
+    def refuse(*args):
+        raise AssertionError("quadrature built before validation")
+
+    monkeypatch.setattr(fd, "_s7_quadrature", refuse)
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ParameterError):
+            fd.counterexample_section7(4.0, [0.5, 0.9, bad], grid)
+
+
+@pytest.mark.parametrize("p", [4.0, 40.0])
+def test_counterexample_rows_match_direct_evaluation(p):
+    # the oracle: per gamma, sum W Re<(I + i w R) u, v> over the same
+    # points, with w = -gamma chi_E, the pairing written out per point
+    grid = fd.Grid(2, 64, 4.0, "periodic")
+    gammas = [0.0, 0.3, 0.7, 0.99]
+    rows = fd.counterexample_section7(p, gammas, grid)
+    blocks = list(fd._s7_quadrature(grid, p))
+    X, Y, W = (np.concatenate(c) for c in zip(*blocks))
+    r = np.exp(-np.pi * (X * X + Y * Y))
+    grad_r = np.stack([-2 * np.pi * X * r, -2 * np.pi * Y * r], axis=-1)
+    grad_phi = np.stack([-p * Y, -p * X], axis=-1)
+    u = grad_r + 1j * r[:, None] * grad_phi
+    v = (p - 1) * r[:, None] ** (p - 2) * grad_r + 1j * r[:, None] ** (p - 1) * grad_phi
+    for gamma, row in zip(gammas, rows):
+        w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
+        Au = np.stack([u[:, 0] - 1j * w * u[:, 1], u[:, 1] + 1j * w * u[:, 0]], axis=-1)
+        direct = np.sum(W * np.real(np.sum(Au * v.conjugate(), axis=-1)))
+        assert abs(row["value"] - direct) <= 1e-12 * abs(direct)
+        assert row["decomposition_error"] < 1e-10
+
+
+def test_counterexample_rows_do_not_depend_on_the_scan():
+    # a gamma's row is the same bits whichever scan it is part of
+    grid = fd.Grid(2, 64, 4.0, "periodic")
+    a, b, c = 0.6, 0.8, 0.97
+    assert fd.counterexample_section7(40.0, [a, b, c], grid)[2] == \
+        fd.counterexample_section7(40.0, [c], grid)[0]
+
+
+def test_counterexample_quadrature_blocks_are_bounded():
+    # the largest accepted grid at p = 2.01, just above p > 2 (the widest
+    # refined disk, 8.1 M points): every block, the unrefined outer cells
+    # too, holds at most _S7_BLOCK points, and the weights cover the square
+    grid = fd.Grid(2, 512, 4.0, "periodic")
+    total, points, outer = 0.0, 0, 0
+    for X, Y, W in fd._s7_quadrature(grid, 2.01):
+        assert X.shape == Y.shape == W.shape and 0 < W.size <= fd._S7_BLOCK
+        total += math.fsum(W)
+        points += W.size
+        outer += int(np.all(W == grid.h ** 2))
+    assert outer >= 2 and points > 50 * fd._S7_BLOCK
+    assert abs(total - (2 * grid.extent) ** 2) <= 1e-12 * (2 * grid.extent) ** 2
 
 
 # ---------------------------------------------------------------------------
