@@ -393,10 +393,21 @@ def pair_constants(A, B, p: float) -> PairConstants:
 # points reduce to v = (1, rho^{1/q}) with rho = |eta|^q / |zeta|^p.
 # log rho is scanned at offsets from rho = 1, dense there: to e^140 on the
 # inner branch, to e^-20 on the outer one (the ratio is a power of rho).
-# log tau is bisected on [-300, 300] down to 5e-16.
 _LOG_RHO = np.geomspace(1e-10, 140.0, 160)
 _LOG_RHO_SCAN = np.concatenate([-_LOG_RHO[_LOG_RHO <= 20.0][::-1], _LOG_RHO])
-_ZOOMS, _ZOOM_POINTS, _LOG_TAU_SPAN, _BISECTIONS = 6, 9, 300.0, 60
+_ZOOMS, _ZOOM_POINTS, _LOG_TAU_SPAN = 6, 9, 300.0
+# log tau is searched on [-300, 300] until its bracket is _TAU_CLOSE *
+# max(1, |log tau|) wide, a few ulp.  Past the first, a model step is taken
+# only after a step that halved the bracket, so each step that does not
+# halve it follows one that did: with the start and the first model step,
+# _TAU_STEPS = 2 + 2 ceil(log2(600 / _TAU_CLOSE)) = 120 steps close any bracket.
+_TAU_CLOSE = 8.0 * np.finfo(float).eps
+_TAU_STEPS = 2 * math.ceil(math.log2(2.0 * _LOG_TAU_SPAN / _TAU_CLOSE)) + 2
+# Eigenvalues of K_tau within _TAU_TIE * ||K_tau|| of lam_min are tied to
+# it: its bottom cluster.  A model step of length h aims min(16 h^2, h / 2)
+# past its model point, beyond Newton's O(h^2) error, to cross the root.
+_TAU_TIE = 8.0 * np.finfo(float).eps
+_OVERSHOOT = 16.0
 
 
 def _scaled(K: np.ndarray, log_tau) -> np.ndarray:
@@ -406,22 +417,108 @@ def _scaled(K: np.ndarray, log_tau) -> np.ndarray:
     return d[..., :, None] * K * d[..., None, :]
 
 
+def _cluster_range(G: np.ndarray, k: np.ndarray):
+    """(min, max) eigenvalue of the leading k x k block of each G."""
+    gmin, gmax = G[:, 0, 0].copy(), G[:, 0, 0].copy()
+    two = k == 2
+    mean = 0.5 * (G[two, 0, 0] + G[two, 1, 1])
+    rad = np.hypot(0.5 * (G[two, 0, 0] - G[two, 1, 1]), G[two, 0, 1])
+    gmin[two], gmax[two] = mean - rad, mean + rad
+    for size in np.unique(k[k > 2]):
+        sel = k == size
+        g = np.linalg.eigvalsh(G[sel, :size, :size])
+        gmin[sel], gmax[sel] = g[:, 0], g[:, -1]
+    return gmin, gmax
+
+
+def _model_step(lam: np.ndarray, G: np.ndarray, tied: np.ndarray,
+                d: np.ndarray) -> np.ndarray:
+    """Length of the step in direction d (+-1) to the nearer of two model
+    points of the bottom branch lam_0 of K_tau, where lam_0 > 0; inf where
+    there is none.  With E = diag(-I/2, I/2), d K_tau / d log tau = E K_tau
+    + K_tau E, and G = 2 X^T E X in K_tau's eigenbasis X, so branch j has
+    log-slope sigma_j = G_jj.  With r_k = lam_k / lam_0 the points are:
+      - Newton's for lam_0' = 0, where lam_0'' = lam_0 ((1 + sigma_0^2) / 2
+        + 2 sum_k e_k^2 (1 + 3 r_k) / (1 - r_k)) < 0, the sum over the
+        untied k and e_k = G_k0 / 2;
+      - the first crossing of log lam_0 with another untied log lam_k, both
+        continued linearly: it is exact at a kink where K12 = 0.
+    """
+    sig = np.diagonal(G, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = lam / lam[:, :1]
+        pert = np.where(tied, 0.0, (0.5 * G[:, :, 0]) ** 2 * (1.0 + 3.0 * r) / (1.0 - r))
+        curv = 0.5 * (1.0 + sig[:, 0] ** 2) + 2.0 * pert.sum(axis=-1)
+        newton = np.where(curv < 0, np.abs(sig[:, 0] / curv), np.inf)
+        cross = d[:, None] * np.log(r) / (sig[:, :1] - sig)
+        cross = np.where(tied | ~(cross > 0), np.inf, cross).min(axis=-1)
+    return np.where(lam[:, 0] > 0, np.minimum(newton, cross), np.inf)
+
+
 def _direction_inf(K: np.ndarray):
     """(value, log tau): exact inf over w = (w1, w2), w1, w2 != 0, of
     w^T K w / (|w1||w2|) for a batch of symmetric 4n x 4n K.  Each tau > 0
     gives the lower bound 2 lam_min(K_tau) where that is nonnegative, and
     lam_min(K_tau) is quasi-concave in log tau with slope lam_min (|x2|^2 -
-    |x1|^2) at its unit eigenvector x: bisection on |x2|^2 - 1/2 finds the
-    maximizer, where w = (x1, tau x2) attains the bound, negative or not."""
-    m = K.shape[-1] // 2
-    lo, hi = -_LOG_TAU_SPAN, _LOG_TAU_SPAN
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        x2 = np.linalg.eigh(_scaled(K, mid))[1][..., m:, 0]
-        rising = np.sum(x2 ** 2, axis=-1) > 0.5
-        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-    s = 0.5 * (lo + hi)
-    return 2.0 * np.linalg.eigvalsh(_scaled(K, s))[..., 0], s
+    |x1|^2) at its unit eigenvector x: the root of |x2|^2 - 1/2 is the
+    maximizer, where w = (x1, tau x2) attains the bound, negative or not.
+
+    The root is bracketed on [-_LOG_TAU_SPAN, _LOG_TAU_SPAN] by the sign of
+    |x2|^2 - 1/2, or, for a tied bottom cluster, of the extreme eigenvalues
+    of |x2|^2 - |x1|^2 on it (both signs: the cluster holds a balanced x and
+    log tau is the root).  It starts where the diagonal blocks balance,
+    lam_min(K11) / tau = tau lam_min(K22), and steps to :func:`_model_step`'s
+    point, or to the midpoint where there is none inside the bracket or the
+    step before did not halve the bracket.  One eigh of K_tau per step; a
+    bracket still open after _TAU_STEPS steps raises RuntimeError.
+    """
+    K = np.asarray(K)
+    shape, size = K.shape[:-2], K.shape[-1]
+    m = size // 2
+    K = K.reshape(-1, size, size)
+    l11 = np.linalg.eigvalsh(K[:, :m, :m])[:, 0]
+    l22 = np.linalg.eigvalsh(K[:, m:, m:])[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.clip(0.5 * np.log(l11 / l22), -_LOG_TAU_SPAN, _LOG_TAU_SPAN)
+    s = np.where((l11 > 0) & (l22 > 0), start, 0.0)
+    lo, hi = np.full_like(s, -_LOG_TAU_SPAN), np.full_like(s, _LOG_TAU_SPAN)
+    next_lo, next_hi = np.full_like(s, np.nan), np.full_like(s, np.nan)  # model points
+    last = np.full_like(s, np.inf)  # bracket width before the last step
+    val = np.empty_like(s)
+    act = np.arange(s.size)
+    for _ in range(_TAU_STEPS):
+        if act.size == 0:
+            break
+        sa = s[act]
+        lam, X = np.linalg.eigh(_scaled(K[act], sa))
+        X1, X2 = X[:, :m], X[:, m:]
+        G = np.swapaxes(X2, -1, -2) @ X2 - np.swapaxes(X1, -1, -2) @ X1
+        tied = lam - lam[:, :1] <= _TAU_TIE * np.abs(lam).max(axis=-1, keepdims=True)
+        gmin, gmax = _cluster_range(G, tied.sum(axis=-1))
+        rising, falling = gmin > 0, gmax < 0
+        d = np.where(rising, 1.0, -1.0)
+        tol = _TAU_CLOSE * np.maximum(1.0, np.abs(sa))
+        h = _model_step(lam, G, tied, d)
+        point = sa + d * np.maximum(h + np.minimum(_OVERSHOOT * h, 0.5) * h, 0.5 * tol)
+        lo[act] = a_lo = np.where(rising, sa, lo[act])
+        hi[act] = a_hi = np.where(falling, sa, hi[act])
+        next_lo[act] = n_lo = np.where(rising, point, next_lo[act])
+        next_hi[act] = n_hi = np.where(falling, point, next_hi[act])
+        val[act] = 2.0 * lam[:, 0]
+        width = a_hi - a_lo
+        done = ~(rising | falling) | (width <= tol)
+        # the model point nearer its own end of the bracket, strictly inside
+        in_lo, in_hi = (a_lo < n_lo) & (n_lo < a_hi), (a_lo < n_hi) & (n_hi < a_hi)
+        use_lo = in_lo & ~(in_hi & (a_hi - n_hi < n_lo - a_lo))
+        model = (in_lo | in_hi) & (width <= 0.5 * last[act])
+        s[act] = np.where(done, sa, np.where(model, np.where(use_lo, n_lo, n_hi),
+                                             0.5 * (a_lo + a_hi)))
+        last[act] = width
+        act = act[~done]
+    if act.size:
+        raise RuntimeError(f"log tau search left {act.size} brackets open "
+                           f"after {_TAU_STEPS} steps")
+    return val.reshape(shape), s.reshape(shape)
 
 
 def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:

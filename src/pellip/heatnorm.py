@@ -75,26 +75,36 @@ def heat_norm_constant(phi: float, p: float) -> float:
     return val ** 0.25
 
 
-def _gaussian_ratio(a, z: complex, p: float) -> np.ndarray:
-    """||evolved g_a||_p / ||g_a||_p for g_a(x) = exp(-a x^2), batched over a.
+def _gaussian_ratio(rho, theta, phi: float, p: float) -> np.ndarray:
+    """||evolved g_a||_p / ||g_a||_p for g_a(x) = exp(-a x^2) at time
+    z = t e^{i phi}, where a = rho e^{i theta} / (4t); batched over
+    (rho, theta), and it depends on them and phi only.
 
     The evolution maps a to b = a/(1+4za) with amplitude (1+4za)^{-1/2};
     Gaussian p-norms are closed form, so the ratio is
-    |1+4za|^{-1/2} (Re a / Re b)^{1/(2p)}, and 0 unless Re a, Re b > 0.
-    Since Re a / Re b = |1+4za|^2 / (1 + 4|a|^2 Re z / Re a), both factors
-    go through log1p, which keeps ratios near 1 accurate to the last bit.
+    |1+4za|^{-1/2} (Re a / Re b)^{1/(2p)}, and 0 unless Re a > 0, i.e.
+    |theta| < pi/2 (then Re b > 0 too).  With Re a / Re b = |1+4za|^2 /
+    (1 + rho cos phi / cos theta) and |4za| = rho,
+    |1+4za|^2 = (1 - rho)^2 + 2 rho (1 + cos(theta + phi)), where
+    1 + cos(theta + phi) is a sum of nonnegative terms: where sin theta
+    and sin phi share a sign, 1 - |sin theta sin phi| = cos^2 theta /
+    (1 + |sin theta|) + |sin theta| cos^2 phi / (1 + |sin phi|).  So
+    |1+4za| keeps its relative accuracy where 1 + 4za nearly cancels,
+    at theta + phi near +-pi.
     """
-    a = np.asarray(a, dtype=complex)
-    ok = (a.real > 0) & (a.real + 4.0 * np.abs(a) ** 2 * z.real > 0)  # Re b > 0
-    a = np.where(ok, a, 0.0)
-    w = 4.0 * z * a
-    log_den2 = np.log1p(2.0 * w.real + np.abs(w) ** 2)
-    log_fac = np.log1p(4.0 * np.abs(a) ** 2 * z.real / np.where(ok, a.real, 1.0))
+    ct, st = np.cos(theta), np.abs(np.sin(theta))
+    ok = ct > 0
+    ct = np.where(ok, ct, 1.0)
+    c, s = math.cos(phi), abs(math.sin(phi))
+    one_cos = ct * c + np.where(np.sign(theta) * np.sign(phi) > 0,
+                                ct * ct / (1.0 + st) + st * (c * c / (1.0 + s)),
+                                1.0 + st * s)
+    den2 = (1.0 - rho) ** 2 + 2.0 * rho * one_cos  # |1+4za|^2
     e = 1.0 / (2.0 * p)
-    return np.where(ok, np.exp((e - 0.25) * log_den2 - e * log_fac), 0.0)
+    return np.where(ok, np.exp((e - 0.25) * np.log(den2) - e * np.log1p(rho * c / ct)), 0.0)
 
 
-def _width_optimum(theta: np.ndarray, phi: float, p: float, t: float) -> np.ndarray:
+def _width_optimum(theta: np.ndarray, phi: float, p: float) -> np.ndarray:
     """Largest Gaussian ratio over the width at each arg a = theta.
 
     With a = rho e^{i theta} / (4t) the ratio depends on (rho, theta)
@@ -110,8 +120,7 @@ def _width_optimum(theta: np.ndarray, phi: float, p: float, t: float) -> np.ndar
     qc = (2.0 - p) * cs * ct - c
     root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
     rho = np.maximum(np.stack([-qb + root, -qb - root]) / (2.0 * qa), 0.0)
-    z = t * complex(c, math.sin(phi))
-    return _gaussian_ratio(rho * np.exp(1j * theta) / (4.0 * t), z, p).max(axis=0)
+    return _gaussian_ratio(rho, theta, phi, p).max(axis=0)
 
 
 def gaussian_oracle(phi: float, p: float, t: float = 1.0) -> float:
@@ -132,7 +141,7 @@ def gaussian_oracle(phi: float, p: float, t: float = 1.0) -> float:
     theta = np.linspace(-math.pi / 2, math.pi / 2, 2003)[1:-1]
     best = 1.0  # boundary candidate: the a -> 0 limit
     for _ in range(9):  # the scan, then 8 zooms of 17 points
-        vals = _width_optimum(theta, phi, p, t)
+        vals = _width_optimum(theta, phi, p)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         theta = theta[i] + (theta[1] - theta[0]) * np.linspace(-1.0, 1.0, 17)

@@ -420,14 +420,15 @@ def test_form_matrix_reproduces_pair():
 
 
 def test_direction_inf_is_exact_and_attained():
-    # the bisection value is a lower bound at every tau and is attained by
+    # the searched value is a lower bound at every tau and is attained by
     # the balanced minimizer, also where lam_min is multiple
     params = bl.BellmanParams(3.0, 0.05)
     for kind, n in (("random", 2), ("rotation", 2)):
         A, B = elliptic_pair(kind, n, params.p)
         MA, MB = realify(A), realify(B)
-        for rho in (0.3, 4.0):  # one point on each branch
-            H4 = bl.hessian_q(params, 1.0 + 0j, complex(rho ** (1 / params.q)))
+        # both branches, out to both ends of the scan
+        for log_rho in (math.log(0.3), math.log(4.0), -20.0, 20.0, 140.0):
+            H4 = bl.hessian_q(params, 1.0 + 0j, complex(math.exp(log_rho / params.q)))
             K = bl._form_matrix(H4, MA, MB)
             val, log_tau = bl._direction_inf(K)
             x = bl._balanced_minimizer(bl._scaled(K, log_tau))
@@ -436,6 +437,109 @@ def test_direction_inf_is_exact_and_attained():
             assert abs(ratio - val) < 1e-9 * val
             for s in log_tau + np.linspace(-3, 3, 13):
                 assert 2 * np.linalg.eigvalsh(bl._scaled(K, s))[0] <= val * (1 + 1e-12)
+
+
+def bisection_direction_inf(K):
+    """Reference for _direction_inf: 60 bisections of log tau on [-300, 300]
+    on the sign of |x2|^2 - 1/2 at the lam_min eigenvector of K_tau."""
+    m = K.shape[-1] // 2
+    lo, hi = -300.0, 300.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        x2 = np.linalg.eigh(bl._scaled(K, mid))[1][..., m:, 0]
+        rising = np.sum(x2 ** 2, axis=-1) > 0.5
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    s = 0.5 * (lo + hi)
+    return 2.0 * np.linalg.eigvalsh(bl._scaled(K, s))[..., 0], s
+
+
+def scan_forms(kind, n, p):
+    """K at every scanned rho of convexity_verify, on both branches."""
+    A, B = elliptic_pair(kind, n, p)
+    params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
+    eta = np.exp(bl._LOG_RHO_SCAN / params.q)
+    return bl._form_matrix(bl.hessian_q(params, np.ones_like(eta), eta),
+                           realify(A), realify(B))
+
+
+PAIR_KINDS = [("rotation", 1), ("rotation", 2), ("rotation", 3), ("skew", 2),
+              ("random", 1), ("random", 2), ("random", 3)]
+
+
+@pytest.mark.parametrize("kind,n", PAIR_KINDS)
+def test_direction_inf_matches_bisection(kind, n):
+    # permanent pairs (A = B rotations), kinks (K12 = 0 on the outer
+    # branch) and smooth maxima, out to rho = e^140 where K's entries span
+    # 1e+-30
+    for p in (2.0, 2.05, 2.5, 4.0, 8.0, 40.0):
+        K = scan_forms(kind, n, p)
+        val, _ = bl._direction_inf(K)
+        ref, _ = bisection_direction_inf(K)
+        rel = np.abs(val - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12, (p, int(np.argmax(rel)))
+
+
+def test_direction_inf_balances_where_lam_min_is_negative():
+    # positive diagonal blocks and a coupling of norm 1.5 make K indefinite,
+    # so lam_min(K_tau) < 0 at every tau (K_tau is congruent to K), while
+    # |x2|^2 - 1/2 changes sign; the search still finds the reference's
+    # balanced point
+    local = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        m = 2 * n
+        Q = np.linalg.qr(local.standard_normal((5, m, m)))[0]
+        S = 0.1 * local.standard_normal((5, 2, m, m))
+        D = np.eye(m) + S + np.swapaxes(S, -1, -2)
+        assert np.all(np.linalg.eigvalsh(D)[..., 0] > 0)
+        K = np.block([[D[:, 0], 1.5 * Q], [1.5 * np.swapaxes(Q, -1, -2), D[:, 1]]])
+        val, s = bl._direction_inf(K)
+        ref, s_ref = bisection_direction_inf(K)
+        assert np.all(val < 0)
+        assert np.allclose(val, ref, rtol=1e-12, atol=0.0)
+        for Ki, si, ri in zip(K, s, s_ref):
+            x = bl._balanced_minimizer(bl._scaled(Ki, si))
+            x_ref = bl._balanced_minimizer(bl._scaled(Ki, ri))
+            assert abs(abs(x @ x_ref) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(x[:2 * n]) - np.linalg.norm(x[2 * n:])) < 1e-9
+
+
+def test_direction_inf_bisection_alone_converges(monkeypatch):
+    # with every model step rejected the search is a bisection, which the
+    # step cap leaves room for
+    K = np.concatenate([scan_forms("random", 2, 8.0), scan_forms("skew", 2, 4.0)])
+    monkeypatch.setattr(bl, "_model_step", lambda lam, *_: np.full(len(lam), np.inf))
+    val, _ = bl._direction_inf(K)
+    ref, _ = bisection_direction_inf(K)
+    assert np.all(np.abs(val - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_direction_inf_refuses_an_open_bracket(monkeypatch):
+    monkeypatch.setattr(bl, "_TAU_STEPS", 3)
+    with pytest.raises(RuntimeError, match="open"):
+        bl._direction_inf(scan_forms("random", 2, 8.0))
+
+
+@pytest.mark.parametrize("kind,n,p", [("rotation", 2, 4.0), ("random", 3, 8.0)])
+def test_convexity_verify_work_per_scanned_rho(kind, n, p, monkeypatch):
+    # every eigen-decomposition of one convexity_verify run, against the
+    # number of rho it scans: the 60-step bisection took 61 per rho
+    A, B = elliptic_pair(kind, n, p)
+    params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
+    counts = {"matrices": 0, "rho": 0}
+
+    def counted(fn, key):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            counts[key] += int(np.prod(a.shape[:-2]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "matrices"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "matrices"))
+    monkeypatch.setattr(bl, "_direction_inf", counted(bl._direction_inf, "rho"))
+    bl.convexity_verify(params, A, B)
+    assert counts["rho"] == bl._LOG_RHO_SCAN.size + bl._ZOOMS * (2 * bl._ZOOM_POINTS - 1)
+    assert counts["matrices"] <= 12 * counts["rho"]
 
 
 @settings(max_examples=60, deadline=None)

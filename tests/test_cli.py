@@ -406,6 +406,12 @@ def test_rotation_dimension_cap_is_accepted():
     assert A.shape == (n, n)
 
 
+def test_heatnorm_agrees_with_oracle_near_right_angle(capsys):
+    assert cli.main(["heatnorm", "--p", "40", "--phi", "1.570795"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["oracle"] <= row["C"]
+
+
 def test_heatnorm_overflow_is_input_error(capsys):
     assert cli.main(["heatnorm", "--phi", "1.4", "--p", "4", "--n", "100000"]) == 2
     assert "overflows" in capsys.readouterr().err
