@@ -19,11 +19,9 @@ not hold), 1 internal error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -306,34 +304,22 @@ def _cmd_heatflow(args) -> list[dict]:
     return rows
 
 
-def _heatnorm_point(task):
-    phi, p, n = task
-    res = heatnorm.tensorized_demo(phi, p, n)
-    return {"p": p, "phi": phi, "C": res.C, "oracle": res.oracle,
-            "n": n, "C_pow_n": res.C_pow_n, "N_p_lower": res.N_p_lower}
-
-
 def _cmd_heatnorm(args) -> list[dict]:
     if args.phi_grid is not None and args.phi is not None:
         raise InputError("give --phi or --phi-grid, not both")
     phis = (_parse_scan(args.phi_grid) if args.phi_grid is not None
             else np.array([0.0 if args.phi is None else args.phi]))
-    tasks = sorted((float(ph), args.p, args.n) for ph in phis)
-    rows = list(_map(_heatnorm_point, tasks, args.workers))
-    for row in rows:
-        if abs(row["oracle"] - row["C"]) > 1e-5:
+    rows = []
+    for phi in sorted(float(ph) for ph in phis):
+        res = heatnorm.tensorized_demo(phi, args.p, args.n)
+        if abs(res.oracle - res.C) > 1e-5:
             raise VerificationError(
-                f"Gaussian oracle {row['oracle']:.8g} disagrees with the "
-                f"closed form {row['C']:.8g} at phi={row['phi']}")
+                f"Gaussian oracle {res.oracle:.8g} disagrees with the "
+                f"closed form {res.C:.8g} at phi={phi}")
+        rows.append({"p": args.p, "phi": phi, "C": res.C, "oracle": res.oracle,
+                     "n": args.n, "C_pow_n": res.C_pow_n,
+                     "N_p_lower": res.N_p_lower})
     return rows
-
-
-def _map(fn, tasks, workers):
-    workers = min(workers or 1, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +384,6 @@ _FLAGS = {
     "--extent": dict(type=float, default=4.0),
     "--budget": dict(type=int, default=10_000, help="no-op, accepted for old argv"),
     "--n": dict(type=int, default=1),
-    "--workers": dict(type=int, default=1),
 }
 
 # The flags a subcommand reads, and nothing else: argparse rejects the rest.
@@ -409,7 +394,7 @@ _COMMANDS = {
     "counterexample": (_cmd_counterexample,
                        "--p --gamma-scan --grid-cells --extent"),
     "heatflow": (_cmd_heatflow, "--spec --p --grid-cells --extent"),
-    "heatnorm": (_cmd_heatnorm, "--p --phi --phi-grid --n --workers"),
+    "heatnorm": (_cmd_heatnorm, "--p --phi --phi-grid --n"),
 }
 
 

@@ -78,8 +78,10 @@ _HEAT_TOL = 1e-9
 # coefficients) and take the expm fallback.
 _NORMAL_TOL = 1e-12
 # _s7_quadrature splits each cell of the active disk into _S7_REFINE^2
-# points and yields at most _S7_BLOCK points at a time: held at once, the
-# 8.1 M points of a 512^2 grid at p = 2.01 peaked at 1.8 GB.
+# points, visits only the quadrant x1, x2 >= 0 (the integrand is even in
+# each coordinate), and yields at most _S7_BLOCK points at a time: held at
+# once, the 8.1 M points of the whole 512^2 grid at p = 2.01 peaked at
+# 1.8 GB; the quadrant holds 2.1 M.
 _S7_REFINE = 12
 _S7_BLOCK = 2 ** 14
 # Power-method steps per start of contractivity_probe (evidence only).
@@ -479,32 +481,50 @@ def refinement_study(params, cells=(64, 128, 256)) -> dict:
 def _s7_quadrature(grid: Grid, p: float):
     """Midpoint quadrature on the grid, with every cell where the weight
     r^p = e^{-pi p rho^2} is non-negligible subdivided
-    _S7_REFINE x _S7_REFINE.
+    _S7_REFINE x _S7_REFINE, folded onto the quadrant x1, x2 >= 0.
 
     The rotational integrand has a derivative kink along the diagonals
     |x| = |y|; plain midpoint quadrature there carries an O(h^2) error
     whose constant can exceed the sign margin of the functional, so the
-    whole active disk is refined uniformly.  Yields flat (X, Y, W)
-    blocks of at most _S7_BLOCK points: the unrefined outer cells first,
-    then whole refined cells.  Besides the cell centers, at most one
-    block is held at once, however large the grid or the refined disk.
+    whole active disk is refined uniformly.
+
+    Every summand of :func:`counterexample_section7` is even in x1 and in
+    x2: a sign flip of x1 negates grad_r[0] and grad_phi[1] and keeps
+    grad_r[1] and grad_phi[0], so |grad r|^2, |grad phi|^2, J(r, phi) and
+    chi_E are unchanged.  The sub-cell offsets and the disk test are
+    mirror-symmetric too, so only the cells of index >= cells // 2 on each
+    axis are visited, each weighted by the number of mirror cells it
+    stands for: 2 per axis, 1 for the centre line of an odd grid.  That is
+    a quarter of the points (a quarter plus one axis strip on odd grids),
+    and the weights stay power-of-two multiples of h^2 and h^2/_S7_REFINE^2.
+    Selecting the half by index, not by the sign of the coordinate, keeps
+    the fold exact where h is not dyadic and the axis is symmetric only to
+    an ulp.
+
+    Yields flat (X, Y, W) blocks of at most _S7_BLOCK points: the
+    unrefined outer cells first, then whole refined cells.  Besides the
+    quadrant's cell centers, at most one block is held at once, however
+    large the grid or the refined disk.
     """
-    X, Y = (m.reshape(-1) for m in grid.meshes())
+    half = grid.axis()[grid.cells // 2:]
+    mult = np.full(half.size, 2.0)
+    mult[0] = 1.0 if grid.cells % 2 else 2.0  # an odd grid's centre line
+    X, Y = (m.reshape(-1) for m in np.meshgrid(half, half, indexing="ij"))
+    M = np.outer(mult, mult).reshape(-1)
     h = grid.h
     R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + h  # r^p >= 1e-12
     active = X * X + Y * Y <= R * R
-    Xo, Yo = X[~active], Y[~active]
+    Xo, Yo, Wo = X[~active], Y[~active], M[~active] * (h * h)
     for s in range(0, Xo.size, _S7_BLOCK):
-        x = Xo[s:s + _S7_BLOCK]
-        yield x, Yo[s:s + _S7_BLOCK], np.full(x.shape, h * h)
+        yield Xo[s:s + _S7_BLOCK], Yo[s:s + _S7_BLOCK], Wo[s:s + _S7_BLOCK]
     sub = (np.arange(_S7_REFINE) + 0.5) / _S7_REFINE - 0.5
     dx, dy = (d.reshape(-1) for d in np.meshgrid(sub * h, sub * h, indexing="ij"))
-    Xa, Ya = X[active], Y[active]
+    Xa, Ya, Wa = X[active], Y[active], M[active] * (h * h / dx.size)
     step = _S7_BLOCK // dx.size  # whole refined cells per block
     for s in range(0, Xa.size, step):
         x = (Xa[s:s + step, None] + dx).reshape(-1)
         y = (Ya[s:s + step, None] + dy).reshape(-1)
-        yield x, y, np.full(x.shape, h * h / dx.size)
+        yield x, y, np.repeat(Wa[s:s + step], dx.size)
 
 
 def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:

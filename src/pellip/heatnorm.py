@@ -123,21 +123,20 @@ def _width_optimum(theta: np.ndarray, phi: float, p: float) -> np.ndarray:
     return _gaussian_ratio(rho, theta, phi, p).max(axis=0)
 
 
-def gaussian_oracle(phi: float, p: float, t: float = 1.0) -> float:
-    """Supremum of the Gaussian norm ratio at complex time t e^{i phi}.
+def gaussian_oracle(phi: float, p: float) -> float:
+    """Supremum of the Gaussian norm ratio at complex time t e^{i phi},
+    the same for every t > 0: the ratio depends on the width a only
+    through t a, so t scales out.
 
     The vanishing-width limit a -> 0 always gives ratio 1, so the
     supremum is at least 1.  The optimum over |a| is taken in closed form
     (:func:`_width_optimum`); arg a is scanned over (-pi/2, pi/2) at 2001
-    points, then zoomed 8 times around the best angle.  The result is
-    independent of t.
+    points, then zoomed 8 times around the best angle.
     """
     if not abs(phi) < math.pi / 2:
         raise ParameterError("|phi| must be less than pi/2")
     if not 1 < p < math.inf:
         raise ParameterError("exponent must lie in (1, inf)")
-    if t <= 0:
-        raise ParameterError("time must be positive")
     theta = np.linspace(-math.pi / 2, math.pi / 2, 2003)[1:-1]
     best = 1.0  # boundary candidate: the a -> 0 limit
     for _ in range(9):  # the scan, then 8 zooms of 17 points

@@ -16,7 +16,6 @@ KNOBS = [
     "field.refinement_study.cells",
     "field.contractivity_probe.trials",
     "field.contractivity_probe.rng",
-    "heatnorm.gaussian_oracle.t",
 ]
 
 
@@ -32,4 +31,4 @@ def test_library_declares_only_these_knobs():
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not inspect.Parameter.empty]
     assert sorted(found) == sorted(KNOBS)
-    assert len(found) == 11
+    assert len(found) == 10

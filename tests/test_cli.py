@@ -79,37 +79,6 @@ def test_oversized_inputs_exit_2(capsys):
     assert "more than 262144 cells" in err
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in
-    this process, starts nothing."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("workers,tasks,pools", [
-    (64, 3, [3]), (64, 500, [4]), (1, 500, []), (0, 500, []), (2, 1, [])])
-def test_map_caps_worker_processes(monkeypatch, workers, tasks, pools):
-    # 4 CPUs: at most min(workers, tasks, 4) processes, none for one
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingPool)
-    _RecordingPool.sizes = []
-    assert cli._map(abs, list(range(-tasks, 0)), workers) == list(range(tasks, 0, -1))
-    assert _RecordingPool.sizes == pools
-
-
 def test_ellipticity_subcommand_json(tmp_path, capsys):
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.5})
     code = cli.main(["ellipticity", "--spec", spec, "--p", "4"])
@@ -131,7 +100,7 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force an oracle/closed-form disagreement
-    monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p, t=1.0: 2.0)
+    monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p: 2.0)
     assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 3
     assert "verification failure" in capsys.readouterr().err
 
@@ -179,9 +148,9 @@ def test_counterexample_scan_goes_negative(capsys):
     assert all(r["decomposition_error"] < 1e-10 for r in rows)
 
 
-def test_heatnorm_sweep_sorted_and_workers(capsys):
+def test_heatnorm_sweep_sorted(capsys):
     assert cli.main(["heatnorm", "--p", "4", "--phi-grid", "0:1.4:0.35",
-                     "--n", "10", "--workers", "2"]) == 0
+                     "--n", "10"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     phis = [r["phi"] for r in rows]
     assert phis == sorted(phis)
@@ -318,8 +287,10 @@ _DECLARED = {
     "dissipativity": {"--spec", "--p", "--grid-cells", "--extent"},
     "counterexample": {"--p", "--gamma-scan", "--grid-cells", "--extent"},
     "heatflow": {"--spec", "--p", "--grid-cells", "--extent"},
-    "heatnorm": {"--p", "--phi", "--phi-grid", "--n", "--workers"},
+    "heatnorm": {"--p", "--phi", "--phi-grid", "--n"},
 }
+# flags that no subcommand declares any more (heatnorm --workers 2 exits 2)
+_RETIRED = {"--workers"}
 
 
 def test_each_subcommand_declares_only_the_flags_it_reads():
@@ -332,15 +303,15 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
                  if not isinstance(a, cli.argparse._HelpAction)}
         assert flags == _DECLARED[name] | {"--seed", "--out", "--format"}
         total += len(flags)
-    assert total == 41
+    assert total == 40
 
 
 @pytest.mark.parametrize("name", sorted(_DECLARED))
 def test_undeclared_flags_exit_2(tmp_path, capsys, name):
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
     values = {"--spec": spec, "--spec-b": spec, "--phi-grid": "0:0.1:0.1",
-              "--gamma-scan": "0.5:0.5:0.1"}
-    for flag in set().union(*_DECLARED.values()) - _DECLARED[name]:
+              "--gamma-scan": "0.5:0.5:0.1", "--workers": "2"}
+    for flag in (set().union(*_DECLARED.values()) | _RETIRED) - _DECLARED[name]:
         with pytest.raises(SystemExit) as exc:
             cli.main([name, flag, values.get(flag, "1")])
         assert exc.value.code == 2

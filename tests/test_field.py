@@ -498,19 +498,98 @@ def test_counterexample_rows_do_not_depend_on_the_scan():
         fd.counterexample_section7(40.0, [c], grid)[0]
 
 
+def _unfolded_cells(grid, p):
+    # the full-grid rule the quadrant fold replaced: cell centres outside
+    # the active disk with weight h^2, and the active-disk cells, each
+    # split into _S7_REFINE^2 points of weight h^2 / _S7_REFINE^2
+    X, Y = (m.reshape(-1) for m in grid.meshes())
+    R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + grid.h
+    active = X * X + Y * Y <= R * R
+    return (X[~active], Y[~active]), (X[active], Y[active])
+
+
+def _unfolded_counterexample(p, gammas, grid):
+    """Per gamma, the direct value sum W Re<(I + i w R) u, v> and the
+    polar terms (t1, t2, t3) of the full-grid rule, summed per sub-cell
+    offset so that no more than one grid of points is held at once."""
+    (Xo, Yo), (Xa, Ya) = _unfolded_cells(grid, p)
+    h = grid.h
+    sub = (np.arange(fd._S7_REFINE) + 0.5) / fd._S7_REFINE - 0.5
+    parts = [(Xo, Yo, h * h)] + [(Xa + a * h, Ya + b * h, h * h / sub.size ** 2)
+                                 for a in sub for b in sub]
+    sums = np.zeros((len(gammas), 4))
+    for X, Y, W in parts:
+        r = np.exp(-np.pi * (X * X + Y * Y))
+        grad_r = np.stack([-2 * np.pi * X * r, -2 * np.pi * Y * r], axis=-1)
+        grad_phi = np.stack([-p * Y, -p * X], axis=-1)
+        u = grad_r + 1j * r[:, None] * grad_phi
+        v = (p - 1) * r[:, None] ** (p - 2) * grad_r + 1j * r[:, None] ** (p - 1) * grad_phi
+        t1 = np.sum((p - 1) * r ** (p - 2) * np.sum(grad_r ** 2, axis=-1))
+        t2 = np.sum(r ** p * np.sum(grad_phi ** 2, axis=-1))
+        jac = p * r ** (p - 1) * (grad_r[:, 0] * grad_phi[:, 1] - grad_r[:, 1] * grad_phi[:, 0])
+        for i, gamma in enumerate(gammas):
+            w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
+            Au = np.stack([u[:, 0] - 1j * w * u[:, 1], u[:, 1] + 1j * w * u[:, 0]], axis=-1)
+            value = np.sum(np.real(np.sum(Au * v.conjugate(), axis=-1)))
+            sums[i] += W * np.array([value, t1, t2, np.sum(w * jac)])
+    return sums
+
+
+@pytest.mark.parametrize("cells,extent", [(64, 4.0), (63, 4.3), (100, 4.0), (129, 4.3)])
+@pytest.mark.parametrize("p", [2.01, 4.0, 40.0])
+def test_counterexample_fold_matches_the_full_grid(cells, extent, p):
+    # odd counts have a centre line counted once; h = 8.6/63 and 8.6/129
+    # are not dyadic, so the axis is mirror-symmetric only to an ulp
+    grid = fd.Grid(2, cells, extent, "periodic")
+    gammas = [0.0, 0.5, 0.9, 0.99]
+    rows = fd.counterexample_section7(p, gammas, grid)
+    for row, (value, *terms) in zip(rows, _unfolded_counterexample(p, gammas, grid)):
+        # the value is a difference of O(1) sums: scale by t1 + t2
+        assert abs(row["value"] - value) <= 1e-13 * (terms[0] + terms[1])
+        for got, want in zip(row["terms"], terms):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_counterexample_quadrature_blocks_are_bounded():
     # the largest accepted grid at p = 2.01, just above p > 2 (the widest
-    # refined disk, 8.1 M points): every block, the unrefined outer cells
-    # too, holds at most _S7_BLOCK points, and the weights cover the square
+    # refined disk): every block, the unrefined outer cells too, holds at
+    # most _S7_BLOCK points, and the weights cover the square
     grid = fd.Grid(2, 512, 4.0, "periodic")
-    total, points, outer = 0.0, 0, 0
+    centres = grid.axis()
+    total, points, kinds = 0.0, 0, []
     for X, Y, W in fd._s7_quadrature(grid, 2.01):
         assert X.shape == Y.shape == W.shape and 0 < W.size <= fd._S7_BLOCK
         total += math.fsum(W)
         points += W.size
-        outer += int(np.all(W == grid.h ** 2))
-    assert outer >= 2 and points > 50 * fd._S7_BLOCK
+        # outer blocks hold cell centres, refined ones none (offsets are
+        # at least h/24 from a centre); the outer blocks come first
+        on = np.isin(X, centres) & np.isin(Y, centres)
+        assert on.all() or not on.any()
+        kinds.append(bool(on.all()))
+    outer = kinds.index(False)
+    assert outer >= 2 and not any(kinds[outer:])
     assert abs(total - (2 * grid.extent) ** 2) <= 1e-12 * (2 * grid.extent) ** 2
+    # every cell of this even grid stands for 4 mirror cells
+    (Xo, _), (Xa, _) = _unfolded_cells(grid, 2.01)
+    assert 4 * points == Xo.size + fd._S7_REFINE ** 2 * Xa.size
+    assert points > 50 * fd._S7_BLOCK
+
+
+def test_counterexample_fold_counts_the_centre_line_once():
+    # on an odd grid the cells of index cells // 2 lie on an axis and are
+    # their own mirror: weight 1 on that axis, 2 on the other ones
+    grid = fd.Grid(2, 63, 4.3, "periodic")
+    h = grid.h
+    c = grid.axis()[grid.cells // 2]
+    blocks = list(fd._s7_quadrature(grid, 4.0))
+    X, Y, W = (np.concatenate(b) for b in zip(*blocks))
+    mult = np.where(np.abs(X - c) < h / 2, 1.0, 2.0) * np.where(np.abs(Y - c) < h / 2, 1.0, 2.0)
+    outer = sum(b[2].size for b in blocks if np.isin(b[0], grid.axis()).all())
+    assert np.array_equal(W[:outer], mult[:outer] * (h * h))
+    assert np.array_equal(W[outer:], mult[outer:] * (h * h / fd._S7_REFINE ** 2))
+    # the strip is there: outer centre-line cells and the refined origin cell
+    assert np.any(mult[:outer] == 2.0) and np.sum(mult[outer:] == 1.0) == fd._S7_REFINE ** 2
+    assert abs(math.fsum(W) - (2 * grid.extent) ** 2) <= 1e-12 * (2 * grid.extent) ** 2
 
 
 # ---------------------------------------------------------------------------

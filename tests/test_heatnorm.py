@@ -70,8 +70,6 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         hn.heat_norm_constant(0.5, 0.9)
     with pytest.raises(ValueError):
-        hn.gaussian_oracle(0.3, 4.0, t=0.0)
-    with pytest.raises(ValueError):
         hn.tensorized_demo(0.3, 4.0, 0)
 
 
@@ -79,12 +77,6 @@ def test_oracle_matches_formula():
     for p, phi in [(4.0, 0.2), (4.0, 1.2), (1.5, 1.4), (8.0, 0.9), (2.0, 1.0)]:
         C = hn.heat_norm_constant(phi, p)
         assert abs(hn.gaussian_oracle(phi, p) - C) < 1e-6
-
-
-def test_oracle_time_independence():
-    p, phi = 4.0, 1.3
-    vals = [hn.gaussian_oracle(phi, p, t=t) for t in (0.1, 1.0, 7.5)]
-    assert max(vals) - min(vals) < 1e-8
 
 
 def test_tensorized_demo_divergence():
@@ -153,7 +145,7 @@ def test_random_gaussians_never_beat_the_oracle(p, phi):
     theta = r.uniform(-math.pi / 2, math.pi / 2, rho.size)
     direct = _direct_ratio(rho * np.exp(1j * theta) / (4.0 * t), phi, p, t)
     assert np.allclose(hn._gaussian_ratio(rho, theta, phi, p), direct, rtol=1e-13, atol=0.0)
-    assert direct.max() <= hn.gaussian_oracle(phi, p, t) + 1e-12
+    assert direct.max() <= hn.gaussian_oracle(phi, p) + 1e-12
 
 
 def test_gaussian_ratio_vanishes_off_the_admissible_widths():
