@@ -2,10 +2,10 @@
 
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
 finite differences, dense discretized operators -div(A grad), their
-semigroups e^{-tL} from one complex Schur factor per operator (diagonal
-exponentials when L is normal, the exponential of the triangular factor
-otherwise), the L^p dissipativity functional and its polar-coordinate
-decomposition, and the heat-flow energy experiment.
+semigroups e^{-tL} from one factor per operator (a unitary
+diagonalization from one Hermitian eigh when L is normal, the complex
+Schur factor otherwise), the L^p dissipativity functional and its
+polar-coordinate decomposition, and the heat-flow energy experiment.
 
 Periodic grids enjoy exact summation by parts, so the structural
 identities (adjoint consistency, vanishing of divergence-free
@@ -65,18 +65,31 @@ _RESIDUAL_FLOOR = 1e-12
 # 50, and integrates the bilinear integrand by the trapezoid rule on them.
 _HEAT_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
 # Slack of its monotonicity and budget checks, for the rounding of the
-# factored semigroup (at most 4.4e-12 ||f|| from an exact eigh reference).
+# factored semigroup: at most 5.6e-13 ||f|| from an exact eigh reference
+# over the heat times on 1-D constant operators at 64-192 cells.
 _HEAT_TOL = 1e-9
-# OperatorMatrix takes L as normal, and e^{-tT} as diagonal, when the
-# strictly upper part of its Schur factor T holds at most this share of
-# ||T||_F.  The QR algorithm returns the exact Schur form of L + E with
-# ||E||_F of order N u ||L||_F (u = 1.1e-16), and for a normal L that is
-# the size of the computed strictly upper part: below 4.5e-13 up to the
-# 4096-cell dense cap, and measured at most 9.0e-15 (2-D, 48^2).  Dropping
-# it perturbs L by at most this share of its norm.  Non-normal operators
-# measure 0.06 (2-D Dirichlet mixed terms) to 0.23 (1-D variable
-# coefficients) and take the expm fallback.
+# OperatorMatrix takes L = H + iK (H, K Hermitian) as normal, and its
+# semigroup as diagonal, when D = Q^H L Q, Q the eigenvectors of
+# C = H + _SKEW_WEIGHT K, holds at most this share of ||L||_F off its
+# diagonal; dropping that part perturbs L by at most this share of its
+# norm.  For a normal L, eigh returns exact eigenvectors of C + E with
+# ||E|| of order N u ||C|| (u = 1.1e-16), which leave an off-diagonal part
+# of that size, larger where eigenvalues of C nearly meet.  Measured: at
+# most 2.0e-15 on 1-D constant operators at 64-192 cells; on 2-D periodic
+# constant complex A, 2.4e-15 to 1.3e-13 at 24^2, up to 5.6e-13 at 48^2
+# and 6.2e-15 to 1.2e-12 at 64^2 (the dense cap), where the skew A below
+# falls back.  Non-normal operators measure 0.05-0.09 (2-D Dirichlet
+# mixed terms) and 0.21 (1-D variable coefficients) and take the Schur
+# factor and expm per time.
 _NORMAL_TOL = 1e-12
+# The skew part's weight in C.  It separates eigenvalues of L that share
+# a real part: without it, the 2-D periodic A = I + 0.3i [[1, .5], [.5, -1]]
+# measures 0.18 and falls back.  Two eigenvalues still meet in C where
+# their real and imaginary gaps are in ratio -_SKEW_WEIGHT; the golden-ratio
+# conjugate keeps clear of the simple ratios of hand-written coefficients,
+# and where C does degenerate the share test sends L to the fallback, so
+# the weight sets speed, never accuracy.
+_SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
 # _s7_quadrature splits each cell of the active disk into _S7_REFINE^2
 # points, visits only the quadrant x1, x2 >= 0 (the integrand is even in
 # each coordinate), and yields at most _S7_BLOCK points at a time: held at
@@ -543,8 +556,10 @@ def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
 
     All gradients are closed-form, so the direct sesquilinear value and
     the decomposition are computed from identical point data and agree
-    to rounding.  For large p the rotational term overwhelms the
-    elliptic ones for gamma close to 1 and the functional goes negative.
+    to rounding; ``decomposition_error`` is their difference relative to
+    t1 + t2 + |gamma T3|, the size of the sums compared.  For large p the
+    rotational term overwhelms the elliptic ones for gamma close to 1 and
+    the functional goes negative.
     """
     if p <= 2:
         raise ParameterError("requires p > 2")
@@ -570,7 +585,9 @@ def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
     for gamma in gammas:
         value = V0 + gamma * V1
         terms = (t1, t2, gamma * T3 + 0.0)  # + 0.0: gamma = 0 gives 0.0, not -0.0
-        rel = abs(value - sum(terms)) / max(abs(value), 1e-300)
+        # relative to the size of the sums compared, not to |value|, which
+        # vanishes at the sign change while the sums stay O(1)
+        rel = abs(value - sum(terms)) / (t1 + t2 + abs(terms[2]))
         rows.append({"value": value, "terms": terms, "decomposition_error": rel})
     return rows
 
@@ -581,24 +598,43 @@ def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
 
 @dataclasses.dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense -div(A grad) on the cell values of ``grid``."""
+    """Dense -div(A grad) on the cell values of ``grid``.
+
+    Its semigroup comes from one factor, computed on first use and kept
+    with the operator (``_factor``): a unitary diagonalization when L is
+    normal, the complex Schur form otherwise.
+    """
 
     matrix: np.ndarray
     grid: Grid
     field: MatrixField
 
     def __post_init__(self):
-        # the cached Schur factor describes these entries
+        # the cached factor describes these entries
         self.matrix.flags.writeable = False
 
     @functools.cached_property
-    def _schur(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(Z, T, normal) with L = Z T Z^H in complex Schur form, computed
-        on first use and kept with the operator; ``normal`` when the
-        strictly upper part of T is rounding (see ``_NORMAL_TOL``)."""
-        T, Z = scipy.linalg.schur(self.matrix, output="complex")
-        off = np.linalg.norm(np.triu(T, 1))
-        return Z, T, bool(off <= _NORMAL_TOL * np.linalg.norm(T))
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(Q, d, True) with L = Q diag(d) Q^H when L is normal, else
+        (Z, T, False) with L = Z T Z^H in complex Schur form.
+
+        A normal L = H + iK (H, K Hermitian) has H and K commuting, so the
+        eigenvectors of the Hermitian C = H + _SKEW_WEIGHT K diagonalize
+        it; one ``eigh`` of C gives Q, and D = Q^H L Q is taken as
+        diagonal when its off-diagonal part is rounding (see
+        ``_NORMAL_TOL``).  The accepted factor is then exact for L + E with
+        ||E||_F <= _NORMAL_TOL ||L||_F.
+        """
+        L = self.matrix
+        M = (1.0 - 1j * _SKEW_WEIGHT) * L  # C = (M + M^H) / 2
+        _, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
+        D = Q.conj().T @ (L @ Q)
+        d = np.diag(D).copy()
+        np.fill_diagonal(D, 0.0)
+        if np.linalg.norm(D) <= _NORMAL_TOL * np.linalg.norm(L):
+            return Q, d, True
+        T, Z = scipy.linalg.schur(L, output="complex")
+        return Z, T, False
 
 
 def _centered_1d(c: int, h: float, periodic: bool):
@@ -665,27 +701,29 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
     return OperatorMatrix(L.toarray(), g, A)
 
 
-def _propagator(L: OperatorMatrix, t: float, v: np.ndarray) -> np.ndarray:
-    """e^{-tL} v = Z e^{-tT} Z^H v for the columns of v, t >= 0, from the
-    Schur factor of L: elementwise exponentials of diag T when L is
-    normal, the exponential of the triangular T otherwise."""
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
-    Z, T, normal = L._schur
-    w = Z.conj().T @ v
+def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
+    """e^{-tL} v for the columns of v (N x k) and every t of ``times``, as
+    an N x k x len(times) array, from the factor of L: one product
+    Q (e^{-d t} * Q^H v) over all times when L is normal, one exponential
+    of the triangular T per time otherwise."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ParameterError("time must be finite and nonnegative")
+    U, F, normal = L._factor  # (Q, d) or (Z, T)
+    w = U.conj().T @ v
     if normal:
-        w = np.exp(-t * np.diag(T))[:, None] * w
+        w = np.exp(-np.multiply.outer(F, times))[:, None, :] * w[:, :, None]
     else:
-        w = scipy.linalg.expm(-t * T) @ w
-    return Z @ w
+        w = np.stack([scipy.linalg.expm(-t * F) @ w for t in times], axis=-1)
+    return (U @ w.reshape(len(U), -1)).reshape(w.shape)
 
 
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:
-    """e^{-tL} f from the Schur factor of L, which the first call computes
-    and later calls on the same operator reuse; f must live on L's grid."""
+    """e^{-tL} f from the factor of L, which the first call computes and
+    later calls on the same operator reuse; f must live on L's grid."""
     if f.grid != L.grid:
         raise ParameterError("function and operator live on different grids")
-    v = _propagator(L, t, f.values.reshape(-1, 1))
+    v = _propagator(L, [t], f.values.reshape(-1, 1))
     return GridFunction(L.grid, v.reshape(L.grid.shape))
 
 
@@ -697,7 +735,9 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     nonincreasing, accumulates the bilinear gradient integrand and
     compares with both the energy budget E(0)/a0 and the closed
     constant (20/delta_p)(Lam/lam) ||f||_p ||g||_q, with slack ``_HEAT_TOL``.
-    A, B, f and g must share one grid.  Each flow is applied from t = 0.
+    A, B, f and g must share one grid.  Each flow is propagated from t = 0
+    to all heat times in one product (see :func:`_propagator`), and the
+    energy and bilinear integrands are evaluated on the trailing time axis.
     """
     gr = A.grid
     if not B.grid == f.grid == g.grid == gr:
@@ -708,17 +748,14 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     params = _bellman.BellmanParams(p, c.delta)
     LA = discretize_operator(A)
     LB = LA if B is A else discretize_operator(B)
-    energy, bilinear = [], []
-    for t in _HEAT_TIMES:
-        ft = semigroup_apply(LA, t, f)
-        gt = semigroup_apply(LB, t, g)
-        energy.append(float(np.real(integrate(GridFunction(
-            gr, _bellman.bellman_value(params, ft.values, gt.values))))))
-        nf = np.linalg.norm(gradient(ft).values, axis=-1)
-        ng = np.linalg.norm(gradient(gt).values, axis=-1)
-        bilinear.append(float(gr.h ** gr.dim * np.sum(nf * ng)))
-    energy = np.array(energy)
-    bilinear = np.array(bilinear)
+    shape = gr.shape + (_HEAT_TIMES.size,)
+    ft, gt = (GridFunction(gr, _propagator(L, _HEAT_TIMES, u.values.reshape(-1, 1))
+                           .reshape(shape)) for L, u in ((LA, f), (LB, g)))
+    energy = np.real(integrate(GridFunction(
+        gr, _bellman.bellman_value(params, ft.values, gt.values))))
+    nf = np.linalg.norm(gradient(ft).values, axis=-1)
+    ng = np.linalg.norm(gradient(gt).values, axis=-1)
+    bilinear = np.real(integrate(GridFunction(gr, nf * ng)))
     monotone = bool(np.all(np.diff(energy) <= _HEAT_TOL * np.maximum(energy[:-1], 1.0)))
     time_integral = float(np.sum(np.diff(_HEAT_TIMES)
                                  * (bilinear[1:] + bilinear[:-1]) / 2.0))
@@ -743,11 +780,11 @@ def contractivity_probe(L: OperatorMatrix, p: float, t: float,
     """Largest observed ||e^{-tL} f||_p / ||f||_p over random starts, each
     refined by ``_POWER_ITERS`` nonlinear power-method steps for p-norms.
     Evidence only: a lower bound on the discrete operator norm."""
-    if not p > 1:
-        raise ParameterError("exponent p must satisfy p > 1")
+    if not 1 < p < math.inf:
+        raise ParameterError("exponent p must be finite and satisfy p > 1")
     rng = np.random.default_rng(rng)
     N = L.grid.size
-    E = _propagator(L, t, np.eye(N))
+    E = _propagator(L, [t], np.eye(N))[:, :, 0]
     q = p / (p - 1.0)
     best = 0.0
 

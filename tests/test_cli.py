@@ -427,12 +427,25 @@ def test_spec_scalar_overflow_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_heatflow_stdout_is_byte_identical_across_runs(tmp_path, capsys):
+    spec = write_spec(tmp_path, "rot1.json", {"kind": "rotation", "phi": -0.6, "n": 1})
+    argv = ["heatflow", "--spec", spec, "--p", "2.5", "--grid-cells", "72",
+            "--extent", "6", "--seed", "5"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] == outs[1] and len(outs[0]) > 0
+
+
 def test_heatflow_runs_no_dense_expm(tmp_path, capsys, monkeypatch):
-    # a constant coefficient gives a normal operator, whose semigroup is
-    # elementwise on its Schur factor; an expm call would be an internal error
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy.linalg.expm called")
-    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    # a constant coefficient gives a normal operator, diagonalized by one
+    # Hermitian eigh and propagated elementwise; a Schur factor or an expm
+    # call would be an internal error
+    for name in ("expm", "schur"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"scipy.linalg.{name} called")
+        monkeypatch.setattr(scipy.linalg, name, refuse)
     spec = write_spec(tmp_path, "rot1.json", {"kind": "rotation", "phi": 0.3, "n": 1})
     assert cli.main(["heatflow", "--spec", spec, "--p", "3",
                      "--grid-cells", "64", "--extent", "6"]) == 0, \

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -274,8 +275,8 @@ def test_semigroup_fourier_mode_decay():
 def test_semigroup_matches_exact_reference(boundary, cells):
     # L = a S with S real symmetric, so e^{-tL} = V e^{-t a s} V^T from
     # eigh(S).  Eigenvalues carry an absolute error ~u ||L||, which the
-    # flow turns into ~t u ||L||: measured at most 4.4e-12 ||f|| over the
-    # heat times, largest at 192 periodic cells (stepwise expm: 7.6e-13)
+    # flow turns into ~t u ||L||: measured at most 5.6e-13 ||f|| over the
+    # heat times, largest at 192 periodic cells
     grid = fd.Grid(1, cells, 6.0, boundary)
     a = 1.3 * np.exp(0.7j)
     S = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0]]))).matrix
@@ -327,22 +328,142 @@ def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
     assert expm_calls == []
 
 
+def _count_factors(monkeypatch):
+    """Count the computations of OperatorMatrix._factor (Hermitian
+    diagonalization or Schur fallback alike); returns the list of calls."""
+    orig = fd.OperatorMatrix._factor.func
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return orig(self)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(fd.OperatorMatrix, "_factor")
+    monkeypatch.setattr(fd.OperatorMatrix, "_factor", prop)
+    return calls
+
+
 def test_heat_flow_factors_each_operator_once(monkeypatch):
-    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    factor_calls = _count_factors(monkeypatch)
     grid = fd.Grid(1, 32, 6.0, "periodic")
     A = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
     f, g = _gaussian_pair(grid)
     fd.heat_flow_experiment(A, A, f, g, p=3.0)
-    assert len(schur_calls) == 1
+    assert len(factor_calls) == 1
     # an equal-valued but distinct field is a second operator
-    schur_calls.clear()
+    factor_calls.clear()
     B = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
     fd.heat_flow_experiment(A, B, f, g, p=3.0)
-    assert len(schur_calls) == 2
+    assert len(factor_calls) == 2
     # the factor belongs to the operator's entries, which stay fixed
     L = fd.discretize_operator(A)
     with pytest.raises(ValueError):
         L.matrix[0, 0] = 0.0
+
+
+def _skew_2d(cells, boundary):
+    # periodic, a normal operator whose Hermitian part is degenerate where
+    # L is not: the symbol is |s|^2 + 0.3i (s1^2 + s1 s2 - s2^2), so modes
+    # with equal |s| (swapped or sign-flipped s) share Re but not Im of the
+    # eigenvalue
+    grid = fd.Grid(2, cells, 3.0, boundary)
+    A = np.eye(2) + 0.3j * np.array([[1.0, 0.5], [0.5, -1.0]])
+    X, Y = grid.meshes()
+    f = fd.GridFunction(grid, np.exp(-X**2 - 0.5 * Y**2) * (1 + 0.3j * X))
+    return fd.discretize_operator(fd.constant_field(grid, A)), f
+
+
+def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypatch):
+    # the skew weight separates eigenvalues of L that share a real part:
+    # the 2-D operator takes the diagonal path (off-diagonal share
+    # measured 3.7e-14 at 24^2), with no Schur factor and no expm
+    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
+    L, f = _skew_2d(24, "periodic")
+    got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
+    assert L._factor[2] and schur_calls == [] and expm_calls == []
+    # L is block circulant with circulant blocks, so the 2-D DFT of its
+    # first column gives its eigenvalues: an exact reference at every time
+    lam = np.fft.fft2(L.matrix[:, 0].reshape(L.grid.shape))
+    nf = np.linalg.norm(f.values)
+    for t, col in zip(fd._HEAT_TIMES, got.T):
+        want = np.fft.ifft2(np.exp(-t * lam) * np.fft.fft2(f.values))
+        assert np.linalg.norm(col - want.reshape(-1)) <= 1e-12 * nf
+    # and dense expm at the first, a middle and the last nonzero time
+    for j in (1, 20, len(fd._HEAT_TIMES) - 1):
+        want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f.values.reshape(-1)
+        assert np.linalg.norm(got[:, j] - want) <= 1e-12 * nf
+    # without the skew weight the eigenvectors of the Hermitian part mix
+    # modes of distinct eigenvalues (share 0.18), and L falls back to Schur
+    monkeypatch.setattr(fd, "_SKEW_WEIGHT", 0.0)
+    L16, _ = _skew_2d(16, "periodic")
+    assert not L16._factor[2] and len(schur_calls) == 1
+
+
+def test_nonnormal_2d_operator_falls_back_to_schur(monkeypatch):
+    # Dirichlet walls make the mixed terms non-normal (off-diagonal share
+    # of the eigh factor 0.045): Schur factor, one expm per time
+    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
+    L, f = _skew_2d(12, "dirichlet")
+    got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
+    assert not L._factor[2] and len(schur_calls) == 1
+    assert len(expm_calls) == len(fd._HEAT_TIMES)
+    for t, col in zip(fd._HEAT_TIMES, got.T):
+        want = expm(-t * L.matrix) @ f.values.reshape(-1)
+        assert np.linalg.norm(col - want) <= 1e-13 * np.linalg.norm(f.values)
+
+
+def _variable_dirichlet(cells):
+    grid = fd.Grid(1, cells, np.pi, "dirichlet")
+    x = grid.axis()
+    a = (1.5 + np.cos(x)) * np.exp(0.3j * np.sin(2 * x))
+    return fd.MatrixField(grid, a[:, None, None])
+
+
+@pytest.mark.parametrize("normal", [True, False])
+def test_batched_flow_matches_semigroup_apply(normal):
+    if normal:
+        A = fd.constant_field(fd.Grid(1, 64, 6.0, "periodic"), np.array([[np.exp(0.7j)]]))
+    else:
+        A = _variable_dirichlet(32)
+    L = fd.discretize_operator(A)
+    assert L._factor[2] == normal
+    f, _ = _gaussian_pair(A.grid)
+    got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))
+    assert got.shape == (A.grid.size, 1, len(fd._HEAT_TIMES))
+    for t, col in zip(fd._HEAT_TIMES, got[:, 0, :].T):
+        want = fd.semigroup_apply(L, t, f).values
+        assert np.linalg.norm(col - want) <= 1e-13 * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("case", ["normal", "nonnormal"])
+def test_heat_flow_matches_the_per_step_reference(case):
+    # the loop the batched flow replaced: one semigroup_apply per operator
+    # and time, the integrands evaluated one time at a time
+    if case == "normal":
+        grid = fd.Grid(1, 64, 6.0, "periodic")
+        A = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
+        B = fd.constant_field(grid, np.array([[np.exp(-0.2j)]]))
+    else:
+        A = B = _variable_dirichlet(32)
+        grid = A.grid
+    f, g = _gaussian_pair(grid)
+    out = fd.heat_flow_experiment(A, B, f, g, p=3.0)
+    params = bl.BellmanParams(3.0, out["delta"])
+    LA, LB = fd.discretize_operator(A), fd.discretize_operator(B)
+    energy, bilinear = [], []
+    for t in fd._HEAT_TIMES:
+        ft = fd.semigroup_apply(LA, t, f)
+        gt = fd.semigroup_apply(LB, t, g)
+        energy.append(float(np.real(fd.integrate(fd.GridFunction(
+            grid, bl.bellman_value(params, ft.values, gt.values))))))
+        nf = np.linalg.norm(fd.gradient(ft).values, axis=-1)
+        ng = np.linalg.norm(fd.gradient(gt).values, axis=-1)
+        bilinear.append(float(grid.h * np.sum(nf * ng)))
+    for got, want in ((out["energy"], energy), (out["bilinear"], bilinear)):
+        assert got.shape == (len(fd._HEAT_TIMES),)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +609,30 @@ def test_counterexample_rows_match_direct_evaluation(p):
         direct = np.sum(W * np.real(np.sum(Au * v.conjugate(), axis=-1)))
         assert abs(row["value"] - direct) <= 1e-12 * abs(direct)
         assert row["decomposition_error"] < 1e-10
+
+
+def test_decomposition_error_is_scaled_by_the_sums(monkeypatch):
+    # near the sign change |value| is ~1e-4 of the O(1) sums it is the
+    # difference of; scaled by those sums the error stays at rounding
+    # (relative to |value| it would read 2.1e-12), while a term moved by
+    # 1e-9 (t1 + t2) still fails the 1e-10 check
+    grid = fd.Grid(2, 256, 4.0, "periodic")
+    p, gamma = 40.0, 0.9812
+    (row,) = fd.counterexample_section7(p, [gamma], grid)
+    t1, t2, t3 = row["terms"]
+    assert abs(row["value"]) < 1e-4 * (t1 + t2)
+    assert row["decomposition_error"] < 1e-14
+    orig = fd._polar_terms
+    bump = [1e-9 * (t1 + t2)]
+
+    def perturbed(*args):
+        u, v, (b1, b2, b3) = orig(*args)
+        b1, bump[0] = b1 + bump[0], 0.0  # once, in the first block
+        return u, v, (b1, b2, b3)
+    monkeypatch.setattr(fd, "_polar_terms", perturbed)
+    (bad,) = fd.counterexample_section7(p, [gamma], grid)
+    assert bad["terms"][0] != t1
+    assert not bad["decomposition_error"] < 1e-10
 
 
 def test_counterexample_rows_do_not_depend_on_the_scan():
@@ -655,3 +800,24 @@ def test_contractivity_probe_rejects_negative_time():
     L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     with pytest.raises(ParameterError):
         fd.contractivity_probe(L, 4.0, -0.05, trials=1, rng=1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_nonfinite_times_are_refused(t):
+    # a NaN time made the probe return 0.0, and an infinite one made
+    # semigroup_apply warn and then fail on non-finite entries
+    grid = fd.Grid(1, 32, np.pi, "periodic")
+    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    f, _ = _gaussian_pair(grid)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        fd.contractivity_probe(L, 3.0, t, trials=1, rng=1)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        fd.semigroup_apply(L, t, f)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_contractivity_probe_rejects_nonfinite_exponent(p):
+    grid = fd.Grid(1, 32, np.pi, "periodic")
+    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    with pytest.raises(ParameterError):
+        fd.contractivity_probe(L, p, 0.05, trials=1, rng=1)
