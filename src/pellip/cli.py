@@ -212,6 +212,9 @@ def _cmd_bellman(args) -> list[dict]:
                 f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
                 f"< bound={out['bound']:.6g}")
         return [row]
+    if c.delta_p == 0:
+        raise InputError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
+                         "range (delta_p = 0): no convexity bound and no violation")
     params = bellman.BellmanParams(p, 0.5)
     wit = bellman.violation_search(
         params, A if ellipticity.delta_p(A, p) < 0 else B, B)

@@ -2,10 +2,9 @@
 
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
 finite differences, dense discretized operators -div(A grad), their
-semigroups e^{-tL} from one factor per operator (a unitary
-diagonalization from one Hermitian eigh when L is normal, the complex
-Schur factor otherwise), the L^p dissipativity functional and its
-polar-coordinate decomposition, and the heat-flow energy experiment.
+semigroups e^{-tL} in one unitary basis per operator (from one Hermitian
+eigh, diagonal when L is normal), the L^p dissipativity functional and
+its polar-coordinate decomposition, and the heat-flow energy experiment.
 
 Periodic grids enjoy exact summation by parts, so the structural
 identities (adjoint consistency, vanishing of divergence-free
@@ -78,17 +77,17 @@ _HEAT_TOL = 1e-9
 # most 2.0e-15 on 1-D constant operators at 64-192 cells; on 2-D periodic
 # constant complex A, 2.4e-15 to 1.3e-13 at 24^2, up to 5.6e-13 at 48^2
 # and 6.2e-15 to 1.2e-12 at 64^2 (the dense cap), where the skew A below
-# falls back.  Non-normal operators measure 0.05-0.09 (2-D Dirichlet
-# mixed terms) and 0.21 (1-D variable coefficients) and take the Schur
-# factor and expm per time.
+# fails the test.  Non-normal operators measure 0.05-0.09 (2-D Dirichlet
+# mixed terms) and 0.21 (1-D variable coefficients); they keep the full D
+# and take expm(-tD) per time.
 _NORMAL_TOL = 1e-12
 # The skew part's weight in C.  It separates eigenvalues of L that share
 # a real part: without it, the 2-D periodic A = I + 0.3i [[1, .5], [.5, -1]]
-# measures 0.18 and falls back.  Two eigenvalues still meet in C where
-# their real and imaginary gaps are in ratio -_SKEW_WEIGHT; the golden-ratio
-# conjugate keeps clear of the simple ratios of hand-written coefficients,
-# and where C does degenerate the share test sends L to the fallback, so
-# the weight sets speed, never accuracy.
+# measures 0.18 and takes expm per time.  Two eigenvalues still meet in C
+# where their real and imaginary gaps are in ratio -_SKEW_WEIGHT; the
+# golden-ratio conjugate keeps clear of the simple ratios of hand-written
+# coefficients, and where C does degenerate the share test keeps the full
+# D, so the weight sets speed, never accuracy.
 _SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
 # _s7_quadrature splits each cell of the active disk into _S7_REFINE^2
 # points, visits only the quadrant x1, x2 >= 0 (the integrand is even in
@@ -600,30 +599,30 @@ def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
 class OperatorMatrix:
     """Dense -div(A grad) on the cell values of ``grid``.
 
-    Its semigroup comes from one factor, computed on first use and kept
-    with the operator (``_factor``): a unitary diagonalization when L is
-    normal, the complex Schur form otherwise.
+    Its semigroup comes from one unitary change of basis, computed on
+    first use and kept with the operator (``_factor``), which makes L
+    diagonal when it is normal.
     """
 
     matrix: np.ndarray
     grid: Grid
-    field: MatrixField
 
     def __post_init__(self):
         # the cached factor describes these entries
         self.matrix.flags.writeable = False
 
     @functools.cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(Q, d, True) with L = Q diag(d) Q^H when L is normal, else
-        (Z, T, False) with L = Z T Z^H in complex Schur form.
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, D) with Q unitary and L = Q D Q^H in matrix form: D is the
+        vector of eigenvalues when L is normal, else the matrix Q^H L Q.
 
         A normal L = H + iK (H, K Hermitian) has H and K commuting, so the
         eigenvectors of the Hermitian C = H + _SKEW_WEIGHT K diagonalize
         it; one ``eigh`` of C gives Q, and D = Q^H L Q is taken as
         diagonal when its off-diagonal part is rounding (see
-        ``_NORMAL_TOL``).  The accepted factor is then exact for L + E with
-        ||E||_F <= _NORMAL_TOL ||L||_F.
+        ``_NORMAL_TOL``).  The diagonal factor is then exact for L + E
+        with ||E||_F <= _NORMAL_TOL ||L||_F.  Any other L keeps the full
+        D, which a unitary Q leaves as well conditioned as L itself.
         """
         L = self.matrix
         M = (1.0 - 1j * _SKEW_WEIGHT) * L  # C = (M + M^H) / 2
@@ -632,9 +631,9 @@ class OperatorMatrix:
         d = np.diag(D).copy()
         np.fill_diagonal(D, 0.0)
         if np.linalg.norm(D) <= _NORMAL_TOL * np.linalg.norm(L):
-            return Q, d, True
-        T, Z = scipy.linalg.schur(L, output="complex")
-        return Z, T, False
+            return Q, d
+        np.fill_diagonal(D, d)
+        return Q, D
 
 
 def _centered_1d(c: int, h: float, periodic: bool):
@@ -698,24 +697,24 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
                 a = A.mats[..., j, k]
                 Dj, Dk = _along(C1, j, g.dim), _along(C1, k, g.dim)
             L = L + Dj.T @ (scipy.sparse.diags(a.reshape(-1)) @ Dk)
-    return OperatorMatrix(L.toarray(), g, A)
+    return OperatorMatrix(L.toarray(), g)
 
 
 def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
     """e^{-tL} v for the columns of v (N x k) and every t of ``times``, as
-    an N x k x len(times) array, from the factor of L: one product
-    Q (e^{-d t} * Q^H v) over all times when L is normal, one exponential
-    of the triangular T per time otherwise."""
+    an N x k x len(times) array, in the basis Q of the factor of L:
+    Q (e^{-d t} * Q^H v) over all times when L is normal (D = diag d),
+    Q expm(-tD) Q^H v per time otherwise."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ParameterError("time must be finite and nonnegative")
-    U, F, normal = L._factor  # (Q, d) or (Z, T)
-    w = U.conj().T @ v
-    if normal:
-        w = np.exp(-np.multiply.outer(F, times))[:, None, :] * w[:, :, None]
+    Q, D = L._factor
+    w = Q.conj().T @ v
+    if D.ndim == 1:
+        w = np.exp(-np.multiply.outer(D, times))[:, None, :] * w[:, :, None]
     else:
-        w = np.stack([scipy.linalg.expm(-t * F) @ w for t in times], axis=-1)
-    return (U @ w.reshape(len(U), -1)).reshape(w.shape)
+        w = np.stack([scipy.linalg.expm(-t * D) @ w for t in times], axis=-1)
+    return (Q @ w.reshape(len(Q), -1)).reshape(w.shape)
 
 
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:

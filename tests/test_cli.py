@@ -137,6 +137,29 @@ def test_bellman_violation_row(tmp_path, capsys):
     assert "negative branch value" in row["violation"]
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "rotation", "phi": 1.369438406004566},
+    {"kind": "skew", "w": 0.9797958971132712},
+], ids=["rotation", "skew"])
+def test_bellman_at_an_endpoint_of_the_p_range_is_an_input_error(tmp_path, capsys, doc):
+    # delta_p is exactly 0 at p = 2.5: neither the convexity bound
+    # (delta_p > 0) nor a violation (delta_p < 0) exists there
+    spec = write_spec(tmp_path, "edge.json", doc)
+    assert cli.main(["ellipticity", "--spec", spec, "--p", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["delta_p"] == 0.0
+    assert cli.main(["bellman", "--spec", spec, "--p", "2.5"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "endpoint" in err
+
+
+@pytest.mark.parametrize("p, phi", [("40", "1.5707963"), ("1000", "1.570796")])
+def test_heatnorm_oracle_meets_the_constant_near_right_angle(capsys, p, phi):
+    # the optimal arg a lies within 7e-10 (3e-10) of pi/2 there, which a
+    # uniform arg a grid missed by 2.2e-5 (4.6e-6) relative
+    assert cli.main(["heatnorm", "--p", p, "--phi", phi]) == 0, \
+        capsys.readouterr().err
+
+
 def test_counterexample_scan_goes_negative(capsys):
     assert cli.main(["counterexample", "--p", "40",
                      "--gamma-scan", "0.95:0.99:0.02",
@@ -440,8 +463,8 @@ def test_heatflow_stdout_is_byte_identical_across_runs(tmp_path, capsys):
 
 def test_heatflow_runs_no_dense_expm(tmp_path, capsys, monkeypatch):
     # a constant coefficient gives a normal operator, diagonalized by one
-    # Hermitian eigh and propagated elementwise; a Schur factor or an expm
-    # call would be an internal error
+    # Hermitian eigh and propagated elementwise; an expm (or a Schur
+    # factor) call would be an internal error
     for name in ("expm", "schur"):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"scipy.linalg.{name} called")

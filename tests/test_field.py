@@ -305,9 +305,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
-    # variable coefficients make L far from normal (Schur off-diagonal
-    # mass ~0.2), so e^{-tT} of the triangular factor is taken by expm;
-    # measured at most 4.5e-14 ||f|| from the dense oracle
+    # variable coefficients make L far from normal (off-diagonal share of
+    # the eigh factor 0.21), so e^{-tD} of the full D = Q^H L Q is taken by
+    # expm; measured at most 3.1e-14 ||f|| from the dense oracle
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     grid = fd.Grid(1, 32, np.pi, "dirichlet")
     x = grid.axis()
@@ -329,8 +329,8 @@ def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
 
 
 def _count_factors(monkeypatch):
-    """Count the computations of OperatorMatrix._factor (Hermitian
-    diagonalization or Schur fallback alike); returns the list of calls."""
+    """Count the computations of OperatorMatrix._factor (diagonal or
+    full D alike); returns the list of calls."""
     orig = fd.OperatorMatrix._factor.func
     calls = []
 
@@ -361,27 +361,28 @@ def test_heat_flow_factors_each_operator_once(monkeypatch):
         L.matrix[0, 0] = 0.0
 
 
+_SKEW_A = np.eye(2) + 0.3j * np.array([[1.0, 0.5], [0.5, -1.0]])
+
+
 def _skew_2d(cells, boundary):
     # periodic, a normal operator whose Hermitian part is degenerate where
     # L is not: the symbol is |s|^2 + 0.3i (s1^2 + s1 s2 - s2^2), so modes
     # with equal |s| (swapped or sign-flipped s) share Re but not Im of the
     # eigenvalue
     grid = fd.Grid(2, cells, 3.0, boundary)
-    A = np.eye(2) + 0.3j * np.array([[1.0, 0.5], [0.5, -1.0]])
     X, Y = grid.meshes()
     f = fd.GridFunction(grid, np.exp(-X**2 - 0.5 * Y**2) * (1 + 0.3j * X))
-    return fd.discretize_operator(fd.constant_field(grid, A)), f
+    return fd.discretize_operator(fd.constant_field(grid, _SKEW_A)), f
 
 
 def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypatch):
     # the skew weight separates eigenvalues of L that share a real part:
     # the 2-D operator takes the diagonal path (off-diagonal share
-    # measured 3.7e-14 at 24^2), with no Schur factor and no expm
-    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    # measured 3.7e-14 at 24^2), with no expm
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     L, f = _skew_2d(24, "periodic")
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
-    assert L._factor[2] and schur_calls == [] and expm_calls == []
+    assert L._factor[1].ndim == 1 and expm_calls == []
     # L is block circulant with circulant blocks, so the 2-D DFT of its
     # first column gives its eigenvalues: an exact reference at every time
     lam = np.fft.fft2(L.matrix[:, 0].reshape(L.grid.shape))
@@ -394,20 +395,19 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
         want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f.values.reshape(-1)
         assert np.linalg.norm(got[:, j] - want) <= 1e-12 * nf
     # without the skew weight the eigenvectors of the Hermitian part mix
-    # modes of distinct eigenvalues (share 0.18), and L falls back to Schur
+    # modes of distinct eigenvalues (share 0.18), and L keeps the full D
     monkeypatch.setattr(fd, "_SKEW_WEIGHT", 0.0)
     L16, _ = _skew_2d(16, "periodic")
-    assert not L16._factor[2] and len(schur_calls) == 1
+    assert L16._factor[1].ndim == 2
 
 
-def test_nonnormal_2d_operator_falls_back_to_schur(monkeypatch):
+def test_nonnormal_2d_operator_takes_expm_per_time(monkeypatch):
     # Dirichlet walls make the mixed terms non-normal (off-diagonal share
-    # of the eigh factor 0.045): Schur factor, one expm per time
-    schur_calls, _ = _count_calls(monkeypatch, scipy.linalg, "schur")
+    # of the eigh factor 0.045): full D, one expm per time
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     L, f = _skew_2d(12, "dirichlet")
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
-    assert not L._factor[2] and len(schur_calls) == 1
+    assert L._factor[1].ndim == 2
     assert len(expm_calls) == len(fd._HEAT_TIMES)
     for t, col in zip(fd._HEAT_TIMES, got.T):
         want = expm(-t * L.matrix) @ f.values.reshape(-1)
@@ -428,13 +428,67 @@ def test_batched_flow_matches_semigroup_apply(normal):
     else:
         A = _variable_dirichlet(32)
     L = fd.discretize_operator(A)
-    assert L._factor[2] == normal
+    assert (L._factor[1].ndim == 1) == normal
     f, _ = _gaussian_pair(A.grid)
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))
     assert got.shape == (A.grid.size, 1, len(fd._HEAT_TIMES))
     for t, col in zip(fd._HEAT_TIMES, got[:, 0, :].T):
         want = fd.semigroup_apply(L, t, f).values
         assert np.linalg.norm(col - want) <= 1e-13 * np.linalg.norm(f.values)
+
+
+def _semigroup_case(case):
+    """A coefficient field and whether its operator is normal."""
+    if case == "1d-constant-periodic":
+        grid = fd.Grid(1, 64, 6.0, "periodic")
+        return fd.constant_field(grid, np.array([[np.exp(0.7j)]])), True
+    if case == "1d-variable-dirichlet":
+        return _variable_dirichlet(32), False
+    boundary = case.split("-")[-1]
+    grid = fd.Grid(2, 16 if boundary == "periodic" else 12, 3.0, boundary)
+    return fd.constant_field(grid, _SKEW_A), boundary == "periodic"
+
+
+_SEMIGROUP_CASES = ["1d-constant-periodic", "2d-skew-periodic",
+                    "1d-variable-dirichlet", "2d-skew-dirichlet"]
+
+
+@pytest.mark.parametrize("case", _SEMIGROUP_CASES)
+def test_semigroup_law_and_duality(case):
+    # e^{-(s+t)L} f = e^{-sL} e^{-tL} f, and <e^{-tL_A} f, h> =
+    # <f, e^{-tL_A*} h> (L_A* = L_A^H); both measured at most 7.6e-16
+    # relative on these operators
+    A, normal = _semigroup_case(case)
+    grid = A.grid
+    L = fd.discretize_operator(A)
+    Lstar = fd.discretize_operator(fd.MatrixField(grid, A.mats.conj().swapaxes(-1, -2)))
+    assert (L._factor[1].ndim == 1) == normal == (Lstar._factor[1].ndim == 1)
+    r = np.random.default_rng(11)
+    f, h = (fd.GridFunction(grid, r.standard_normal(grid.shape)
+                            + 1j * r.standard_normal(grid.shape)) for _ in range(2))
+    nf, nh = np.linalg.norm(f.values), np.linalg.norm(h.values)
+    for s, t in ((1e-3, 0.2), (0.7, 2.3), (5.0, 35.0)):
+        whole = fd.semigroup_apply(L, s + t, f).values
+        steps = fd.semigroup_apply(L, s, fd.semigroup_apply(L, t, f)).values
+        assert np.linalg.norm(whole - steps) <= 1e-12 * nf
+    for t in (0.2, 3.0, 40.0):
+        lhs = np.vdot(h.values, fd.semigroup_apply(L, t, f).values)
+        rhs = np.vdot(fd.semigroup_apply(Lstar, t, h).values, f.values)
+        assert abs(lhs - rhs) <= 1e-12 * nf * nh
+
+
+def test_nonnormal_operators_need_no_schur_factor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.schur called")
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    A = _variable_dirichlet(32)
+    L = fd.discretize_operator(A)
+    assert L._factor[1].ndim == 2
+    f, g = _gaussian_pair(A.grid)
+    assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
+    out = fd.heat_flow_experiment(A, A, f, g, p=3.0)
+    assert out["monotone"] and out["budget_ok"]
+    assert fd.contractivity_probe(L, 3.0, 0.5, trials=2, rng=0) > 0
 
 
 @pytest.mark.parametrize("case", ["normal", "nonnormal"])

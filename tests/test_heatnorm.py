@@ -97,9 +97,10 @@ def test_tensorized_demo_overflow_is_parameter_error():
     assert hn.tensorized_demo(0.2, 4.0, 10**9).C_pow_n == 1.0
 
 
-# Near |phi| = pi/2 the optimal arg a narrows faster than the oracle's
-# zooms resolve it (the oracle is 3.9e-9 below C at phi = 1.570795, p = 40),
-# so the two are compared on |phi| <= 1.5, and only one-sided beyond.
+# Near |phi| = pi/2 the optimal arg a moves to the edge +-pi/2, which the
+# oracle scans on a grid logarithmic in the distance to it (|oracle - C| <=
+# 5e-12 at phi = 1.5707963, p = 40); the two are compared to 1e-12 on
+# |phi| <= 1.5, and only one-sided beyond.
 
 
 @given(p=st.floats(min_value=1.05, max_value=40.0), phi=st.floats(min_value=-1.5, max_value=1.5))
