@@ -390,11 +390,11 @@ def pair_constants(A, B, p: float) -> PairConstants:
 # The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the
 # phases (zeta, o1) -> e^{ia}(zeta, o1), (eta, o2) -> e^{ib}(eta, o2) and
 # the scaling (s^{1/p} zeta, s^{1/q} eta, s^{1/p} o1, s^{1/q} o2), so the
-# points reduce to v = (1, rho^{1/q}) with rho = |eta|^q / |zeta|^p.
-# log rho is scanned at offsets from rho = 1, dense there: to e^140 on the
-# inner branch, to e^-20 on the outer one (the ratio is a power of rho).
+# points reduce to v = (1, rho^{1/q}) with rho = |eta|^q / |zeta|^p.  On
+# the outer branch rho <= 1 the ratio is in closed form (convexity_verify),
+# so log rho is scanned on the inner branch only, at offsets from rho = 1,
+# dense there, out to e^140.
 _LOG_RHO = np.geomspace(1e-10, 140.0, 160)
-_LOG_RHO_SCAN = np.concatenate([-_LOG_RHO[_LOG_RHO <= 20.0][::-1], _LOG_RHO])
 _ZOOMS, _ZOOM_POINTS, _LOG_TAU_SPAN = 6, 9, 300.0
 # log tau is searched on [-300, 300] until its bracket is _TAU_CLOSE *
 # max(1, |log tau|) wide, a few ulp.  Past the first, a model step is taken
@@ -537,10 +537,18 @@ def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
 def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dict:
     """Minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over off-singular-set
     points v and nonzero directions, against the proven lower bound
-    (delta_p / 5)(lam / Lam): the rho scan above, zoomed around its best
-    point, and for p > 2 the rho -> infinity limit (at p = 2 the ratio
-    does not depend on rho).  The witness attains the best scanned value.
-    Passes when min_ratio >= bound - ``_VERIFY_TOL``.
+    (delta_p / 5)(lam / Lam).  It is the least of three values:
+      - the inner-branch scan of rho above, zoomed around its best point;
+      - the outer-branch infimum C = p q sqrt((1 + 2 delta/p)(1 + phat
+        delta) delta_q(A) delta_p(B)).  There Q is separable and K is
+        block diagonal, with blocks p^2 (1 + 2 delta/p) weighted_form(A, q)
+        and q^2 (1 + phat delta) rho^{(q-2)/q} weighted_form(B, p), so the
+        ratio is 2 sqrt(lam_min(K11) lam_min(K22)) = C rho^{(q-2)/(2q)},
+        nonincreasing in rho, with C its limit at rho = 1;
+      - for p > 2 the inner-branch rho -> infinity limit (at p = 2 the
+        branches coincide and the ratio does not depend on rho).
+    The witness attains the best scanned value.  Passes when min_ratio >=
+    bound - ``_VERIFY_TOL``.
 
     Refuses when the joint ellipticity constant min(delta_p(A),
     delta_p(B)) is not positive; use :func:`violation_search` there.
@@ -553,22 +561,23 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dic
     def form(log_rho):
         return _form_matrix(hessian_q(params, 1.0, np.exp(log_rho / params.q)), MA, MB)
 
-    x = _LOG_RHO_SCAN
+    x = _LOG_RHO
     for _ in range(_ZOOMS):
         i = int(np.argmin(_direction_inf(form(x))[0]))
-        # the bracket around the best point, on its branch
-        lo = x[i - 1] if i > 0 and x[i - 1] * x[i] > 0 else x[i]
-        hi = x[i + 1] if i + 1 < x.size and x[i + 1] * x[i] > 0 else x[i]
+        lo, hi = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
         x = np.concatenate([np.linspace(lo, x[i], _ZOOM_POINTS),
                             np.linspace(x[i], hi, _ZOOM_POINTS)[1:]])
     K = form(x)
     vals, log_tau = _direction_inf(K)
     i = int(np.argmin(vals))
     w1, w2 = np.split(_balanced_minimizer(_scaled(K[i], log_tau[i])), 2)
-    min_ratio = float(vals[i])
-    if params.p > 2:
-        min_ratio = min(min_ratio, 2.0 * params.q * math.sqrt(
-            params.delta * accretivity_bounds(A)[0] * constants.delta_q_B))
+    p, q, d = params.p, params.q, params.delta
+    outer = p * q * math.sqrt((1.0 + 2.0 * d / p) * (1.0 + params.phat * d)
+                              * delta_p(A, q) * delta_p(B, p))
+    min_ratio = min(float(vals[i]), outer)
+    if p > 2:
+        min_ratio = min(min_ratio, 2.0 * q * math.sqrt(
+            d * accretivity_bounds(A)[0] * constants.delta_q_B))
     return {
         "min_ratio": min_ratio,
         "bound": constants.bound,

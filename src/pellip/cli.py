@@ -13,7 +13,9 @@ is byte-identical.
 Exit codes: 0 success, 2 input error (bad or non-finite flags, values
 the library rejects with ParameterError, malformed or non-accretive
 spec), 3 verification failure (a checked mathematical property did
-not hold), 1 internal error.
+not hold), 1 internal error, including a NaN in any reported column
+(inf is a legal value: ``ellipticity`` reports p_max = inf for real
+matrices).
 """
 
 from __future__ import annotations
@@ -425,6 +427,11 @@ def run(args) -> int:
         if val is not None and not math.isfinite(val):
             raise InputError(f"--{name} must be finite, got {val}")
     rows = args.cmd(args)
+    for row in rows:
+        for key, val in row.items():
+            if isinstance(val, float) and math.isnan(val):
+                raise ArithmeticError(f"{args.subcommand} computed NaN in "
+                                      f"column {key!r}")
     meta = {"seed": args.seed, "version": __version__,
             "command": args.subcommand}
     emit_report(rows, args.format, args.out, meta)

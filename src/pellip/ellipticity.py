@@ -221,8 +221,9 @@ def _sphere_min(A, form, samples, refine, rng, maxiter, fatol) -> float:
     return best
 
 
-def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None) -> float:
-    """Direct sphere minimization of the mu quotient.
+def mu_oracle(A) -> float:
+    """Direct sphere minimization of the mu quotient, from 2048 seeded
+    samples with the best 6 refined.
 
     Points with |<A xi, conj xi>| below ``_MU_GUARD`` are excluded; the
     pencil reduction in :func:`mu` is authoritative, this is a cross-check.
@@ -232,7 +233,7 @@ def mu_oracle(A, *, samples: int = 4096, refine: int = 8, rng=None) -> float:
         return np.where(den < _MU_GUARD, math.inf,
                         inner.real / np.maximum(den, _MU_GUARD))
 
-    return min(_sphere_min(A, quotient, samples, refine, rng, 600, 1e-12), 1.0)
+    return min(_sphere_min(A, quotient, 2048, 6, 3, 600, 1e-12), 1.0)
 
 
 def p_ellipticity_range(A) -> tuple[float, float]:
@@ -246,15 +247,15 @@ def _p_range(m: float) -> tuple[float, float]:
     return 2.0 / (1.0 + m), 2.0 / (1.0 - m)
 
 
-def delta_p_oracle(A, p: float, *, samples: int = 4096, refine: int = 8,
-                   rng=None) -> float:
+def delta_p_oracle(A, p: float) -> float:
     """Sampled + locally refined minimum of
-    Re<A xi, xi> - |1 - 2/p| |<A xi, conj xi>| over the unit sphere."""
+    Re<A xi, xi> - |1 - 2/p| |<A xi, conj xi>| over the unit sphere:
+    1024 seeded samples, the best 3 refined."""
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     s = abs(1.0 - 2.0 / p)
     return _sphere_min(A, lambda inner, skew: inner.real - s * np.abs(skew),
-                       samples, refine, rng, 800, 1e-13)
+                       1024, 3, 7, 800, 1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ _IDENTITY_EXTENT = 3.0
 # refinement_study treats residuals below this as rounding: identity
 # (ii) of identity_checks is exact and reads ~2e-17 on every grid.
 _RESIDUAL_FLOOR = 1e-12
+# refinement_study's grids: two doublings, so two empirical orders.
+_REFINEMENT_CELLS = (64, 128, 256)
 # heat_flow_experiment samples t = 0 and 40 geometric steps from 1e-3 to
 # 50, and integrates the bilinear integrand by the trapezoid rule on them.
 _HEAT_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
@@ -96,8 +98,10 @@ _SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
 # 1.8 GB; the quadrant holds 2.1 M.
 _S7_REFINE = 12
 _S7_BLOCK = 2 ** 14
-# Power-method steps per start of contractivity_probe (evidence only).
+# Power-method steps per start of contractivity_probe (evidence only),
+# and its random starts, drawn from a fixed seed.
 _POWER_ITERS = 40
+_PROBE_TRIALS, _PROBE_SEED = 4, 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -464,12 +468,12 @@ def default_identity_case(cells: int):
     return A, B, f, g
 
 
-def refinement_study(params, cells=(64, 128, 256)) -> dict:
+def refinement_study(params) -> dict:
     """Residuals of :func:`identity_checks` on :func:`default_identity_case`
-    under grid doubling, with empirical convergence orders; residuals
-    below ``_RESIDUAL_FLOOR`` count as converged (order inf)."""
+    on the ``_REFINEMENT_CELLS`` grids, with empirical convergence orders;
+    residuals below ``_RESIDUAL_FLOOR`` count as converged (order inf)."""
     residuals = []
-    for c in cells:
+    for c in _REFINEMENT_CELLS:
         A, B, f, g = default_identity_case(c)
         residuals.append(identity_checks(A, B, f, g, params))
     orders = {}
@@ -483,7 +487,8 @@ def refinement_study(params, cells=(64, 128, 256)) -> dict:
                 ords.append(math.log2(max(r0, _RESIDUAL_FLOOR)
                                       / max(r1, _RESIDUAL_FLOOR)))
         orders[key] = ords
-    return {"cells": list(cells), "residuals": residuals, "orders": orders}
+    return {"cells": list(_REFINEMENT_CELLS), "residuals": residuals,
+            "orders": orders}
 
 
 # ---------------------------------------------------------------------------
@@ -774,14 +779,14 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     }
 
 
-def contractivity_probe(L: OperatorMatrix, p: float, t: float,
-                        trials: int = 10, rng=None) -> float:
-    """Largest observed ||e^{-tL} f||_p / ||f||_p over random starts, each
-    refined by ``_POWER_ITERS`` nonlinear power-method steps for p-norms.
-    Evidence only: a lower bound on the discrete operator norm."""
+def contractivity_probe(L: OperatorMatrix, p: float, t: float) -> float:
+    """Largest observed ||e^{-tL} f||_p / ||f||_p over ``_PROBE_TRIALS``
+    random starts, each refined by ``_POWER_ITERS`` nonlinear power-method
+    steps for p-norms.  Evidence only: a lower bound on the discrete
+    operator norm."""
     if not 1 < p < math.inf:
         raise ParameterError("exponent p must be finite and satisfy p > 1")
-    rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(_PROBE_SEED)
     N = L.grid.size
     E = _propagator(L, [t], np.eye(N))[:, :, 0]
     q = p / (p - 1.0)
@@ -791,7 +796,7 @@ def contractivity_probe(L: OperatorMatrix, p: float, t: float,
         y = E @ x
         return (np.sum(np.abs(y) ** p) / np.sum(np.abs(x) ** p)) ** (1.0 / p)
 
-    for _ in range(trials):
+    for _ in range(_PROBE_TRIALS):
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         x /= np.linalg.norm(x)
         for _ in range(_POWER_ITERS):

@@ -240,7 +240,7 @@ def test_criterion_06_hessian_oracles():
 
 def test_criterion_07_residual_orders():
     params = bl.BellmanParams(p=3.0, delta=0.05)
-    study = fd.refinement_study(params, cells=(64, 128, 256))
+    study = fd.refinement_study(params)
     ok = all(o >= 1.9 for key in study["orders"] for o in study["orders"][key])
     flat = {k: [f"{o:.2f}" for o in v] for k, v in study["orders"].items()}
     _report(7, ok, f"residual convergence orders {flat}")

@@ -384,6 +384,25 @@ def test_inner_branch_limit_formula(kind, n, p):
     assert out["min_ratio"] <= limit
 
 
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0])
+@pytest.mark.parametrize("kind,n", [("rotation", 2), ("skew", 2), ("random", 3)])
+def test_outer_branch_closed_form(kind, n, p):
+    # on the outer branch the exact direction infimum is C rho^{(q-2)/(2q)},
+    # nonincreasing in rho, with C = p q sqrt((1 + 2 delta/p)(1 + phat
+    # delta) delta_q(A) delta_p(B)) its limit at rho = 1
+    params, A, B, out = verified(kind, n, p)
+    q, d = params.q, params.delta
+    C = p * q * math.sqrt((1 + 2 * d / p) * (1 + params.phat * d)
+                          * el.delta_p(A, q) * el.delta_p(B, p))
+    log_rho = np.concatenate([[-1e-10], -np.geomspace(1e-6, 40.0, 200)])
+    eta = np.exp(log_rho / q)
+    K = bl._form_matrix(bl.hessian_q(params, np.ones_like(eta), eta), realify(A), realify(B))
+    vals = bl._direction_inf(K)[0]
+    assert np.allclose(vals, C * np.exp(log_rho * (q - 2) / (2 * q)), rtol=1e-9, atol=0)
+    assert np.all(np.diff(vals) > 0)  # rho falls along the grid
+    assert out["min_ratio"] <= C
+
+
 def test_convexity_verify_includes_limit_near_p2():
     # near p = 2 the scan approaches the rho -> infinity limit too slowly,
     # so min_ratio is the limit and the witness attains the best scanned value
@@ -398,9 +417,10 @@ def test_convexity_verify_includes_limit_near_p2():
 
 @pytest.mark.parametrize("kind,n,p", [("skew", 2, 8.0), ("random", 2, 4.0)])
 def test_convexity_verify_not_above_dense_scan(kind, n, p):
-    # the zoomed scan is at least as low as a dense scan of the inner branch
+    # min_ratio is at least as low as a dense scan of both branches
     params, A, B, out = verified(kind, n, p)
-    log_rho = np.linspace(0.05, 60.0, 2000)
+    inner = np.linspace(0.05, 60.0, 2000)
+    log_rho = np.concatenate([-inner, inner])
     eta = np.exp(log_rho / params.q)
     K = bl._form_matrix(bl.hessian_q(params, np.ones_like(eta), eta),
                         realify(A), realify(B))
@@ -454,10 +474,13 @@ def bisection_direction_inf(K):
 
 
 def scan_forms(kind, n, p):
-    """K at every scanned rho of convexity_verify, on both branches."""
+    """K at every scanned rho of convexity_verify, and at the mirrored
+    points of the outer branch out to rho = e^-20, where K is block
+    diagonal (K12 = 0): a kink of lam_min(K_tau) in log tau."""
     A, B = elliptic_pair(kind, n, p)
     params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
-    eta = np.exp(bl._LOG_RHO_SCAN / params.q)
+    log_rho = np.concatenate([-bl._LOG_RHO[bl._LOG_RHO <= 20.0][::-1], bl._LOG_RHO])
+    eta = np.exp(log_rho / params.q)
     return bl._form_matrix(bl.hessian_q(params, np.ones_like(eta), eta),
                            realify(A), realify(B))
 
@@ -537,8 +560,17 @@ def test_convexity_verify_work_per_scanned_rho(kind, n, p, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "matrices"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "matrices"))
     monkeypatch.setattr(bl, "_direction_inf", counted(bl._direction_inf, "rho"))
+    rhos = []  # every rho whose Hessian is taken
+    hessian_q = bl.hessian_q
+
+    def recorded(params, zeta, eta):
+        rhos.append(np.abs(eta) ** params.q / np.abs(zeta) ** params.p)
+        return hessian_q(params, zeta, eta)
+
+    monkeypatch.setattr(bl, "hessian_q", recorded)
     bl.convexity_verify(params, A, B)
-    assert counts["rho"] == bl._LOG_RHO_SCAN.size + bl._ZOOMS * (2 * bl._ZOOM_POINTS - 1)
+    assert counts["rho"] == bl._LOG_RHO.size + bl._ZOOMS * (2 * bl._ZOOM_POINTS - 1)
+    assert np.all(np.concatenate(rhos) > 1.0)  # the inner branch only
     assert counts["matrices"] <= 12 * counts["rho"]
 
 

@@ -88,6 +88,10 @@ def test_ellipticity_subcommand_json(tmp_path, capsys):
     assert abs(row["delta_p"] - (math.cos(0.5) - 0.5)) < 1e-10
     assert abs(row["mu"] - math.cos(0.5)) < 1e-8
     assert doc["meta"]["command"] == "ellipticity"
+    # inf is a legal report value, unlike NaN: real matrices have p_max = inf
+    real = write_spec(tmp_path, "real.json", {"kind": "rotation", "phi": 0.0})
+    assert cli.main(["ellipticity", "--spec", real, "--p", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["p_max"] == math.inf
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -270,6 +274,22 @@ def test_other_library_errors_stay_internal(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(heatnorm, "tensorized_demo", broken)
     assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+# numpy warns on the overflow behind the NaN; kept as a warning here, so
+# that the exit code comes from the CLI's own check
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["dissipativity", "--spec", "rot.json", "--p", "3", "--extent", "1e-300"],
+    ["counterexample", "--p", "4", "--extent", "1e300", "--gamma-scan", "0.5:0.5:0.1"],
+])
+def test_nan_results_exit_1(tmp_path, capsys, argv):
+    # both reported NaN in every numeric column and exited 0: a NaN fails
+    # dissipativity's negativity check and reads as 'negative: false'
+    spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
+    argv = [spec if a == "rot.json" else a for a in argv]
+    assert cli.main(argv) == 1
+    assert "NaN in column 'value'" in capsys.readouterr().err
 
 
 _INF_FIELD_ENTRIES = [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8] * 8
