@@ -254,11 +254,8 @@ def bellman_hessian_form(params: BellmanParams, A: np.ndarray, B: np.ndarray,
                          omega: tuple[np.ndarray, np.ndarray]) -> float:
     """Generalized Hessian form of Q at v = (zeta, eta) against (A, B)
     in the direction omega = (omega1, omega2).  Rejects points on the
-    singular set."""
-    zeta, eta = v
-    if on_singular_set(params, zeta, eta):
-        raise ValueError("point lies on the singular set of Q")
-    return _pair_form(hessian_q(params, zeta, eta), A, B, omega)
+    singular set (through :func:`hessian_q`)."""
+    return _pair_form(hessian_q(params, *v), A, B, omega)
 
 
 def _pair_form(H4: np.ndarray, A, B, omega) -> float:

@@ -3,7 +3,7 @@
 Subcommands wrap the library modules one-to-one and hold no numerics of
 their own.  Each declares only the flags it reads (``_COMMANDS``) besides
 the shared ``--seed``, ``--out`` and ``--format``; argparse rejects any
-other flag with exit 2.  A spec file loads to a validated complex (n, n)
+other flag, or prefix of one, with exit 2.  A spec file loads to a validated complex (n, n)
 matrix or a ``field.MatrixField``: ``bellman`` takes matrices of one
 size, ``dissipativity`` and ``heatflow`` spread a matrix over their
 --grid-cells grid and run a field on its own grid.  Reports are emitted
@@ -170,9 +170,11 @@ _MAX_SCAN_VALUES = 10_000
 
 
 def _parse_scan(text: str) -> np.ndarray:
-    """'start:stop:step' -> inclusive grid of at most _MAX_SCAN_VALUES values."""
+    """'start:stop:step' -> inclusive grid of at most _MAX_SCAN_VALUES values;
+    a bare number is a one-value scan."""
     try:
-        start, stop, step = (float(x) for x in text.split(":"))
+        start, stop, step = (float(x) for x in
+                             (text.split(":") if ":" in text else (text, text, 1)))
     except ValueError as exc:
         raise InputError(f"bad scan range {text!r} (want start:stop:step)") from exc
     span = (stop - start) / step + 1e-9 if start <= stop and step > 0 else -1.0
@@ -310,12 +312,8 @@ def _cmd_heatflow(args) -> list[dict]:
 
 
 def _cmd_heatnorm(args) -> list[dict]:
-    if args.phi_grid is not None and args.phi is not None:
-        raise InputError("give --phi or --phi-grid, not both")
-    phis = (_parse_scan(args.phi_grid) if args.phi_grid is not None
-            else np.array([0.0 if args.phi is None else args.phi]))
     rows = []
-    for phi in sorted(float(ph) for ph in phis):
+    for phi in sorted(float(ph) for ph in _parse_scan(args.phi_grid)):
         res = heatnorm.tensorized_demo(phi, args.p, args.n)
         if abs(res.oracle - res.C) > 1e-5:
             raise VerificationError(
@@ -350,8 +348,7 @@ def emit_report(records: list[dict], fmt: str, path, meta: dict) -> None:
             buf.write(",".join(_fmt(rec.get(k, "")) for k in keys) + "\n")
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps({"meta": meta, "rows": records}, indent=2,
-                          default=_json_default) + "\n"
+        text = json.dumps({"meta": meta, "rows": records}, indent=2) + "\n"
     else:
         raise InputError(f"unknown format {fmt!r}")
     if path is None:
@@ -359,14 +356,6 @@ def emit_report(records: list[dict], fmt: str, path, meta: dict) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +367,9 @@ _FLAGS = {
     "--spec-b": dict(help="second constant matrix spec, the size of --spec "
                      "(default: --spec)"),
     "--p": dict(type=float, default=4.0),
-    "--phi": dict(type=float, help="one angle (default 0)"),
     # argparse reads a value starting with '-' as an option
-    "--phi-grid": dict(help="phi sweep start:stop:step; give a negative start "
-                       "with '=': --phi-grid=-1.5:0:0.1"),
+    "--phi-grid": dict(default="0", help="phi sweep start:stop:step, or one "
+                       "angle; give a negative start with '=': --phi-grid=-1.5:0:0.1"),
     "--gamma-scan": dict(default="0.5:0.99:0.01", help="gamma sweep "
                          "start:stop:step; give a negative start with '=': "
                          "--gamma-scan=START:STOP:STEP"),
@@ -399,13 +387,13 @@ _COMMANDS = {
     "counterexample": (_cmd_counterexample,
                        "--p --gamma-scan --grid-cells --extent"),
     "heatflow": (_cmd_heatflow, "--spec --p --grid-cells --extent"),
-    "heatnorm": (_cmd_heatnorm, "--p --phi --phi-grid --n"),
+    "heatnorm": (_cmd_heatnorm, "--p --phi-grid --n"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="pellip",
+        prog="pellip", allow_abbrev=False,
         description="Numerical toolkit for p-ellipticity of complex "
                     "coefficient matrices and the associated operators")
     shared = argparse.ArgumentParser(add_help=False)
@@ -414,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, (cmd, flags) in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[shared])
+        sp = sub.add_parser(name, parents=[shared], allow_abbrev=False)
         for flag in flags.split():
             sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(cmd=cmd)
@@ -422,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    for name in ("p", "phi", "extent"):
+    for name in ("p", "extent"):
         val = getattr(args, name, None)
         if val is not None and not math.isfinite(val):
             raise InputError(f"--{name} must be finite, got {val}")

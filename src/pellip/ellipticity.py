@@ -148,21 +148,19 @@ def accretivity_bounds(A) -> tuple[float, float, float]:
     """(lambda, Lambda, nu): ellipticity lower bound, operator-norm upper
     bound and numerical-range half-angle, reduced over cells for fields.
 
-    Re<A xi, xi> and Im<A xi, xi> are the real quadratic forms of
-    P = sym(M(A)) and S = sym(J^T M(A)) on R^2n, so tan(nu) is the
-    largest |eigenvalue| of the pencil (S, P) over all cells.
+    Re<A xi, xi> and Re<iA xi, xi> = -Im<A xi, xi> are the real
+    quadratic forms of P = sym(M(A)) and S = sym(M(iA)) on R^2n, so
+    tan(nu) is the largest |eigenvalue| of the pencil (S, P) over all
+    cells.
     """
     mats = _distinct(_cells(A))
-    n = mats.shape[-1]
-    M = realify(mats)
-    P = sym_part(M)
+    P = sym_part(realify(mats))
     lam = float(np.linalg.eigvalsh(P)[..., 0].min())
     Lam = float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
     if lam <= 0:
         # numerical range meets the closed left half plane; no sector angle
         return lam, Lam, math.pi / 2
-    J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    return lam, Lam, math.atan(_pencil_radius(sym_part(J.T @ M), P))
+    return lam, Lam, math.atan(_pencil_radius(sym_part(realify(1j * mats)), P))
 
 
 def _pencil_radius(S: np.ndarray, P: np.ndarray) -> float:

@@ -126,6 +126,10 @@ class Grid:
             raise ParameterError(f"grid has more than {MAX_CELLS} cells")
         if not 0 < self.extent < math.inf:
             raise ParameterError("extent must be positive and finite")
+        h2 = float(self.h) * float(self.h)  # h enters as h, h^2 and their inverses
+        if not (0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ParameterError(f"extent {self.extent!r} is out of numeric range: h^2 "
+                                 "and 1/h^2 (h = 2 extent / cells) must be finite")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ParameterError("boundary must be 'periodic' or 'dirichlet'")
 
@@ -207,12 +211,10 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixField:
-    """Cell-wise coefficient matrix A(x) with recorded uniform bounds."""
+    """Cell-wise coefficient matrix A(x), uniformly accretive."""
 
     grid: Grid
     mats: np.ndarray
-    lam: float = dataclasses.field(init=False)
-    Lam: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.mats, dtype=complex)
@@ -220,11 +222,8 @@ class MatrixField:
         if m.shape != self.grid.shape + (d, d):
             raise ValueError("matrix array does not match the grid")
         object.__setattr__(self, "mats", m)
-        lam, Lam, _ = _ellipticity.accretivity_bounds(m)
-        if not lam > 0:
+        if not _ellipticity.accretivity_bounds(m)[0] > 0:
             raise ValueError("field is not uniformly accretive (lambda <= 0)")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "Lam", Lam)
 
 
 def constant_field(grid: Grid, A: np.ndarray) -> MatrixField:
@@ -249,11 +248,8 @@ def section7_field(grid: Grid, gamma: float) -> MatrixField:
         raise ParameterError("requires a 2-D grid")
     if not 0 <= gamma < 1:
         raise ParameterError("gamma must lie in [0, 1)")
-    X, Y = grid.meshes()
-    chi = np.abs(X) >= np.abs(Y)
-    A0 = np.eye(2, dtype=complex)
-    A1 = np.eye(2) - 1j * gamma * _ellipticity.ROT_GEN
-    return MatrixField(grid, np.where(chi[..., None, None], A1, A0))
+    return two_value_field(grid, np.eye(2), np.eye(2) - 1j * gamma * _ellipticity.ROT_GEN,
+                           lambda X, Y: np.abs(X) >= np.abs(Y))
 
 
 def mollify(field: MatrixField, eps: float) -> MatrixField:
@@ -327,24 +323,29 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
 
 
 def _polar_terms(p: float, r, grad_r, grad_phi, w, weights):
-    """Polar data of f = r e^{i phi}: the pointwise u = e^{-i phi} grad f
-    and v = e^{-i phi} grad(|f|^{p-2} f), and the decomposition terms
-      (p-1) r^{p-2} |grad r|^2,  r^p |grad phi|^2,  w J(r^p, phi)
-    integrated against the quadrature ``weights``.  Their sum is the
-    integral of Re<A u, v> when Im A = w R (w is None: no Im A term).
+    """Polar data of f = r e^{i phi} for A = I + i w R (w is None: A = I),
+    with u = e^{-i phi} grad f and v = e^{-i phi} grad(|f|^{p-2} f),
+    integrated against the quadrature ``weights``: the two parts
+    s0 = Re<u, v> and s1 = w Re(i <R u, v>) of Re<A u, v>, and the terms
+      (p-1) r^{p-2} |grad r|^2,  r^p |grad phi|^2,  w J(r^p, phi),
+    whose sum is s0 + s1 by algebra.
     """
     u = grad_r + 1j * r[..., None] * grad_phi
     v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
         + 1j * r[..., None] ** (p - 1.0) * grad_phi
+    s0 = float(np.sum(weights * np.real(np.sum(u * v.conjugate(), axis=-1))))
     t1 = float(np.sum(weights * (p - 1.0) * r ** (p - 2.0)
                       * np.sum(grad_r ** 2, axis=-1)))
     t2 = float(np.sum(weights * r ** p * np.sum(grad_phi ** 2, axis=-1)))
-    t3 = 0.0
+    s1 = t3 = 0.0
     if w is not None:
+        Ru = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        # Re(i z) = -Im z
+        s1 = -float(np.sum(weights * w * np.imag(np.sum(Ru * v.conjugate(), axis=-1))))
         jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
                                     - grad_r[..., 1] * grad_phi[..., 0])
         t3 = float(np.sum(weights * w * jac))
-    return u, v, (t1, t2, t3)
+    return s0, s1, (t1, t2, t3)
 
 
 def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
@@ -358,8 +359,8 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
     rotational) is the decomposition
       (p-1) r^{p-2} |grad r|^2 + r^p |grad phi|^2 + w J(r^p, phi),
     with J the Jacobian determinant.  value integrates the exact
-    sesquilinear integrand; both quantities agree pointwise by algebra,
-    so the pair serves as a self-check.
+    sesquilinear integrand Re<u, v> + w Re(i <R u, v>); both quantities
+    agree pointwise by algebra, so the pair serves as a self-check.
     """
     g = A.grid
     m = A.mats
@@ -368,9 +369,8 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
         raise ParameterError(
             "polar decomposition needs Re A = I and antisymmetric Im A")
     w = m[..., 1, 0].imag if g.dim == 2 else None
-    u, v, terms = _polar_terms(p, r, grad_r, grad_phi, w, g.h ** g.dim)
-    value = float(g.h ** g.dim * np.sum(np.real(_pairing(m, u, v))))
-    return value, terms
+    s0, s1, terms = _polar_terms(p, r, grad_r, grad_phi, w, g.h ** g.dim)
+    return s0 + s1, terms
 
 
 def random_polar_probe(grid: Grid, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,8 +420,7 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
     grad_f = gradient(f).values
     grad_g = gradient(g).values
     if gr.dim == 2:
-        W = _ellipticity.ROT_GEN
-        pairing = np.einsum("jk,...k,...j->...", W, grad_f, grad_g.conjugate())
+        pairing = _pairing(_ellipticity.ROT_GEN, grad_f, grad_g)
         res_ii = abs(complex(gr.h ** gr.dim * np.sum(pairing)))
     else:
         res_ii = 0.0
@@ -518,10 +517,10 @@ def _s7_quadrature(grid: Grid, p: float):
     the fold exact where h is not dyadic and the axis is symmetric only to
     an ulp.
 
-    Yields flat (X, Y, W) blocks of at most _S7_BLOCK points: the
-    unrefined outer cells first, then whole refined cells.  Besides the
-    quadrant's cell centers, at most one block is held at once, however
-    large the grid or the refined disk.
+    Yields flat (X, Y, W) blocks of at most _S7_BLOCK points, of whole
+    cells: the outer cells first, 1 point each, then the disk cells,
+    _S7_REFINE^2 points each.  Besides the quadrant's cell centers, at most
+    one block is held at once, however large the grid or the refined disk.
     """
     half = grid.axis()[grid.cells // 2:]
     mult = np.full(half.size, 2.0)
@@ -531,17 +530,16 @@ def _s7_quadrature(grid: Grid, p: float):
     h = grid.h
     R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + h  # r^p >= 1e-12
     active = X * X + Y * Y <= R * R
-    Xo, Yo, Wo = X[~active], Y[~active], M[~active] * (h * h)
-    for s in range(0, Xo.size, _S7_BLOCK):
-        yield Xo[s:s + _S7_BLOCK], Yo[s:s + _S7_BLOCK], Wo[s:s + _S7_BLOCK]
     sub = (np.arange(_S7_REFINE) + 0.5) / _S7_REFINE - 0.5
     dx, dy = (d.reshape(-1) for d in np.meshgrid(sub * h, sub * h, indexing="ij"))
-    Xa, Ya, Wa = X[active], Y[active], M[active] * (h * h / dx.size)
-    step = _S7_BLOCK // dx.size  # whole refined cells per block
-    for s in range(0, Xa.size, step):
-        x = (Xa[s:s + step, None] + dx).reshape(-1)
-        y = (Ya[s:s + step, None] + dy).reshape(-1)
-        yield x, y, np.repeat(Wa[s:s + step], dx.size)
+    zero = np.zeros(1)
+    for cells, ox, oy in ((~active, zero, zero), (active, dx, dy)):
+        Xc, Yc, Wc = X[cells], Y[cells], M[cells] * (h * h / ox.size)
+        step = _S7_BLOCK // ox.size  # whole cells per block
+        for s in range(0, Xc.size, step):
+            yield ((Xc[s:s + step, None] + ox).reshape(-1),
+                   (Yc[s:s + step, None] + oy).reshape(-1),
+                   np.repeat(Wc[s:s + step], ox.size))
 
 
 def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
@@ -579,12 +577,8 @@ def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
         # f = r e^{i phi} with phi = -p x1 x2
         grad_phi = np.stack([-p * Y, -p * X], axis=-1)
         neg_chi = np.where(np.abs(X) >= np.abs(Y), -1.0, 0.0)  # w / gamma
-        u, v, (b1, b2, b3) = _polar_terms(p, r, grad_r, grad_phi, neg_chi, W)
-        Ru = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        V0 += float(np.sum(W * np.real(np.sum(u * v.conjugate(), axis=-1))))
-        # Re(i z) = -Im z
-        V1 -= float(np.sum(W * neg_chi * np.imag(np.sum(Ru * v.conjugate(), axis=-1))))
-        t1, t2, T3 = t1 + b1, t2 + b2, T3 + b3
+        s0, s1, (b1, b2, b3) = _polar_terms(p, r, grad_r, grad_phi, neg_chi, W)
+        V0, V1, t1, t2, T3 = V0 + s0, V1 + s1, t1 + b1, t2 + b2, T3 + b3
     rows = []
     for gamma in gammas:
         value = V0 + gamma * V1

@@ -9,13 +9,19 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from pellip import cli, heatnorm
+from pellip import bellman, cli, field, heatnorm
 
 
 def write_spec(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def rotation_specs(tmp_path):
+    """Paths of rot.json (n = 2) and rot1.json (n = 1), rotations by 0.3."""
+    return {name: write_spec(tmp_path, name, {"kind": "rotation", "phi": 0.3, "n": n})
+            for name, n in (("rot.json", 2), ("rot1.json", 1))}
 
 
 def test_spec_round_trips(tmp_path):
@@ -52,6 +58,9 @@ def test_spec_errors(tmp_path):
 
 def test_parse_scan():
     assert np.allclose(cli._parse_scan("0.5:0.9:0.1"), [0.5, 0.6, 0.7, 0.8, 0.9])
+    # a bare number is a one-value scan, the same bits as the number
+    assert cli._parse_scan("0.3").tolist() == [0.3]
+    assert cli._parse_scan("-1.25").tolist() == [-1.25]
     with pytest.raises(cli.InputError):
         cli._parse_scan("1:0:0.1")
     with pytest.raises(cli.InputError):
@@ -59,7 +68,8 @@ def test_parse_scan():
 
 
 @pytest.mark.parametrize("text", ["0:1e9:1", "0:10000:1", "0:1e308:1e-308",
-                                  "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:0"])
+                                  "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:0",
+                                  "nan", "inf", "0:1"])
 def test_parse_scan_rejects_long_or_nonfinite_ranges(text):
     # rejected from the three numbers, before any array is built
     with pytest.raises(cli.InputError):
@@ -105,8 +115,31 @@ def test_exit_codes(tmp_path, capsys):
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force an oracle/closed-form disagreement
     monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p: 2.0)
-    assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 3
+    assert cli.main(["heatnorm", "--phi-grid", "0.2", "--p", "4"]) == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+_HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
+                "ratio": 0.5, "monotone": True}
+
+
+@pytest.mark.parametrize("argv, target, result, message", [
+    (["bellman", "--spec", "rot.json", "--p", "3"], (bellman, "convexity_verify"),
+     {"min_ratio": 0.0, "bound": 1.0, "pass": False}, "convexity bound violated"),
+    (["dissipativity", "--spec", "rot.json", "--p", "3", "--grid-cells", "16"],
+     (field, "dissipativity_functional"), (-1.0, -1.0), "dissipativity functional negative"),
+    (["heatflow", "--spec", "rot1.json", "--p", "3"], (field, "heat_flow_experiment"),
+     {**_HEAT_REPORT, "monotone": False}, "not nonincreasing"),
+    (["heatflow", "--spec", "rot1.json", "--p", "3"], (field, "heat_flow_experiment"),
+     {**_HEAT_REPORT, "ratio": 1.5}, "exceeded the closed bound"),
+], ids=["bellman", "dissipativity", "heatflow-monotone", "heatflow-ratio"])
+def test_verification_failures_of_each_check_exit_3(tmp_path, capsys, monkeypatch,
+                                                    argv, target, result, message):
+    specs = rotation_specs(tmp_path)
+    monkeypatch.setattr(*target, lambda *a: result)
+    assert cli.main([specs.get(a, a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert "verification failure" in err and message in err
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -129,6 +162,17 @@ def test_csv_format(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[0]) == 3.0
     assert "true" not in lines[0]
+
+
+def test_csv_booleans_of_a_counterexample_report(tmp_path):
+    out = str(tmp_path / "scan.csv")
+    assert cli.main(["counterexample", "--p", "40", "--gamma-scan", "0.95:0.99:0.02",
+                     "--grid-cells", "64", "--format", "csv", "--out", out]) == 0
+    lines = pathlib.Path(out).read_text().splitlines()
+    keys = lines[0].split(",")
+    rows = [dict(zip(keys, line.split(","))) for line in lines[1:]]
+    assert [r["negative"] for r in rows] == ["false", "false", "true"]
+    assert [r["first_negative"] for r in rows] == ["false", "false", "true"]
 
 
 def test_bellman_violation_row(tmp_path, capsys):
@@ -160,7 +204,7 @@ def test_bellman_at_an_endpoint_of_the_p_range_is_an_input_error(tmp_path, capsy
 def test_heatnorm_oracle_meets_the_constant_near_right_angle(capsys, p, phi):
     # the optimal arg a lies within 7e-10 (3e-10) of pi/2 there, which a
     # uniform arg a grid missed by 2.2e-5 (4.6e-6) relative
-    assert cli.main(["heatnorm", "--p", p, "--phi", phi]) == 0, \
+    assert cli.main(["heatnorm", "--p", p, "--phi-grid", phi]) == 0, \
         capsys.readouterr().err
 
 
@@ -255,7 +299,7 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     ["bellman", "--p", "1.5"],
     ["counterexample", "--gamma-scan", "1:1.2:0.1"],
     ["counterexample", "--gamma-scan=-0.2:0.2:0.1"],
-    ["heatnorm", "--phi", "1.6"],
+    ["heatnorm", "--phi-grid", "1.6"],
     ["heatnorm", "--phi-grid", "1.5:1.6:0.05"],
 ])
 def test_bad_flag_values_are_input_errors(tmp_path, capsys, argv):
@@ -272,24 +316,40 @@ def test_other_library_errors_stay_internal(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("unexpected")
     monkeypatch.setattr(heatnorm, "tensorized_demo", broken)
-    assert cli.main(["heatnorm", "--phi", "0.2", "--p", "4"]) == 1
+    assert cli.main(["heatnorm", "--phi-grid", "0.2", "--p", "4"]) == 1
     assert "internal error" in capsys.readouterr().err
 
 
-# numpy warns on the overflow behind the NaN; kept as a warning here, so
-# that the exit code comes from the CLI's own check
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
-    ["dissipativity", "--spec", "rot.json", "--p", "3", "--extent", "1e-300"],
-    ["counterexample", "--p", "4", "--extent", "1e300", "--gamma-scan", "0.5:0.5:0.1"],
+    ["dissipativity", "--spec", "rot.json", "--p", "3", "--grid-cells", "16"],
+    ["counterexample", "--p", "4", "--gamma-scan", "0.5", "--grid-cells", "16"],
 ])
-def test_nan_results_exit_1(tmp_path, capsys, argv):
-    # both reported NaN in every numeric column and exited 0: a NaN fails
-    # dissipativity's negativity check and reads as 'negative: false'
+def test_nan_results_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # a NaN fails dissipativity's negativity check and reads as 'negative:
+    # false', so both reports had exited 0.  The extents that produced the
+    # NaN are refused as input now (test_out_of_range_extent_exits_2), so
+    # the library's result is replaced by one with NaN.
+    monkeypatch.setattr(field, "dissipativity_functional", lambda *a: (math.nan, 0.0))
+    monkeypatch.setattr(field, "counterexample_section7", lambda p, gammas, grid: [
+        {"value": math.nan, "terms": (0.0, 0.0, 0.0), "decomposition_error": 0.0}
+        for _ in gammas])
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
     argv = [spec if a == "rot.json" else a for a in argv]
     assert cli.main(argv) == 1
     assert "NaN in column 'value'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dissipativity", "--spec", "rot.json", "--p", "3", "--extent", "1e-300"],
+    ["counterexample", "--p", "40", "--gamma-scan", "0.9:0.9:1", "--extent", "1e300"],
+    ["heatflow", "--spec", "rot1.json", "--p", "3", "--extent", "1e-200"],
+], ids=["dissipativity", "counterexample", "heatflow"])
+def test_out_of_range_extent_exits_2(tmp_path, capsys, argv):
+    # h^2 underflows to 0 or overflows to inf; these ran into NaN or a
+    # non-finite grid function and exited 1
+    specs = rotation_specs(tmp_path)
+    assert cli.main([specs.get(a, a) for a in argv]) == 2
+    assert "out of numeric range" in capsys.readouterr().err
 
 
 _INF_FIELD_ENTRIES = [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8] * 8
@@ -330,10 +390,11 @@ _DECLARED = {
     "dissipativity": {"--spec", "--p", "--grid-cells", "--extent"},
     "counterexample": {"--p", "--gamma-scan", "--grid-cells", "--extent"},
     "heatflow": {"--spec", "--p", "--grid-cells", "--extent"},
-    "heatnorm": {"--p", "--phi", "--phi-grid", "--n"},
+    "heatnorm": {"--p", "--phi-grid", "--n"},
 }
 # flags that no subcommand declares any more (heatnorm --workers 2 exits 2)
-_RETIRED = {"--workers"}
+_RETIRED = {"--workers", "--phi"}
+_SHARED = {"--seed", "--out", "--format"}
 
 
 def test_each_subcommand_declares_only_the_flags_it_reads():
@@ -344,9 +405,9 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     for name, sp in subs.items():
         flags = {a.option_strings[0] for a in sp._actions
                  if not isinstance(a, cli.argparse._HelpAction)}
-        assert flags == _DECLARED[name] | {"--seed", "--out", "--format"}
+        assert flags == _DECLARED[name] | _SHARED
         total += len(flags)
-    assert total == 40
+    assert total == 39
 
 
 @pytest.mark.parametrize("name", sorted(_DECLARED))
@@ -354,16 +415,15 @@ def test_undeclared_flags_exit_2(tmp_path, capsys, name):
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
     values = {"--spec": spec, "--spec-b": spec, "--phi-grid": "0:0.1:0.1",
               "--gamma-scan": "0.5:0.5:0.1", "--workers": "2"}
-    for flag in (set().union(*_DECLARED.values()) | _RETIRED) - _DECLARED[name]:
+    # a prefix of a flag is not that flag: "--phi" once read as --phi-grid,
+    # "--ext" as --extent
+    own = _DECLARED[name] | _SHARED
+    prefixes = {f[:k] for f in own for k in range(4, len(f))}
+    for flag in (set().union(*_DECLARED.values()) | _RETIRED | prefixes) - own:
         with pytest.raises(SystemExit) as exc:
             cli.main([name, flag, values.get(flag, "1")])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_phi_and_phi_grid_exclude_each_other(capsys):
-    assert cli.main(["heatnorm", "--phi", "0.3", "--phi-grid", "0:0.2:0.1"]) == 2
-    assert "not both" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -421,13 +481,15 @@ def test_rotation_dimension_cap_is_accepted():
 
 
 def test_heatnorm_agrees_with_oracle_near_right_angle(capsys):
-    assert cli.main(["heatnorm", "--p", "40", "--phi", "1.570795"]) == 0
+    assert cli.main(["heatnorm", "--p", "40", "--phi-grid", "1.570795"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][0]
-    assert row["oracle"] <= row["C"]
+    # the bound of tests/test_heatnorm.py: the float C may sit ulps below
+    # the true supremum, which an exact oracle would reach
+    assert row["oracle"] <= row["C"] * (1 + 1e-14)
 
 
 def test_heatnorm_overflow_is_input_error(capsys):
-    assert cli.main(["heatnorm", "--phi", "1.4", "--p", "4", "--n", "100000"]) == 2
+    assert cli.main(["heatnorm", "--phi-grid", "1.4", "--p", "4", "--n", "100000"]) == 2
     assert "overflows" in capsys.readouterr().err
 
 

@@ -303,10 +303,13 @@ def test_nu_of_stack_is_max_over_cells():
 def test_matrix_field_bounds_are_accretivity_bounds():
     grid = fd.Grid(2, 8, 1.0)
     mats = np.stack([random_accretive(2, scale=0.3) for _ in range(64)]).reshape(8, 8, 2, 2)
-    F = fd.MatrixField(grid, mats)
-    assert (F.lam, F.Lam) == el.accretivity_bounds(mats)[:2]
-    S7 = fd.section7_field(grid, 0.6)
-    assert (S7.lam, S7.Lam) == el.accretivity_bounds(S7.mats)[:2]
+    # MatrixField keeps no bounds; it refuses a field exactly when the
+    # lambda of accretivity_bounds is not positive
+    lam = el.accretivity_bounds(mats)[0]
+    assert lam > 0
+    fd.MatrixField(grid, mats - 0.5 * lam * np.eye(2))
+    with pytest.raises(ValueError, match="not uniformly accretive"):
+        fd.MatrixField(grid, mats - 1.5 * lam * np.eye(2))
 
 
 # ---------------------------------------------------------------------------

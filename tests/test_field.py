@@ -34,6 +34,12 @@ def test_grid_validation():
         fd.Grid(2, 100_000, 1.0)
     with pytest.raises(ParameterError):
         fd.Grid(1, fd.MAX_CELLS + 1, 1.0)
+    # h = 2 extent / cells enters as h, h^2 and their inverses
+    for extent in (1e-300, 1e-200, 1e300, 1e160):
+        with pytest.raises(ParameterError, match="out of numeric range"):
+            fd.Grid(2, 64, extent)
+    for extent in (1e-140, 1e140):
+        assert 0 < fd.Grid(2, 64, extent).h ** -2 < math.inf
     g = fd.Grid(2, 16, 2.0)
     assert g.h == 0.25 and g.size == 256
     assert abs(g.axis()[0] + 2.0 - g.h / 2) < 1e-15
@@ -73,8 +79,7 @@ def test_matrix_field_bounds_and_validation():
     grid = fd.Grid(2, 8, 1.0)
     A = np.eye(2) - 0.6j * np.asarray(el.ROT_GEN)
     F = fd.constant_field(grid, A)
-    lam, Lam, _ = el.accretivity_bounds(A)
-    assert abs(F.lam - lam) < 1e-12 and abs(F.Lam - Lam) < 1e-12
+    assert np.array_equal(F.mats, np.broadcast_to(A, (8, 8, 2, 2)))
     with pytest.raises(ValueError):
         fd.constant_field(grid, -np.eye(2))
     with pytest.raises(ValueError):
@@ -543,6 +548,19 @@ def test_dissipativity_rejects_small_p():
         fd.dissipativity_functional(F, f, 1.5)
 
 
+def test_lp_norm_at_infinity_is_the_largest_modulus():
+    grid = fd.Grid(1, 16, 1.0)
+    f = fd.sample(grid, lambda X: (X - 0.2) * np.exp(1j * X))
+    assert fd.lp_norm(f, math.inf) == np.abs(f.values).max()
+    assert fd.lp_norm(f, 400.0) == pytest.approx(fd.lp_norm(f, math.inf), rel=1e-2)
+
+
+def test_discretize_operator_refuses_more_than_4096_cells():
+    F = fd.constant_field(fd.Grid(2, 65, 4.0), np.eye(2))
+    with pytest.raises(ParameterError, match="too large for dense storage"):
+        fd.discretize_operator(F)
+
+
 def test_polar_decomposition_real_field():
     # for the identity field the rotational term vanishes and the value
     # equals the two elliptic terms
@@ -680,9 +698,9 @@ def test_decomposition_error_is_scaled_by_the_sums(monkeypatch):
     bump = [1e-9 * (t1 + t2)]
 
     def perturbed(*args):
-        u, v, (b1, b2, b3) = orig(*args)
+        s0, s1, (b1, b2, b3) = orig(*args)
         b1, bump[0] = b1 + bump[0], 0.0  # once, in the first block
-        return u, v, (b1, b2, b3)
+        return s0, s1, (b1, b2, b3)
     monkeypatch.setattr(fd, "_polar_terms", perturbed)
     (bad,) = fd.counterexample_section7(p, [gamma], grid)
     assert bad["terms"][0] != t1
