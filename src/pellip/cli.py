@@ -2,7 +2,9 @@
 
 Subcommands wrap the library modules one-to-one and hold no numerics of
 their own.  Each declares only the flags it reads (``_COMMANDS``) besides
-the shared ``--seed``, ``--out`` and ``--format``; argparse rejects any
+the shared ``--seed``, ``--out`` and ``--format``, and three it accepts
+for old argv and ignores: ``bellman --budget`` and the closed-form
+``counterexample``'s ``--grid-cells`` and ``--extent``; argparse rejects any
 other flag, or prefix of one, with exit 2.  A spec file loads to a validated complex (n, n)
 matrix or a ``field.MatrixField``: ``bellman`` takes matrices of one
 size, ``dissipativity`` and ``heatflow`` spread a matrix over their
@@ -270,10 +272,9 @@ def _smooth_pair(grid, rng):
 
 
 def _cmd_counterexample(args) -> list[dict]:
-    grid = field.Grid(2, args.grid_cells, args.extent, "periodic")
     gammas = [float(g) for g in _parse_scan(args.gamma_scan)]
     rows, first = [], True
-    for gamma, out in zip(gammas, field.counterexample_section7(args.p, gammas, grid)):
+    for gamma, out in zip(gammas, field.counterexample_section7(args.p, gammas)):
         negative = out["value"] < 0
         rows.append({"gamma": gamma, "p": args.p, "value": out["value"],
                      "elliptic_r": out["terms"][0],
@@ -308,6 +309,10 @@ def _cmd_heatflow(args) -> list[dict]:
         raise VerificationError(
             f"bilinear time integral exceeded the closed bound "
             f"(ratio {rep['ratio']:.6g})")
+    if not rep["budget_ok"]:
+        raise VerificationError(
+            f"bilinear time integral exceeded the energy budget E(0)/a0 "
+            f"(a0 = {rep['a0']:.6g})")
     return rows
 
 
@@ -373,13 +378,16 @@ _FLAGS = {
     "--gamma-scan": dict(default="0.5:0.99:0.01", help="gamma sweep "
                          "start:stop:step; give a negative start with '=': "
                          "--gamma-scan=START:STOP:STEP"),
-    "--grid-cells": dict(type=int, default=64),
-    "--extent": dict(type=float, default=4.0),
+    "--grid-cells": dict(type=int, default=64, help="cells per axis (unused by "
+                         "counterexample)"),
+    "--extent": dict(type=float, default=4.0, help="grid half-width (unused by "
+                     "counterexample)"),
     "--budget": dict(type=int, default=10_000, help="no-op, accepted for old argv"),
     "--n": dict(type=int, default=1),
 }
 
-# The flags a subcommand reads, and nothing else: argparse rejects the rest.
+# The flags a subcommand reads (or accepts unread, see the module
+# docstring), and nothing else: argparse rejects the rest.
 _COMMANDS = {
     "ellipticity": (_cmd_ellipticity, "--spec --p"),
     "bellman": (_cmd_bellman, "--spec --spec-b --p --budget"),

@@ -79,9 +79,9 @@ def rotation_matrix(phi: float, n: int = 2) -> np.ndarray:
 
 
 def skew_matrix(w: float) -> np.ndarray:
-    """I_2 + i w R with R the rotation generator; accretive iff |w| < 1...
-    in the sense that lambda = 1 > 0 always, while p-ellipticity degrades
-    with |w|."""
+    """I_2 + i w R with R the rotation generator.  lambda = 1 - |w|, so it
+    is accretive iff |w| < 1; for p >= 2, delta_p = 1 - sqrt((1 - 2/p)^2 + w^2)
+    (:func:`closed_form_delta`)."""
     return np.eye(2) + 1j * w * ROT_GEN
 
 

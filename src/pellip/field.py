@@ -91,13 +91,6 @@ _NORMAL_TOL = 1e-12
 # coefficients, and where C does degenerate the share test keeps the full
 # D, so the weight sets speed, never accuracy.
 _SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
-# _s7_quadrature splits each cell of the active disk into _S7_REFINE^2
-# points, visits only the quadrant x1, x2 >= 0 (the integrand is even in
-# each coordinate), and yields at most _S7_BLOCK points at a time: held at
-# once, the 8.1 M points of the whole 512^2 grid at p = 2.01 peaked at
-# 1.8 GB; the quadrant holds 2.1 M.
-_S7_REFINE = 12
-_S7_BLOCK = 2 ** 14
 # Power-method steps per start of contractivity_probe (evidence only),
 # and its random starts, drawn from a fixed seed.
 _POWER_ITERS = 40
@@ -222,7 +215,8 @@ class MatrixField:
         if m.shape != self.grid.shape + (d, d):
             raise ValueError("matrix array does not match the grid")
         object.__setattr__(self, "mats", m)
-        if not _ellipticity.accretivity_bounds(m)[0] > 0:
+        # lambda = Delta_2(A): weighted_form(A, 2) is half of sym(M(A))
+        if not _ellipticity.delta_p(m, 2.0) > 0:
             raise ValueError("field is not uniformly accretive (lambda <= 0)")
 
 
@@ -310,7 +304,11 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     grad = gradient(f).values
     af = np.abs(f.values)
     afs = np.where(af == 0, 1.0, af)
-    u = afs ** (p - 2.0) * f.values
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        u = afs ** (p - 2.0) * f.values
+    if not np.all(np.isfinite(u)):
+        raise ParameterError(f"p = {p:g} is out of numeric range: |f|^(p-2) f "
+                             "overflows a float")
     u = np.where(af == 0, 0.0, u)
     gu = gradient(GridFunction(g, u)).values
     value = float(np.real(g.h ** g.dim * np.sum(_pairing(A.mats, grad, gu))))
@@ -320,32 +318,6 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     H = _bellman.hess_form_power(A.mats, p, np.where(nz, f.values, 1.0), grad)
     companion = float(g.h ** g.dim * np.sum(np.where(nz, H, 0.0)) / p)
     return value, companion
-
-
-def _polar_terms(p: float, r, grad_r, grad_phi, w, weights):
-    """Polar data of f = r e^{i phi} for A = I + i w R (w is None: A = I),
-    with u = e^{-i phi} grad f and v = e^{-i phi} grad(|f|^{p-2} f),
-    integrated against the quadrature ``weights``: the two parts
-    s0 = Re<u, v> and s1 = w Re(i <R u, v>) of Re<A u, v>, and the terms
-      (p-1) r^{p-2} |grad r|^2,  r^p |grad phi|^2,  w J(r^p, phi),
-    whose sum is s0 + s1 by algebra.
-    """
-    u = grad_r + 1j * r[..., None] * grad_phi
-    v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
-        + 1j * r[..., None] ** (p - 1.0) * grad_phi
-    s0 = float(np.sum(weights * np.real(np.sum(u * v.conjugate(), axis=-1))))
-    t1 = float(np.sum(weights * (p - 1.0) * r ** (p - 2.0)
-                      * np.sum(grad_r ** 2, axis=-1)))
-    t2 = float(np.sum(weights * r ** p * np.sum(grad_phi ** 2, axis=-1)))
-    s1 = t3 = 0.0
-    if w is not None:
-        Ru = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        # Re(i z) = -Im z
-        s1 = -float(np.sum(weights * w * np.imag(np.sum(Ru * v.conjugate(), axis=-1))))
-        jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
-                                    - grad_r[..., 1] * grad_phi[..., 0])
-        t3 = float(np.sum(weights * w * jac))
-    return s0, s1, (t1, t2, t3)
 
 
 def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
@@ -359,8 +331,10 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
     rotational) is the decomposition
       (p-1) r^{p-2} |grad r|^2 + r^p |grad phi|^2 + w J(r^p, phi),
     with J the Jacobian determinant.  value integrates the exact
-    sesquilinear integrand Re<u, v> + w Re(i <R u, v>); both quantities
-    agree pointwise by algebra, so the pair serves as a self-check.
+    sesquilinear integrand Re<u, v> + w Re(i <R u, v>), with
+    u = e^{-i phi} grad f and v = e^{-i phi} grad(|f|^{p-2} f); both
+    quantities agree pointwise by algebra, so the pair serves as a
+    self-check.
     """
     g = A.grid
     m = A.mats
@@ -368,9 +342,24 @@ def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
             and np.all(m.imag == -np.swapaxes(m.imag, -1, -2))):
         raise ParameterError(
             "polar decomposition needs Re A = I and antisymmetric Im A")
-    w = m[..., 1, 0].imag if g.dim == 2 else None
-    s0, s1, terms = _polar_terms(p, r, grad_r, grad_phi, w, g.h ** g.dim)
-    return s0 + s1, terms
+    weight = g.h ** g.dim
+    u = grad_r + 1j * r[..., None] * grad_phi
+    v = (p - 1.0) * r[..., None] ** (p - 2.0) * grad_r \
+        + 1j * r[..., None] ** (p - 1.0) * grad_phi
+    s0 = float(np.sum(weight * np.real(np.sum(u * v.conjugate(), axis=-1))))
+    t1 = float(np.sum(weight * (p - 1.0) * r ** (p - 2.0)
+                      * np.sum(grad_r ** 2, axis=-1)))
+    t2 = float(np.sum(weight * r ** p * np.sum(grad_phi ** 2, axis=-1)))
+    s1 = t3 = 0.0
+    if g.dim == 2:
+        w = m[..., 1, 0].imag
+        Ru = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        # Re(i z) = -Im z
+        s1 = -float(np.sum(weight * w * np.imag(np.sum(Ru * v.conjugate(), axis=-1))))
+        jac = p * r ** (p - 1.0) * (grad_r[..., 0] * grad_phi[..., 1]
+                                    - grad_r[..., 1] * grad_phi[..., 0])
+        t3 = float(np.sum(weight * w * jac))
+    return s0 + s1, (t1, t2, t3)
 
 
 def random_polar_probe(grid: Grid, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -494,99 +483,47 @@ def refinement_study(params) -> dict:
 # the rotational counterexample
 
 
-def _s7_quadrature(grid: Grid, p: float):
-    """Midpoint quadrature on the grid, with every cell where the weight
-    r^p = e^{-pi p rho^2} is non-negligible subdivided
-    _S7_REFINE x _S7_REFINE, folded onto the quadrant x1, x2 >= 0.
-
-    The rotational integrand has a derivative kink along the diagonals
-    |x| = |y|; plain midpoint quadrature there carries an O(h^2) error
-    whose constant can exceed the sign margin of the functional, so the
-    whole active disk is refined uniformly.
-
-    Every summand of :func:`counterexample_section7` is even in x1 and in
-    x2: a sign flip of x1 negates grad_r[0] and grad_phi[1] and keeps
-    grad_r[1] and grad_phi[0], so |grad r|^2, |grad phi|^2, J(r, phi) and
-    chi_E are unchanged.  The sub-cell offsets and the disk test are
-    mirror-symmetric too, so only the cells of index >= cells // 2 on each
-    axis are visited, each weighted by the number of mirror cells it
-    stands for: 2 per axis, 1 for the centre line of an odd grid.  That is
-    a quarter of the points (a quarter plus one axis strip on odd grids),
-    and the weights stay power-of-two multiples of h^2 and h^2/_S7_REFINE^2.
-    Selecting the half by index, not by the sign of the coordinate, keeps
-    the fold exact where h is not dyadic and the axis is symmetric only to
-    an ulp.
-
-    Yields flat (X, Y, W) blocks of at most _S7_BLOCK points, of whole
-    cells: the outer cells first, 1 point each, then the disk cells,
-    _S7_REFINE^2 points each.  Besides the quadrant's cell centers, at most
-    one block is held at once, however large the grid or the refined disk.
-    """
-    half = grid.axis()[grid.cells // 2:]
-    mult = np.full(half.size, 2.0)
-    mult[0] = 1.0 if grid.cells % 2 else 2.0  # an odd grid's centre line
-    X, Y = (m.reshape(-1) for m in np.meshgrid(half, half, indexing="ij"))
-    M = np.outer(mult, mult).reshape(-1)
-    h = grid.h
-    R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + h  # r^p >= 1e-12
-    active = X * X + Y * Y <= R * R
-    sub = (np.arange(_S7_REFINE) + 0.5) / _S7_REFINE - 0.5
-    dx, dy = (d.reshape(-1) for d in np.meshgrid(sub * h, sub * h, indexing="ij"))
-    zero = np.zeros(1)
-    for cells, ox, oy in ((~active, zero, zero), (active, dx, dy)):
-        Xc, Yc, Wc = X[cells], Y[cells], M[cells] * (h * h / ox.size)
-        step = _S7_BLOCK // ox.size  # whole cells per block
-        for s in range(0, Xc.size, step):
-            yield ((Xc[s:s + step, None] + ox).reshape(-1),
-                   (Yc[s:s + step, None] + oy).reshape(-1),
-                   np.repeat(Wc[s:s + step], ox.size))
-
-
-def counterexample_section7(p: float, gammas, grid: Grid) -> list[dict]:
+def counterexample_section7(p: float, gammas) -> list[dict]:
     """Dissipativity of A = I - i*gamma*chi_E*R on E = {|x1| >= |x2|},
-    tested on f = exp(-pi |x|^2 - i p x1 x2), with the closed-form
-    decomposition into elliptic and rotational parts, for every gamma
-    of ``gammas``: one dict per gamma, in input order.
+    tested on f = r e^{i phi} = exp(-pi |x|^2 - i p x1 x2), in closed
+    form, for every gamma of ``gammas``: one dict per gamma, in input
+    order, with the value and its terms (elliptic in r, elliptic in phi,
+    rotational).
 
-    Only w = -gamma*chi_E depends on gamma, and A = I + i w R gives
-    Re<A u, v> = Re<u, v> + w Re(i <R u, v>) exactly, so the value is
-    affine in gamma and the rotational term linear in it.  One pass over
-    the blocks of :func:`_s7_quadrature` accumulates the gamma-free sums
-    V0 = sum W Re<u, v>, V1 = sum W (-chi) Re(i <R u, v>), the elliptic
-    terms t1, t2 and T3 = sum W (-chi) p r^{p-1} J(r, phi); each gamma
-    reports value V0 + gamma V1 and terms (t1, t2, gamma T3).
+    With A = I + i w R and w = -gamma chi_E, the integrand of
+    Re integral <A grad f, grad(|f|^{p-2} f)> is
+      (p-1) r^{p-2} |grad r|^2 + r^p |grad phi|^2 + w p r^{p-1} J(r, phi)
+    (see :func:`dissipativity_from_polar`).  Here grad r = -2 pi x r,
+    grad phi = -p (x2, x1) and J(r, phi) = 2 pi p r (x1^2 - x2^2), so
+    every term is a moment of r^p = e^{-a |x|^2}, a = pi p.  In polar
+    coordinates (rho, theta), with the integral of rho^3 e^{-a rho^2}
+    over rho > 0 equal to 1/(2 a^2):
+      - the integral of |x|^2 e^{-a |x|^2} over the plane is pi / a^2,
+        so t1 = 4 pi^2 (p-1) pi / a^2 = 4 pi (p-1) / p^2 and
+        t2 = p^2 pi / a^2 = 1 / pi;
+      - x1^2 - x2^2 = rho^2 cos(2 theta), and cos(2 theta) integrates to
+        2 over the angles of E (|theta| <= pi/4 and its mirror), so the
+        integral of (x1^2 - x2^2) e^{-a |x|^2} over E is 1 / a^2 and the
+        rotational term is -gamma 2 pi p^2 / a^2 = gamma T3, T3 = -2 / pi.
+    The value t1 + t2 + gamma T3 = 4 pi (p-1) / p^2 + (1 - 2 gamma) / pi
+    is negative exactly when gamma > gamma*(p) = 1/2 + 2 pi^2 (p-1) / p^2,
+    and gamma*(p) < 1 exactly when p^2 - 4 pi^2 p + 4 pi^2 > 0 with p > 2,
+    i.e. p > 2 pi^2 + 2 pi sqrt(pi^2 - 1) ~ 38.45; gamma*(40) = 0.98114.
 
-    All gradients are closed-form, so the direct sesquilinear value and
-    the decomposition are computed from identical point data and agree
-    to rounding; ``decomposition_error`` is their difference relative to
-    t1 + t2 + |gamma T3|, the size of the sums compared.  For large p the
-    rotational term overwhelms the elliptic ones for gamma close to 1 and
-    the functional goes negative.
+    t1 is written 4 pi (1/p - 1/p^2), so no p^2 overflows at large p.
+    The value is the sum of the terms, so ``decomposition_error`` is 0.
     """
-    if p <= 2:
+    if not p > 2:
         raise ParameterError("requires p > 2")
     gammas = [float(g) for g in gammas]
     if not all(0 <= g < 1 for g in gammas):
         raise ParameterError("gamma must lie in [0, 1)")
-    if grid.dim != 2 or grid.extent < 4:
-        raise ParameterError("requires a 2-D grid with extent >= 4")
-    V0 = V1 = t1 = t2 = T3 = 0.0
-    for X, Y, W in _s7_quadrature(grid, p):
-        r = np.exp(-np.pi * (X * X + Y * Y))
-        grad_r = np.stack([-2.0 * np.pi * X * r, -2.0 * np.pi * Y * r], axis=-1)
-        # f = r e^{i phi} with phi = -p x1 x2
-        grad_phi = np.stack([-p * Y, -p * X], axis=-1)
-        neg_chi = np.where(np.abs(X) >= np.abs(Y), -1.0, 0.0)  # w / gamma
-        s0, s1, (b1, b2, b3) = _polar_terms(p, r, grad_r, grad_phi, neg_chi, W)
-        V0, V1, t1, t2, T3 = V0 + s0, V1 + s1, t1 + b1, t2 + b2, T3 + b3
+    x = 1.0 / p
+    t1, t2, T3 = 4.0 * math.pi * (x - x * x), 1.0 / math.pi, -2.0 / math.pi
     rows = []
     for gamma in gammas:
-        value = V0 + gamma * V1
         terms = (t1, t2, gamma * T3 + 0.0)  # + 0.0: gamma = 0 gives 0.0, not -0.0
-        # relative to the size of the sums compared, not to |value|, which
-        # vanishes at the sign change while the sums stay O(1)
-        rel = abs(value - sum(terms)) / (t1 + t2 + abs(terms[2]))
-        rows.append({"value": value, "terms": terms, "decomposition_error": rel})
+        rows.append({"value": sum(terms), "terms": terms, "decomposition_error": 0.0})
     return rows
 
 

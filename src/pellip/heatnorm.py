@@ -56,10 +56,11 @@ def heat_norm_constant(phi: float, p: float) -> float:
         raise ParameterError("|phi| must be less than pi/2")
     if not 1 <= p <= math.inf:
         raise ParameterError("exponent must lie in [1, inf]")
-    if p in (1, math.inf):
-        # sigma = 1: the fourth-root expression degenerates to this limit
-        return 1.0 / math.sqrt(math.cos(phi))
     sigma = abs(1.0 - 2.0 / p)
+    if sigma == 1.0:
+        # p = 1, p = inf, or p so large that 2/p rounds away: the
+        # fourth-root expression degenerates to this limit
+        return 1.0 / math.sqrt(math.cos(phi))
     c = math.cos(phi)
     if c >= sigma:  # |phi| <= phi_p
         return 1.0
@@ -142,6 +143,9 @@ def gaussian_oracle(phi: float, p: float) -> float:
         raise ParameterError("|phi| must be less than pi/2")
     if not 1 < p < math.inf:
         raise ParameterError("exponent must lie in (1, inf)")
+    if not 8.0 * p * p < math.inf:  # bounds qb^2 - 4 qa qc of _width_optimum
+        raise ParameterError(f"p = {p:g} is out of numeric range: the oracle's "
+                             "quadratic in the width overflows a float")
     sign = np.array([[-1.0], [1.0]])  # one row of u per sign of arg a
     u, step = np.linspace(math.log(1e-17), math.log(math.pi / 2), 1000, retstep=True)
     u, rows, zoom = np.tile(u, (2, 1)), np.arange(2), np.linspace(-1.0, 1.0, 17)

@@ -247,12 +247,11 @@ def test_criterion_07_residual_orders():
 
 
 def test_criterion_08_counterexample():
-    grid = fd.Grid(2, 256, 4.0, "periodic")
     p = 40.0
-    scan = fd.counterexample_section7(p, np.arange(0.5, 0.9951, 0.01), grid)
+    scan = fd.counterexample_section7(p, np.arange(0.5, 0.9951, 0.01))
     worst_dec = max(out["decomposition_error"] for out in scan)
     found_negative = any(out["value"] < 0 for out in scan)
-    (mild,) = fd.counterexample_section7(4.0, [0.5], grid)
+    (mild,) = fd.counterexample_section7(4.0, [0.5])
     probes_ok = mild["value"] >= -1e-9
     pgrid = fd.Grid(2, 128, 4.0, "periodic")
     F = fd.section7_field(pgrid, 0.5)

@@ -120,7 +120,7 @@ def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
-                "ratio": 0.5, "monotone": True}
+                "ratio": 0.5, "monotone": True, "budget_ok": True, "a0": 0.5}
 
 
 @pytest.mark.parametrize("argv, target, result, message", [
@@ -132,7 +132,10 @@ _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
      {**_HEAT_REPORT, "monotone": False}, "not nonincreasing"),
     (["heatflow", "--spec", "rot1.json", "--p", "3"], (field, "heat_flow_experiment"),
      {**_HEAT_REPORT, "ratio": 1.5}, "exceeded the closed bound"),
-], ids=["bellman", "dissipativity", "heatflow-monotone", "heatflow-ratio"])
+    (["heatflow", "--spec", "rot1.json", "--p", "3"], (field, "heat_flow_experiment"),
+     {**_HEAT_REPORT, "budget_ok": False}, "exceeded the energy budget"),
+], ids=["bellman", "dissipativity", "heatflow-monotone", "heatflow-ratio",
+        "heatflow-budget"])
 def test_verification_failures_of_each_check_exit_3(tmp_path, capsys, monkeypatch,
                                                     argv, target, result, message):
     specs = rotation_specs(tmp_path)
@@ -330,7 +333,7 @@ def test_nan_results_exit_1(tmp_path, capsys, monkeypatch, argv):
     # NaN are refused as input now (test_out_of_range_extent_exits_2), so
     # the library's result is replaced by one with NaN.
     monkeypatch.setattr(field, "dissipativity_functional", lambda *a: (math.nan, 0.0))
-    monkeypatch.setattr(field, "counterexample_section7", lambda p, gammas, grid: [
+    monkeypatch.setattr(field, "counterexample_section7", lambda p, gammas: [
         {"value": math.nan, "terms": (0.0, 0.0, 0.0), "decomposition_error": 0.0}
         for _ in gammas])
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
@@ -341,15 +344,32 @@ def test_nan_results_exit_1(tmp_path, capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["dissipativity", "--spec", "rot.json", "--p", "3", "--extent", "1e-300"],
-    ["counterexample", "--p", "40", "--gamma-scan", "0.9:0.9:1", "--extent", "1e300"],
     ["heatflow", "--spec", "rot1.json", "--p", "3", "--extent", "1e-200"],
-], ids=["dissipativity", "counterexample", "heatflow"])
+], ids=["dissipativity", "heatflow"])
 def test_out_of_range_extent_exits_2(tmp_path, capsys, argv):
     # h^2 underflows to 0 or overflows to inf; these ran into NaN or a
     # non-finite grid function and exited 1
     specs = rotation_specs(tmp_path)
     assert cli.main([specs.get(a, a) for a in argv]) == 2
     assert "out of numeric range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dissipativity", "--spec", "rot.json", "--p", "1e300", "--grid-cells", "16"],
+    ["heatnorm", "--p", "1e300", "--phi-grid", "0.3"],
+], ids=["dissipativity", "heatnorm"])
+def test_out_of_range_p_exits_2(tmp_path, capsys, argv):
+    # |f|^(p-2) f and the oracle's quadratic overflow; these exited 1
+    specs = rotation_specs(tmp_path)
+    assert cli.main([specs.get(a, a) for a in argv]) == 2
+    assert "p = 1e+300 is out of numeric range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1e6", "1e300"])
+def test_counterexample_runs_at_huge_p(capsys, p):
+    assert cli.main(["counterexample", "--p", p, "--gamma-scan", "0.5"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 
 
 _INF_FIELD_ENTRIES = [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 8] * 8

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from pellip import ParameterError
@@ -88,6 +89,20 @@ def test_matrix_field_bounds_and_validation():
         fd.section7_field(fd.Grid(1, 16, 1.0), 0.5)
     with pytest.raises(ValueError):
         fd.section7_field(grid, 1.5)
+
+
+def test_matrix_field_construction_computes_no_svd(monkeypatch):
+    # accretivity needs lambda = Delta_2 alone: no SVD for Lambda and no
+    # nu pencil
+    def refuse(*args, **kwargs):
+        raise AssertionError("Lambda or nu computed")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(el, "_pencil_radius", refuse)
+    F = _random_field(fd.Grid(2, 16, 1.0), 5)
+    lam = el.delta_p(F, 2.0)
+    assert lam > 0
+    with pytest.raises(ValueError, match="lambda <= 0"):
+        fd.MatrixField(F.grid, F.mats - 1.5 * lam * np.eye(2))
 
 
 def test_mollify_errors():
@@ -615,198 +630,103 @@ def test_identity_checks_and_refinement():
 
 
 def test_counterexample_analytic_terms():
-    grid = fd.Grid(2, 128, 4.0, "periodic")
     p, gamma = 8.0, 0.8
-    (out,) = fd.counterexample_section7(p, [gamma], grid)
+    (out,) = fd.counterexample_section7(p, [gamma])
     t1, t2, t3 = out["terms"]
     assert abs(t1 - 4 * math.pi * (p - 1) / p**2) < 1e-6
     assert abs(t2 - 1 / math.pi) < 1e-6
-    # the rotational integrand has a kink on the diagonals, so its
-    # quadrature error dominates the two smooth elliptic terms
     assert abs(t3 - (-2 * gamma / math.pi)) < 2e-4
     assert out["decomposition_error"] < 1e-10
 
 
 def test_counterexample_sign_threshold():
-    grid = fd.Grid(2, 128, 4.0, "periodic")
     p = 40.0
     crit = 0.5 + 2 * math.pi**2 * (p - 1) / p**2
     below, above = fd.counterexample_section7(
-        p, [crit - 0.01, min(crit + 0.01, 0.999)], grid)
+        p, [crit - 0.01, min(crit + 0.01, 0.999)])
+    assert below["value"] > 0 > above["value"]
+    below, above = fd.counterexample_section7(p, [crit - 1e-9, crit + 1e-9])
     assert below["value"] > 0 > above["value"]
     # moderate exponent and small gamma: genuinely dissipative
-    (out,) = fd.counterexample_section7(4.0, [0.5], grid)
+    (out,) = fd.counterexample_section7(4.0, [0.5])
     assert out["value"] > 0
     # real coefficient: the decomposition is a sum of squares
-    (real_case,) = fd.counterexample_section7(40.0, [0.0], grid)
+    (real_case,) = fd.counterexample_section7(40.0, [0.0])
     assert real_case["value"] > 0 and real_case["terms"][2] == 0.0
 
 
-def test_counterexample_domain_errors(monkeypatch):
-    grid = fd.Grid(2, 64, 4.0, "periodic")
+def test_counterexample_domain_errors():
     with pytest.raises(ValueError):
-        fd.counterexample_section7(2.0, [0.5], grid)
+        fd.counterexample_section7(2.0, [0.5])
     with pytest.raises(ValueError):
-        fd.counterexample_section7(4.0, [1.5], grid)
-    with pytest.raises(ValueError):
-        fd.counterexample_section7(4.0, [0.5], fd.Grid(2, 64, 1.0))
-
-    # every gamma is checked before the first quadrature block is built
-    def refuse(*args):
-        raise AssertionError("quadrature built before validation")
-
-    monkeypatch.setattr(fd, "_s7_quadrature", refuse)
+        fd.counterexample_section7(4.0, [1.5])
     for bad in (1.0, -0.1, math.nan):
         with pytest.raises(ParameterError):
-            fd.counterexample_section7(4.0, [0.5, 0.9, bad], grid)
-
-
-@pytest.mark.parametrize("p", [4.0, 40.0])
-def test_counterexample_rows_match_direct_evaluation(p):
-    # the oracle: per gamma, sum W Re<(I + i w R) u, v> over the same
-    # points, with w = -gamma chi_E, the pairing written out per point
-    grid = fd.Grid(2, 64, 4.0, "periodic")
-    gammas = [0.0, 0.3, 0.7, 0.99]
-    rows = fd.counterexample_section7(p, gammas, grid)
-    blocks = list(fd._s7_quadrature(grid, p))
-    X, Y, W = (np.concatenate(c) for c in zip(*blocks))
-    r = np.exp(-np.pi * (X * X + Y * Y))
-    grad_r = np.stack([-2 * np.pi * X * r, -2 * np.pi * Y * r], axis=-1)
-    grad_phi = np.stack([-p * Y, -p * X], axis=-1)
-    u = grad_r + 1j * r[:, None] * grad_phi
-    v = (p - 1) * r[:, None] ** (p - 2) * grad_r + 1j * r[:, None] ** (p - 1) * grad_phi
-    for gamma, row in zip(gammas, rows):
-        w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
-        Au = np.stack([u[:, 0] - 1j * w * u[:, 1], u[:, 1] + 1j * w * u[:, 0]], axis=-1)
-        direct = np.sum(W * np.real(np.sum(Au * v.conjugate(), axis=-1)))
-        assert abs(row["value"] - direct) <= 1e-12 * abs(direct)
-        assert row["decomposition_error"] < 1e-10
-
-
-def test_decomposition_error_is_scaled_by_the_sums(monkeypatch):
-    # near the sign change |value| is ~1e-4 of the O(1) sums it is the
-    # difference of; scaled by those sums the error stays at rounding
-    # (relative to |value| it would read 2.1e-12), while a term moved by
-    # 1e-9 (t1 + t2) still fails the 1e-10 check
-    grid = fd.Grid(2, 256, 4.0, "periodic")
-    p, gamma = 40.0, 0.9812
-    (row,) = fd.counterexample_section7(p, [gamma], grid)
-    t1, t2, t3 = row["terms"]
-    assert abs(row["value"]) < 1e-4 * (t1 + t2)
-    assert row["decomposition_error"] < 1e-14
-    orig = fd._polar_terms
-    bump = [1e-9 * (t1 + t2)]
-
-    def perturbed(*args):
-        s0, s1, (b1, b2, b3) = orig(*args)
-        b1, bump[0] = b1 + bump[0], 0.0  # once, in the first block
-        return s0, s1, (b1, b2, b3)
-    monkeypatch.setattr(fd, "_polar_terms", perturbed)
-    (bad,) = fd.counterexample_section7(p, [gamma], grid)
-    assert bad["terms"][0] != t1
-    assert not bad["decomposition_error"] < 1e-10
+            fd.counterexample_section7(4.0, [0.5, 0.9, bad])
 
 
 def test_counterexample_rows_do_not_depend_on_the_scan():
     # a gamma's row is the same bits whichever scan it is part of
-    grid = fd.Grid(2, 64, 4.0, "periodic")
     a, b, c = 0.6, 0.8, 0.97
-    assert fd.counterexample_section7(40.0, [a, b, c], grid)[2] == \
-        fd.counterexample_section7(40.0, [c], grid)[0]
+    assert fd.counterexample_section7(40.0, [a, b, c])[2] == \
+        fd.counterexample_section7(40.0, [c])[0]
 
 
-def _unfolded_cells(grid, p):
-    # the full-grid rule the quadrant fold replaced: cell centres outside
-    # the active disk with weight h^2, and the active-disk cells, each
-    # split into _S7_REFINE^2 points of weight h^2 / _S7_REFINE^2
-    X, Y = (m.reshape(-1) for m in grid.meshes())
-    R = math.sqrt(12 * math.log(10.0) / (math.pi * p)) + grid.h
-    active = X * X + Y * Y <= R * R
-    return (X[~active], Y[~active]), (X[active], Y[active])
+def _s7_point(p, x1, x2):
+    """r, grad r and grad phi of f = r e^{i phi} = exp(-pi |x|^2 - i p x1 x2)."""
+    r = math.exp(-math.pi * (x1 * x1 + x2 * x2))
+    return r, (-2 * math.pi * x1 * r, -2 * math.pi * x2 * r), (-p * x2, -p * x1)
 
 
-def _unfolded_counterexample(p, gammas, grid):
-    """Per gamma, the direct value sum W Re<(I + i w R) u, v> and the
-    polar terms (t1, t2, t3) of the full-grid rule, summed per sub-cell
-    offset so that no more than one grid of points is held at once."""
-    (Xo, Yo), (Xa, Ya) = _unfolded_cells(grid, p)
-    h = grid.h
-    sub = (np.arange(fd._S7_REFINE) + 0.5) / fd._S7_REFINE - 0.5
-    parts = [(Xo, Yo, h * h)] + [(Xa + a * h, Ya + b * h, h * h / sub.size ** 2)
-                                 for a in sub for b in sub]
-    sums = np.zeros((len(gammas), 4))
-    for X, Y, W in parts:
-        r = np.exp(-np.pi * (X * X + Y * Y))
-        grad_r = np.stack([-2 * np.pi * X * r, -2 * np.pi * Y * r], axis=-1)
-        grad_phi = np.stack([-p * Y, -p * X], axis=-1)
-        u = grad_r + 1j * r[:, None] * grad_phi
-        v = (p - 1) * r[:, None] ** (p - 2) * grad_r + 1j * r[:, None] ** (p - 1) * grad_phi
-        t1 = np.sum((p - 1) * r ** (p - 2) * np.sum(grad_r ** 2, axis=-1))
-        t2 = np.sum(r ** p * np.sum(grad_phi ** 2, axis=-1))
-        jac = p * r ** (p - 1) * (grad_r[:, 0] * grad_phi[:, 1] - grad_r[:, 1] * grad_phi[:, 0])
-        for i, gamma in enumerate(gammas):
-            w = np.where(np.abs(X) >= np.abs(Y), -gamma, 0.0)
-            Au = np.stack([u[:, 0] - 1j * w * u[:, 1], u[:, 1] + 1j * w * u[:, 0]], axis=-1)
-            value = np.sum(np.real(np.sum(Au * v.conjugate(), axis=-1)))
-            sums[i] += W * np.array([value, t1, t2, np.sum(w * jac)])
-    return sums
+def _quadrant_oracle(integrand, p):
+    """Plane integral of integrand(x1, x2, chi_E), even in x1 and in x2:
+    4 times the quadrant x1, x2 >= 0, split at the diagonal where chi_E
+    jumps, so that each piece is smooth; truncated at 6/sqrt(p), where
+    r^p = e^{-36 pi} ~ 1e-49."""
+    R = 6.0 / math.sqrt(p)
+    opts = dict(epsabs=1e-14, epsrel=1e-13)
+    inside = scipy.integrate.dblquad(lambda x2, x1: integrand(x1, x2, 1.0),
+                                     0.0, R, 0.0, lambda x1: x1, **opts)[0]
+    outside = scipy.integrate.dblquad(lambda x2, x1: integrand(x1, x2, 0.0),
+                                      0.0, R, lambda x1: x1, R, **opts)[0]
+    return 4.0 * (inside + outside)
 
 
-@pytest.mark.parametrize("cells,extent", [(64, 4.0), (63, 4.3), (100, 4.0), (129, 4.3)])
 @pytest.mark.parametrize("p", [2.01, 4.0, 40.0])
-def test_counterexample_fold_matches_the_full_grid(cells, extent, p):
-    # odd counts have a centre line counted once; h = 8.6/63 and 8.6/129
-    # are not dyadic, so the axis is mirror-symmetric only to an ulp
-    grid = fd.Grid(2, cells, extent, "periodic")
-    gammas = [0.0, 0.5, 0.9, 0.99]
-    rows = fd.counterexample_section7(p, gammas, grid)
-    for row, (value, *terms) in zip(rows, _unfolded_counterexample(p, gammas, grid)):
-        # the value is a difference of O(1) sums: scale by t1 + t2
-        assert abs(row["value"] - value) <= 1e-13 * (terms[0] + terms[1])
-        for got, want in zip(row["terms"], terms):
-            assert abs(got - want) <= 1e-13 * abs(want)
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99])
+def test_counterexample_matches_adaptive_quadrature(p, gamma):
+    # the direct integrand Re<(I + i w R) u, v>, w = -gamma chi_E, with
+    # u = e^{-i phi} grad f and v = e^{-i phi} grad(|f|^{p-2} f)
+    def direct(x1, x2, chi):
+        r, (a1, a2), (b1, b2) = _s7_point(p, x1, x2)
+        w = -gamma * chi
+        u1, u2 = complex(a1, r * b1), complex(a2, r * b2)
+        v1 = complex((p - 1) * r ** (p - 2) * a1, r ** (p - 1) * b1)
+        v2 = complex((p - 1) * r ** (p - 2) * a2, r ** (p - 1) * b2)
+        # R u = (-u2, u1)
+        return ((u1 - 1j * w * u2) * v1.conjugate()
+                + (u2 + 1j * w * u1) * v2.conjugate()).real
+
+    (row,) = fd.counterexample_section7(p, [gamma])
+    t1, t2, t3 = row["terms"]
+    # the value is a difference of O(1) sums: scale by their size
+    assert abs(row["value"] - _quadrant_oracle(direct, p)) <= 1e-12 * (t1 + t2 + abs(t3))
 
 
-def test_counterexample_quadrature_blocks_are_bounded():
-    # the largest accepted grid at p = 2.01, just above p > 2 (the widest
-    # refined disk): every block, the unrefined outer cells too, holds at
-    # most _S7_BLOCK points, and the weights cover the square
-    grid = fd.Grid(2, 512, 4.0, "periodic")
-    centres = grid.axis()
-    total, points, kinds = 0.0, 0, []
-    for X, Y, W in fd._s7_quadrature(grid, 2.01):
-        assert X.shape == Y.shape == W.shape and 0 < W.size <= fd._S7_BLOCK
-        total += math.fsum(W)
-        points += W.size
-        # outer blocks hold cell centres, refined ones none (offsets are
-        # at least h/24 from a centre); the outer blocks come first
-        on = np.isin(X, centres) & np.isin(Y, centres)
-        assert on.all() or not on.any()
-        kinds.append(bool(on.all()))
-    outer = kinds.index(False)
-    assert outer >= 2 and not any(kinds[outer:])
-    assert abs(total - (2 * grid.extent) ** 2) <= 1e-12 * (2 * grid.extent) ** 2
-    # every cell of this even grid stands for 4 mirror cells
-    (Xo, _), (Xa, _) = _unfolded_cells(grid, 2.01)
-    assert 4 * points == Xo.size + fd._S7_REFINE ** 2 * Xa.size
-    assert points > 50 * fd._S7_BLOCK
+def test_counterexample_terms_match_adaptive_quadrature():
+    p, gamma = 40.0, 0.99
 
+    def term(k):
+        def integrand(x1, x2, chi):
+            r, (a1, a2), (b1, b2) = _s7_point(p, x1, x2)
+            return ((p - 1) * r ** (p - 2) * (a1 * a1 + a2 * a2),
+                    r ** p * (b1 * b1 + b2 * b2),
+                    -gamma * chi * p * r ** (p - 1) * (a1 * b2 - a2 * b1))[k]
+        return integrand
 
-def test_counterexample_fold_counts_the_centre_line_once():
-    # on an odd grid the cells of index cells // 2 lie on an axis and are
-    # their own mirror: weight 1 on that axis, 2 on the other ones
-    grid = fd.Grid(2, 63, 4.3, "periodic")
-    h = grid.h
-    c = grid.axis()[grid.cells // 2]
-    blocks = list(fd._s7_quadrature(grid, 4.0))
-    X, Y, W = (np.concatenate(b) for b in zip(*blocks))
-    mult = np.where(np.abs(X - c) < h / 2, 1.0, 2.0) * np.where(np.abs(Y - c) < h / 2, 1.0, 2.0)
-    outer = sum(b[2].size for b in blocks if np.isin(b[0], grid.axis()).all())
-    assert np.array_equal(W[:outer], mult[:outer] * (h * h))
-    assert np.array_equal(W[outer:], mult[outer:] * (h * h / fd._S7_REFINE ** 2))
-    # the strip is there: outer centre-line cells and the refined origin cell
-    assert np.any(mult[:outer] == 2.0) and np.sum(mult[outer:] == 1.0) == fd._S7_REFINE ** 2
-    assert abs(math.fsum(W) - (2 * grid.extent) ** 2) <= 1e-12 * (2 * grid.extent) ** 2
+    (row,) = fd.counterexample_section7(p, [gamma])
+    for k, got in enumerate(row["terms"]):
+        assert abs(got - _quadrant_oracle(term(k), p)) <= 1e-12 * abs(got)
 
 
 # ---------------------------------------------------------------------------
