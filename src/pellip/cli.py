@@ -23,6 +23,7 @@ matrices).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -242,7 +243,9 @@ def _cmd_dissipativity(args) -> list[dict]:
     c = bellman.pair_constants(A, A, args.p)
     delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_q_B, _DELTA_Q_FLOOR))
     params = bellman.BellmanParams(args.p, delta)
-    res = field.identity_checks(A, A, f_probe, g_probe, params)
+    # field.identity_checks, reusing the (value, companion) pair above
+    res = field._identity_residuals(A, A, f_probe, g_probe, params,
+                                    (value, companion))
     row = {"p": args.p, "value": value, "companion": companion,
            "hessian_identity": res["hessian_identity"],
            "antisymmetric_divfree": res["antisymmetric_divfree"],
@@ -399,6 +402,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one per process: building it costs more than a small job
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pellip", allow_abbrev=False,

@@ -12,7 +12,9 @@ Every public function accepts either a single complex (n, n) array, a
 stack of matrices with shape (..., n, n) interpreted as a piecewise
 constant coefficient field (reduction = min / max over cells), or any
 object exposing a ``mats`` attribute holding such a stack (e.g.
-``pellip.field.MatrixField``).
+``pellip.field.MatrixField``).  The min / max reductions run over the
+distinct cells only; a ``MatrixField`` finds them once, when it is
+built, and keeps them in its ``distinct`` attribute.
 """
 
 from __future__ import annotations
@@ -66,11 +68,22 @@ def _cells(A) -> np.ndarray:
 
 
 def _distinct(mats: np.ndarray) -> np.ndarray:
-    """The bitwise-distinct matrices of a stack, in no particular order;
-    piecewise constant fields repeat a few matrices over many cells."""
+    """The bitwise-distinct matrices of a stack, ordered by their bytes
+    (``np.unique`` on the byte keys); piecewise constant fields repeat a
+    few matrices over many cells.  The order is relied on: a
+    ``MatrixField`` caches this set, and :func:`_sphere_min` draws its
+    samples cell by cell in it."""
     rows = np.ascontiguousarray(mats).reshape(mats.shape[0], -1)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     return mats[np.unique(keys, return_index=True)[1]]
+
+
+def _distinct_cells(A) -> np.ndarray:
+    """The distinct cells of A in :func:`_distinct`'s order: the set a
+    field found when it was built (its ``distinct`` attribute), else
+    ``_distinct`` of its cells."""
+    cached = getattr(A, "distinct", None)
+    return _distinct(_cells(A)) if cached is None else cached
 
 
 def rotation_matrix(phi: float, n: int = 2) -> np.ndarray:
@@ -134,14 +147,14 @@ def delta_r_extended(A, r: float) -> float:
     """
     if not r > 0:
         raise ParameterError("exponent must be positive")
-    return float(_delta_cells(_distinct(_cells(A)), r).min())
+    return float(_delta_cells(_distinct_cells(A), r).min())
 
 
 def delta_p(A, p: float) -> float:
     """The p-ellipticity constant; exact, via a 2n x 2n symmetric eigenproblem."""
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
-    return float(_delta_cells(_distinct(_cells(A)), p).min())
+    return float(_delta_cells(_distinct_cells(A), p).min())
 
 
 def accretivity_bounds(A) -> tuple[float, float, float]:
@@ -153,7 +166,7 @@ def accretivity_bounds(A) -> tuple[float, float, float]:
     tan(nu) is the largest |eigenvalue| of the pencil (S, P) over all
     cells.
     """
-    mats = _distinct(_cells(A))
+    mats = _distinct_cells(A)
     P = sym_part(realify(mats))
     lam = float(np.linalg.eigvalsh(P)[..., 0].min())
     Lam = float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
@@ -180,7 +193,7 @@ def mu(A) -> float:
     1 / (largest |eigenvalue| of the pencil) over all cells.  Returns 1
     when mu is within 1e-9 of 1 (e.g. real matrices).
     """
-    M = realify(_distinct(_cells(A)))
+    M = realify(_distinct_cells(A))
     P = sym_part(M)
     if np.linalg.eigvalsh(P)[..., 0].min() <= 0:
         raise ValueError("matrix is not accretive (delta_2 <= 0)")
@@ -195,7 +208,7 @@ def _sphere_min(A, form, samples, refine, rng, maxiter, fatol) -> float:
     unit xi of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches."""
     rng = np.random.default_rng(rng)
     best = math.inf
-    for Amat in _distinct(_cells(A)):
+    for Amat in _distinct_cells(A):
         n = Amat.shape[-1]
 
         def values(X):

@@ -171,8 +171,12 @@ def gradient(f: GridFunction) -> GridFunction:
     """Centered second-order gradient; periodic wrap, or one-sided
     second-order stencils at Dirichlet walls.  Output gains a trailing
     component axis."""
-    g = f.grid
-    v = f.values
+    return GridFunction(f.grid, _gradient_values(f.grid, f.values))
+
+
+def _gradient_values(g: Grid, v: np.ndarray) -> np.ndarray:
+    """:func:`gradient` of the cell values v as a bare array, with no
+    finiteness check: a caller that may overflow refuses it itself."""
     comps = []
     for a in range(g.dim):
         if g.boundary == "periodic":
@@ -180,7 +184,7 @@ def gradient(f: GridFunction) -> GridFunction:
                          / (2.0 * g.h))
         else:
             comps.append(np.gradient(v, g.h, axis=a, edge_order=2))
-    return GridFunction(g, np.stack(comps, axis=-1))
+    return np.stack(comps, axis=-1)
 
 
 def integrate(f: GridFunction):
@@ -204,26 +208,51 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixField:
-    """Cell-wise coefficient matrix A(x), uniformly accretive."""
+    """Cell-wise coefficient matrix A(x), uniformly accretive.
+
+    The field-level constants (lambda, Lambda, nu, delta_p, mu) are
+    infima and suprema over x of matrix constants, so only the distinct
+    values of A enter them.  A field finds those once, when it is built:
+    ``distinct`` holds them in the order of ``ellipticity._distinct``,
+    and the reductions of :mod:`pellip.ellipticity` read them there.
+    ``mats`` is read-only, so the two cannot drift apart.
+    """
 
     grid: Grid
     mats: np.ndarray
+    distinct: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mats, dtype=complex)
         d = self.grid.dim
         if m.shape != self.grid.shape + (d, d):
             raise ValueError("matrix array does not match the grid")
+        if m is self.mats or m.base is not None:  # the caller's memory: freeze a copy
+            m = m.copy()
+        m.flags.writeable = False
         object.__setattr__(self, "mats", m)
+        if "distinct" not in vars(self):  # else set by _of_values
+            object.__setattr__(self, "distinct",
+                               _ellipticity._distinct(m.reshape(-1, d, d)))
         # lambda = Delta_2(A): weighted_form(A, 2) is half of sym(M(A))
-        if not _ellipticity.delta_p(m, 2.0) > 0:
+        if not _ellipticity.delta_p(self, 2.0) > 0:
             raise ValueError("field is not uniformly accretive (lambda <= 0)")
+
+    @classmethod
+    def _of_values(cls, grid: Grid, mats, values: np.ndarray) -> MatrixField:
+        """MatrixField(grid, mats) for a ``mats`` whose cells are copies of
+        the matrices ``values``, each of which occurs: the distinct set is
+        ``_distinct(values)``, with no sort over the cells."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "distinct", _ellipticity._distinct(values))
+        out.__init__(grid, mats)
+        return out
 
 
 def constant_field(grid: Grid, A: np.ndarray) -> MatrixField:
     A = np.asarray(A, dtype=complex)
-    return MatrixField(grid, np.broadcast_to(
-        A, grid.shape + A.shape).copy())
+    return MatrixField._of_values(grid, np.broadcast_to(A, grid.shape + A.shape),
+                                  A[None])
 
 
 def two_value_field(grid: Grid, A0: np.ndarray, A1: np.ndarray,
@@ -233,7 +262,8 @@ def two_value_field(grid: Grid, A0: np.ndarray, A1: np.ndarray,
     A0 = np.asarray(A0, dtype=complex)
     A1 = np.asarray(A1, dtype=complex)
     mats = np.where(mask[..., None, None], A1, A0)
-    return MatrixField(grid, mats)
+    present = np.stack([A0, A1])[[not mask.all(), mask.any()]]
+    return MatrixField._of_values(grid, mats, present)
 
 
 def section7_field(grid: Grid, gamma: float) -> MatrixField:
@@ -294,7 +324,9 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     evaluated cell-wise by :func:`pellip.bellman.hess_form_power`.
 
     The two agree up to O(h^2); p >= 2 only — for p < 2 evaluate the
-    dual form with the adjoint field and the conjugate exponent.
+    dual form with the adjoint field and the conjugate exponent.  Raises
+    ParameterError naming p where p is so large that |f|^{p-2} f or
+    either value overflows a float.
     """
     if p < 2:
         raise ParameterError(
@@ -306,18 +338,25 @@ def dissipativity_functional(A: MatrixField, f: GridFunction,
     afs = np.where(af == 0, 1.0, af)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         u = afs ** (p - 2.0) * f.values
-    if not np.all(np.isfinite(u)):
-        raise ParameterError(f"p = {p:g} is out of numeric range: |f|^(p-2) f "
-                             "overflows a float")
+    _refuse_overflow(p, "|f|^(p-2) f", u)
     u = np.where(af == 0, 0.0, u)
-    gu = gradient(GridFunction(g, u)).values
-    value = float(np.real(g.h ** g.dim * np.sum(_pairing(A.mats, grad, gu))))
-
-    # cells where f = 0 get zeta = 1 and are then left out
-    nz = af > 0
-    H = _bellman.hess_form_power(A.mats, p, np.where(nz, f.values, 1.0), grad)
-    companion = float(g.h ** g.dim * np.sum(np.where(nz, H, 0.0)) / p)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        gu = _gradient_values(g, u)
+        value = float(np.real(g.h ** g.dim * np.sum(_pairing(A.mats, grad, gu))))
+        # cells where f = 0 get zeta = 1 and are then left out
+        nz = af > 0
+        H = _bellman.hess_form_power(A.mats, p, np.where(nz, f.values, 1.0), grad)
+        companion = float(g.h ** g.dim * np.sum(np.where(nz, H, 0.0)) / p)
+    _refuse_overflow(p, "the dissipativity functional", value, companion)
     return value, companion
+
+
+def _refuse_overflow(p: float, what: str, *values) -> None:
+    """ParameterError naming p unless every entry of ``values`` is finite:
+    a power of order p of O(1) data leaves the float range near p = 1000."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ParameterError(f"p = {p:g} is out of numeric range: {what} "
+                             "overflows a float")
 
 
 def dissipativity_from_polar(A: MatrixField, p: float, r: np.ndarray,
@@ -400,11 +439,22 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
          exactly zero on periodic grids);
     (iii) the chain rule for the Bellman function: the pair of
          first-derivative pairings vs the generalized Hessian form.
+
+    Raises ParameterError naming p where p is so large that a residual
+    overflows a float.
     """
+    return _identity_residuals(A, B, f, g, params,
+                               dissipativity_functional(A, f, params.p))
+
+
+def _identity_residuals(A: MatrixField, B: MatrixField, f: GridFunction,
+                        g: GridFunction, params, pair) -> dict:
+    """:func:`identity_checks` from the (value, companion) ``pair`` of
+    :func:`dissipativity_functional` at (A, f, params.p), for a caller
+    that reports the pair too and so computes it once."""
     p = params.p
     gr = A.grid
-    val, comp = dissipativity_functional(A, f, p)
-    res_i = abs(p * (val - comp))
+    val, comp = pair
 
     grad_f = gradient(f).values
     grad_g = gradient(g).values
@@ -414,16 +464,21 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
     else:
         res_ii = 0.0
 
-    dQz, dQe = _bellman.bellman_gradient(params, f.values, g.values)
-    gz = gradient(GridFunction(gr, dQz)).values
-    ge = gradient(GridFunction(gr, dQe)).values
-    lhs = 2.0 * np.real(_pairing(A.mats, grad_f, gz)) \
-        + 2.0 * np.real(_pairing(B.mats, grad_g, ge))
-    H4 = _bellman.hessian_q(params, f.values, g.values)
-    w1 = np.concatenate([grad_f.real, grad_f.imag], axis=-1)
-    w2 = np.concatenate([grad_g.real, grad_g.imag], axis=-1)
-    rhs = _bellman._pair(H4, realify(A.mats), realify(B.mats), w1, w2)
-    res_iii = abs(float(gr.h ** gr.dim * np.sum(lhs - rhs)))
+    MA = realify(A.mats)
+    MB = MA if B is A else realify(B.mats)
+    # refused just below: an overflow here leaves res_i or res_iii non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_i = abs(p * (val - comp))
+        dQz, dQe = _bellman.bellman_gradient(params, f.values, g.values)
+        lhs = 2.0 * np.real(_pairing(A.mats, grad_f, _gradient_values(gr, dQz))) \
+            + 2.0 * np.real(_pairing(B.mats, grad_g, _gradient_values(gr, dQe)))
+        H4 = _bellman.hessian_q(params, f.values, g.values)
+        w1 = np.concatenate([grad_f.real, grad_f.imag], axis=-1)
+        w2 = np.concatenate([grad_g.real, grad_g.imag], axis=-1)
+        rhs = _bellman._pair(H4, MA, MB, w1, w2)
+        res_iii = abs(float(gr.h ** gr.dim * np.sum(lhs - rhs)))
+    if np.all(np.isfinite(pair)):  # a non-finite pair is reported as it came
+        _refuse_overflow(p, "an identity residual", res_i, res_iii)
     return {"hessian_identity": res_i,
             "antisymmetric_divfree": res_ii,
             "chain_rule": res_iii}

@@ -1,15 +1,17 @@
+import collections
 import importlib.util
 import json
 import math
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from pellip import bellman, cli, field, heatnorm
+from pellip import bellman, cli, ellipticity, field, heatnorm, realform
 
 
 def write_spec(tmp_path, name, doc):
@@ -363,6 +365,84 @@ def test_out_of_range_p_exits_2(tmp_path, capsys, argv):
     specs = rotation_specs(tmp_path)
     assert cli.main([specs.get(a, a) for a in argv]) == 2
     assert "p = 1e+300 is out of numeric range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["920", "930"])
+def test_dissipativity_refuses_p_where_the_residuals_overflow(tmp_path, capsys, p):
+    # |f|^(p-2) f is finite here, but the companion value and the Bellman
+    # derivatives overflowed: these exited 1 with RuntimeWarnings
+    specs = rotation_specs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["dissipativity", "--spec", specs["rot.json"],
+                         "--grid-cells", "16", "--p", p])
+    assert code == 2
+    assert f"input error: p = {p} is out of numeric range" in capsys.readouterr().err
+
+
+def test_dissipativity_reduces_and_evaluates_each_thing_once(tmp_path, capsys,
+                                                             monkeypatch):
+    # a 128^2 section-7 field: its distinct cells come from the two values
+    # it was built from, so no np.unique runs over all cells; the
+    # dissipativity functional runs once and the field is realified once
+    cells = 128
+    counts = collections.Counter()
+
+    def counting(name, fn, full):
+        def wrapped(*args, **kwargs):
+            if full(args[0]):
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np, "unique", counting(
+        "unique", np.unique, lambda a: np.size(a) >= cells * cells))
+    realify = counting("realify", realform.realify,
+                       lambda A: np.size(A) >= cells * cells * 4)
+    for mod in (realform, ellipticity, bellman, field):
+        monkeypatch.setattr(mod, "realify", realify)
+    monkeypatch.setattr(field, "dissipativity_functional", counting(
+        "dissipativity_functional", field.dissipativity_functional,
+        lambda A: True))
+    spec = write_spec(tmp_path, "s7.json", {
+        "kind": "field", "grid": {"dim": 2, "cells": cells, "extent": 4.0},
+        "generator": {"name": "section7", "gamma": 0.5}})
+    assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["value"] > 0
+    assert counts == {"realify": 1, "dissipativity_functional": 1}
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    specs = rotation_specs(tmp_path)
+    argvs = [
+        ["ellipticity", "--spec", specs["rot.json"], "--p", "4"],
+        ["counterexample", "--p", "40", "--gamma-scan", "0.9:0.99:0.03",
+         "--format", "csv"],
+        ["heatnorm", "--p", "4", "--phi", "0.3"],  # argparse error
+        ["dissipativity", "--spec", specs["rot.json"], "--grid-cells", "16",
+         "--p", "3", "--seed", "5"],
+        ["heatnorm", "--p", "4", "--phi-grid", "0.3"],
+        ["ellipticity", "--spec", specs["rot1.json"], "--p", "1.5",
+         "--format", "csv"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused == fresh
 
 
 @pytest.mark.parametrize("p", ["1e6", "1e300"])

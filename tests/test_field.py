@@ -105,6 +105,61 @@ def test_matrix_field_construction_computes_no_svd(monkeypatch):
         fd.MatrixField(F.grid, F.mats - 1.5 * lam * np.eye(2))
 
 
+def _periodic_1d():
+    return fd.Grid(1, 16, 2.0)
+
+
+_FIELDS = {
+    "constant": lambda: fd.constant_field(fd.Grid(2, 16, 1.0),
+                                          np.eye(2) - 0.6j * el.ROT_GEN),
+    "two-value": lambda: fd.two_value_field(
+        fd.Grid(2, 16, 1.0), el.rotation_matrix(0.2, 2),
+        np.array([[1.0, 0.3j], [-0.1, 1.2]]), lambda X, Y: X * Y > 0.1),
+    "two-value-one-present": lambda: fd.two_value_field(
+        fd.Grid(2, 16, 1.0), el.rotation_matrix(0.2, 2), np.eye(2) + 0j,
+        lambda X, Y: X > 5.0),
+    "two-value-equal": lambda: fd.two_value_field(
+        fd.Grid(2, 16, 1.0), np.eye(2) + 0j, np.eye(2) + 0j, lambda X, Y: X > 0),
+    "section7": lambda: fd.section7_field(fd.Grid(2, 16, 1.0), 0.7),
+    "section7-gamma0": lambda: fd.section7_field(fd.Grid(2, 16, 1.0), 0.0),
+    "mollified": lambda: fd.mollify(fd.section7_field(fd.Grid(2, 16, 1.0), 0.7), 0.3),
+    "random-entries": lambda: _random_field(fd.Grid(2, 12, 1.0), 8),
+    "1d-constant": lambda: fd.constant_field(_periodic_1d(), np.array([[np.exp(0.4j)]])),
+    "1d-two-value": lambda: fd.two_value_field(
+        _periodic_1d(), np.array([[np.exp(0.4j)]]), np.array([[2.0 + 0j]]),
+        lambda X: X > 0.5),
+    "1d-random-entries": lambda: _random_field(_periodic_1d(), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIELDS))
+def test_field_caches_the_distinct_cells_of_a_full_sort(name):
+    # same matrices, bit for bit, in the same order as _distinct of every
+    # cell: _sphere_min's per-cell draws follow that order
+    F = _FIELDS[name]()
+    d = F.grid.dim
+    want = el._distinct(F.mats.reshape(-1, d, d))
+    assert F.distinct.shape == want.shape
+    assert F.distinct.tobytes() == want.tobytes()
+    assert el._distinct_cells(F) is F.distinct
+
+
+def test_field_cells_are_read_only():
+    grid = fd.Grid(2, 8, 1.0)
+    mats = np.broadcast_to(np.eye(2) + 0j, (8, 8, 2, 2)).copy()
+    F = fd.MatrixField(grid, mats)
+    with pytest.raises(ValueError, match="read-only"):
+        F.mats[0, 0] = 0.0
+    # the caller's array is copied, not frozen: writing to it leaves F as built
+    mats[...] = -1.0
+    assert np.array_equal(F.mats, np.broadcast_to(np.eye(2), (8, 8, 2, 2)))
+    assert F.distinct.shape == (1, 2, 2)
+    for G in (fd.constant_field(grid, np.eye(2)), fd.section7_field(grid, 0.5),
+              fd.mollify(fd.section7_field(grid, 0.5), 0.3)):
+        with pytest.raises(ValueError, match="read-only"):
+            G.mats[...] = 0.0
+
+
 def test_mollify_errors():
     grid = fd.Grid(2, 16, 1.0, "dirichlet")
     F = fd.constant_field(grid, np.eye(2) + 0j)
