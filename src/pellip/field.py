@@ -2,9 +2,11 @@
 
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
 finite differences, dense discretized operators -div(A grad), their
-semigroups e^{-tL} in one unitary basis per operator (from one Hermitian
-eigh, diagonal when L is normal), the L^p dissipativity functional and
-its polar-coordinate decomposition, and the heat-flow energy experiment.
+semigroups e^{-tL} in one unitary basis per operator (diagonal when L is
+normal: the DFT with closed-form eigenvalues for a constant coefficient
+on a periodic grid, whose operator is circulant, and one Hermitian eigh
+for any other), the L^p dissipativity functional and its
+polar-coordinate decomposition, and the heat-flow energy experiment.
 
 Periodic grids enjoy exact summation by parts, so the structural
 identities (adjoint consistency, vanishing of divergence-free
@@ -66,30 +68,35 @@ _REFINEMENT_CELLS = (64, 128, 256)
 # 50, and integrates the bilinear integrand by the trapezoid rule on them.
 _HEAT_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
 # Slack of its monotonicity and budget checks, for the rounding of the
-# factored semigroup: at most 5.6e-13 ||f|| from an exact eigh reference
-# over the heat times on 1-D constant operators at 64-192 cells.
+# factored semigroup, measured over the heat times: the DFT factor at most
+# 2.1e-14 ||f|| from an extended-precision reference on constant periodic
+# operators (1-D at 64-192 cells with |arg a| <= 1.4, 2-D at 16^2-48^2);
+# the eigh factor at most 2.2e-13 ||f|| from an exact eigh reference on
+# 1-D constant Dirichlet operators at 64-192 cells, and 3.5e-13 from dense
+# expm on 1-D variable fields at 32-128 cells.
 _HEAT_TOL = 1e-9
-# OperatorMatrix takes L = H + iK (H, K Hermitian) as normal, and its
-# semigroup as diagonal, when D = Q^H L Q, Q the eigenvectors of
-# C = H + _SKEW_WEIGHT K, holds at most this share of ||L||_F off its
-# diagonal; dropping that part perturbs L by at most this share of its
-# norm.  For a normal L, eigh returns exact eigenvectors of C + E with
-# ||E|| of order N u ||C|| (u = 1.1e-16), which leave an off-diagonal part
-# of that size, larger where eigenvalues of C nearly meet.  Measured: at
-# most 2.0e-15 on 1-D constant operators at 64-192 cells; on 2-D periodic
-# constant complex A, 2.4e-15 to 1.3e-13 at 24^2, up to 5.6e-13 at 48^2
-# and 6.2e-15 to 1.2e-12 at 64^2 (the dense cap), where the skew A below
-# fails the test.  Non-normal operators measure 0.05-0.09 (2-D Dirichlet
-# mixed terms) and 0.21 (1-D variable coefficients); they keep the full D
-# and take expm(-tD) per time.
+# An operator that is not circulant, L = H + iK (H, K Hermitian), is taken
+# as normal by OperatorMatrix, and its semigroup as diagonal, when
+# D = Q^H L Q, Q the eigenvectors of C = H + _SKEW_WEIGHT K, holds at most
+# this share of ||L||_F off its diagonal; dropping that part perturbs L by
+# at most this share of its norm.  For a normal L, eigh returns exact
+# eigenvectors of C + E with ||E|| of order N u ||C|| (u = 1.1e-16), which
+# leave an off-diagonal part of that size, larger where eigenvalues of C
+# nearly meet.  Measured on the normal operators that reach eigh: at most
+# 1.6e-15 on 1-D constant Dirichlet operators at 64-192 cells; on the 2-D
+# Dirichlet A = diag(e^{0.3i}, e^{-0.3i}), 2.0e-14 at 12^2, 1.1e-13 at
+# 24^2, and 1.0e-12 at 32^2 and 2.4e-12 at 48^2, which fail the test and
+# take expm per time.  Non-normal operators measure 0.045 (2-D Dirichlet
+# mixed terms) and 0.21 (1-D variable coefficients, periodic or Dirichlet);
+# they keep the full D and take expm(-tD) per time.
 _NORMAL_TOL = 1e-12
 # The skew part's weight in C.  It separates eigenvalues of L that share
-# a real part: without it, the 2-D periodic A = I + 0.3i [[1, .5], [.5, -1]]
-# measures 0.18 and takes expm per time.  Two eigenvalues still meet in C
-# where their real and imaginary gaps are in ratio -_SKEW_WEIGHT; the
-# golden-ratio conjugate keeps clear of the simple ratios of hand-written
-# coefficients, and where C does degenerate the share test keeps the full
-# D, so the weight sets speed, never accuracy.
+# a real part: without it, the 2-D Dirichlet A = diag(e^{0.3i}, e^{-0.3i})
+# measures 0.13 at 12^2-48^2 and takes expm per time.  Two eigenvalues
+# still meet in C where their real and imaginary gaps are in ratio
+# -_SKEW_WEIGHT; the golden-ratio conjugate keeps clear of the simple
+# ratios of hand-written coefficients, and where C does degenerate the
+# share test keeps the full D, so the weight sets speed, never accuracy.
 _SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
 # Power-method steps per start of contractivity_probe (evidence only),
 # and its random starts, drawn from a fixed seed.
@@ -590,31 +597,53 @@ def counterexample_section7(p: float, gammas) -> list[dict]:
 class OperatorMatrix:
     """Dense -div(A grad) on the cell values of ``grid``.
 
-    Its semigroup comes from one unitary change of basis, computed on
+    Its semigroup comes from one unitary change of basis Q, computed on
     first use and kept with the operator (``_factor``), which makes L
-    diagonal when it is normal.
+    diagonal when it is normal.  The operator of a constant field on a
+    periodic grid is circulant (block circulant with circulant blocks in
+    2-D): :func:`discretize_operator` records that field's one matrix in
+    ``_coefficient``, Q is then the unitary DFT over the grid axes and
+    the eigenvalues have a closed form.  Every other operator has
+    ``_coefficient`` None and takes Q from one Hermitian ``eigh``.
     """
 
     matrix: np.ndarray
     grid: Grid
+    _coefficient: np.ndarray | None = dataclasses.field(
+        init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # the cached factor describes these entries
         self.matrix.flags.writeable = False
 
     @functools.cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+    def _factor(self) -> tuple[np.ndarray | None, np.ndarray]:
         """(Q, D) with Q unitary and L = Q D Q^H in matrix form: D is the
         vector of eigenvalues when L is normal, else the matrix Q^H L Q.
 
-        A normal L = H + iK (H, K Hermitian) has H and K commuting, so the
-        eigenvectors of the Hermitian C = H + _SKEW_WEIGHT K diagonalize
-        it; one ``eigh`` of C gives Q, and D = Q^H L Q is taken as
-        diagonal when its off-diagonal part is rounding (see
-        ``_NORMAL_TOL``).  The diagonal factor is then exact for L + E
-        with ||E||_F <= _NORMAL_TOL ||L||_F.  Any other L keeps the full
-        D, which a unitary Q leaves as well conditioned as L itself.
+        A circulant L (``_coefficient`` a) has Q = None, which stands for
+        the unitary inverse DFT over the grid axes (applied by
+        :func:`_apply_basis`): no N x N basis is formed.  The centered difference C_j has
+        eigenvalue i sin(theta_j) / h on the Fourier mode m, theta_j =
+        2 pi m_j / cells, and C_j^T = -C_j, so the eigenvalue of
+        sum_jk C_j^T a_jk C_k is d(m) = sum_jk a_jk sin(theta_j)
+        sin(theta_k) / h^2, in the order of ``np.fft.fftn``.
+
+        Any other L = H + iK (H, K Hermitian), when normal, has H and K
+        commuting, so the eigenvectors of the Hermitian C = H +
+        _SKEW_WEIGHT K diagonalize it; one ``eigh`` of C gives Q, and
+        D = Q^H L Q is taken as diagonal when its off-diagonal part is
+        rounding (see ``_NORMAL_TOL``).  The diagonal factor is then exact
+        for L + E with ||E||_F <= _NORMAL_TOL ||L||_F.  A non-normal L
+        keeps the full D, which a unitary Q leaves as well conditioned as
+        L itself.
         """
+        a, g = self._coefficient, self.grid
+        if a is not None:
+            s = np.sin(2.0 * np.pi * np.arange(g.cells) / g.cells) / g.h
+            s = np.meshgrid(*[s] * g.dim, indexing="ij")
+            d = sum(a[j, k] * s[j] * s[k] for j in range(g.dim) for k in range(g.dim))
+            return None, d.reshape(-1)
         L = self.matrix
         M = (1.0 - 1j * _SKEW_WEIGHT) * L  # C = (M + M^H) / 2
         _, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
@@ -677,7 +706,7 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
         raise ParameterError("operator too large for dense storage")
     periodic = g.boundary == "periodic"
     C1 = _centered_1d(g.cells, g.h, periodic)
-    G1 = _face_grad_1d(g.cells, g.h)
+    G1 = None if periodic else _face_grad_1d(g.cells, g.h)
     L = scipy.sparse.csr_matrix((N, N), dtype=complex)
     for j in range(g.dim):
         for k in range(g.dim):
@@ -688,7 +717,10 @@ def discretize_operator(A: MatrixField) -> OperatorMatrix:
                 a = A.mats[..., j, k]
                 Dj, Dk = _along(C1, j, g.dim), _along(C1, k, g.dim)
             L = L + Dj.T @ (scipy.sparse.diags(a.reshape(-1)) @ Dk)
-    return OperatorMatrix(L.toarray(), g)
+    op = OperatorMatrix(L.toarray(), g)
+    if periodic and len(A.distinct) == 1:  # circulant: factored by the DFT
+        object.__setattr__(op, "_coefficient", A.distinct[0])
+    return op
 
 
 def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
@@ -699,13 +731,26 @@ def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ParameterError("time must be finite and nonnegative")
-    Q, D = L._factor
-    w = Q.conj().T @ v
+    D = L._factor[1]
+    w = _apply_basis(L, v, adjoint=True)
     if D.ndim == 1:
         w = np.exp(-np.multiply.outer(D, times))[:, None, :] * w[:, :, None]
     else:
         w = np.stack([scipy.linalg.expm(-t * D) @ w for t in times], axis=-1)
-    return (Q @ w.reshape(len(Q), -1)).reshape(w.shape)
+    return _apply_basis(L, w.reshape(len(D), -1), adjoint=False).reshape(w.shape)
+
+
+def _apply_basis(L: OperatorMatrix, v: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Q v, or Q^H v when ``adjoint``, for the columns of v (N x k), with Q
+    the basis of the factor of L.  Q = None is the unitary inverse DFT over
+    the grid axes, so Q^H is the unitary forward DFT."""
+    Q = L._factor[0]
+    if Q is not None:
+        return (Q.conj().T if adjoint else Q) @ v
+    g = L.grid
+    dft = np.fft.fftn if adjoint else np.fft.ifftn
+    return dft(v.reshape(g.shape + v.shape[1:]), axes=tuple(range(g.dim)),
+               norm="ortho").reshape(v.shape)
 
 
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:

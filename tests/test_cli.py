@@ -644,9 +644,9 @@ def test_heatflow_stdout_is_byte_identical_across_runs(tmp_path, capsys):
 
 
 def test_heatflow_runs_no_dense_expm(tmp_path, capsys, monkeypatch):
-    # a constant coefficient gives a normal operator, diagonalized by one
-    # Hermitian eigh and propagated elementwise; an expm (or a Schur
-    # factor) call would be an internal error
+    # a constant coefficient on a periodic grid gives a circulant operator,
+    # diagonalized by the DFT and propagated elementwise; an expm (or a
+    # Schur factor) call would be an internal error
     for name in ("expm", "schur"):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"scipy.linalg.{name} called")

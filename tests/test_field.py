@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,9 +350,11 @@ def test_semigroup_fourier_mode_decay():
 @pytest.mark.parametrize("cells", [64, 128, 192])
 def test_semigroup_matches_exact_reference(boundary, cells):
     # L = a S with S real symmetric, so e^{-tL} = V e^{-t a s} V^T from
-    # eigh(S).  Eigenvalues carry an absolute error ~u ||L||, which the
-    # flow turns into ~t u ||L||: measured at most 5.6e-13 ||f|| over the
-    # heat times, largest at 192 periodic cells
+    # eigh(S).  Eigenvalues from eigh carry an absolute error ~u ||L||,
+    # which the flow turns into ~t u ||L||: measured at most 5.7e-13 ||f||
+    # over the heat times, largest at 192 periodic cells, where the
+    # reference's own eigh dominates (the DFT factor there is within
+    # 4.6e-15 of an extended-precision flow)
     grid = fd.Grid(1, cells, 6.0, boundary)
     a = 1.3 * np.exp(0.7j)
     S = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0]]))).matrix
@@ -430,10 +433,39 @@ def test_heat_flow_factors_each_operator_once(monkeypatch):
     B = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
     fd.heat_flow_experiment(A, B, f, g, p=3.0)
     assert len(factor_calls) == 2
+    # a variable field takes the eigh factor, also once per operator:
+    # one N x N eigh for the operator of V, none for that of A
+    x = grid.axis()
+    v = (1.5 + np.cos(x)) * np.exp(0.3j * np.sin(2 * x))
+    V = fd.MatrixField(grid, v[:, None, None])
+    eigh = np.linalg.eigh
+    operator_eighs = []
+
+    def counted(M, *args, **kwargs):
+        operator_eighs.append(M.shape[-1] == grid.size)
+        return eigh(M, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for B, factors in ((V, 1), (A, 2)):
+        factor_calls.clear()
+        operator_eighs.clear()
+        fd.heat_flow_experiment(V, B, f, g, p=3.0)
+        assert len(factor_calls) == factors and sum(operator_eighs) == 1
     # the factor belongs to the operator's entries, which stay fixed
     L = fd.discretize_operator(A)
     with pytest.raises(ValueError):
         L.matrix[0, 0] = 0.0
+
+
+def test_periodic_assembly_builds_no_face_gradient(monkeypatch):
+    # the Dirichlet face-flux difference is read on Dirichlet grids only
+    def refuse(*args, **kwargs):
+        raise AssertionError("_face_grad_1d called")
+    monkeypatch.setattr(fd, "_face_grad_1d", refuse)
+    for dim in (1, 2):
+        grid = fd.Grid(dim, 16, 3.0, "periodic")
+        r = np.random.default_rng(dim)
+        mats = np.eye(dim) * (1.0 + r.uniform(0, 0.5, grid.shape + (1, 1)))
+        fd.discretize_operator(fd.MatrixField(grid, mats))
 
 
 _SKEW_A = np.eye(2) + 0.3j * np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -451,9 +483,8 @@ def _skew_2d(cells, boundary):
 
 
 def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypatch):
-    # the skew weight separates eigenvalues of L that share a real part:
-    # the 2-D operator takes the diagonal path (off-diagonal share
-    # measured 3.7e-14 at 24^2), with no expm
+    # the periodic skew operator is circulant, so its factor is the DFT
+    # with closed-form eigenvalues: the diagonal path, with no expm
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     L, f = _skew_2d(24, "periodic")
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
@@ -469,11 +500,97 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
     for j in (1, 20, len(fd._HEAT_TIMES) - 1):
         want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f.values.reshape(-1)
         assert np.linalg.norm(got[:, j] - want) <= 1e-12 * nf
-    # without the skew weight the eigenvectors of the Hermitian part mix
-    # modes of distinct eigenvalues (share 0.18), and L keeps the full D
+    # the eigh factor needs the skew weight where the Hermitian part is
+    # degenerate and L is not.  On a Dirichlet grid A = diag(e^{ia}, e^{-ia})
+    # gives L = e^{ia} S1 + e^{-ia} S2 with S1, S2 the commuting second
+    # differences along the axes: normal, while modes with swapped indices
+    # share Re but not Im of the eigenvalue.  With the weight the eigh
+    # factor is diagonal (off-diagonal share 3.2e-14 at 16^2) and matches
+    # expm; without it the eigenvectors of the Hermitian part mix modes of
+    # distinct eigenvalues (share 0.13), and L keeps the full D
+    grid = fd.Grid(2, 16, 3.0, "dirichlet")
+    A = fd.constant_field(grid, np.diag([np.exp(0.3j), np.exp(-0.3j)]))
+    X, Y = grid.meshes()
+    f = np.exp(-X**2 - 0.5 * Y**2).reshape(-1) * (1 + 0.3j * X.reshape(-1))
+    L = fd.discretize_operator(A)
+    assert L._factor[0] is not None and L._factor[1].ndim == 1
+    got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
+    for j in (1, 20, len(fd._HEAT_TIMES) - 1):
+        want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f
+        assert np.linalg.norm(got[:, j] - want) <= 1e-12 * np.linalg.norm(f)
     monkeypatch.setattr(fd, "_SKEW_WEIGHT", 0.0)
-    L16, _ = _skew_2d(16, "periodic")
-    assert L16._factor[1].ndim == 2
+    assert fd.discretize_operator(A)._factor[1].ndim == 2
+
+
+@pytest.mark.parametrize("case", ["1d-192", "2d-64"])
+def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
+    # a constant field on a periodic grid gives a circulant operator: its
+    # basis is the unitary DFT and its eigenvalues have a closed form, so
+    # no eigh runs and no N x N array is formed besides L.matrix.  The
+    # 64^2 skew operator, at the dense cap, is normal, yet its eigh factor
+    # measured an off-diagonal share of 1.2e-12, over _NORMAL_TOL, and
+    # took one expm per time
+    if case == "1d-192":
+        grid, a = fd.Grid(1, 192, 6.0, "periodic"), np.array([[1.3 * np.exp(0.7j)]])
+    else:
+        grid, a = fd.Grid(2, 64, 3.0, "periodic"), _SKEW_A
+    A = fd.constant_field(grid, a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    L = fd.discretize_operator(A)
+    X = grid.meshes()
+    f = np.exp(-sum(c * c for c in X)) * (1 + 0.3j * X[0])
+    tracemalloc.start()
+    try:
+        got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L._factor[0] is None and L._factor[1].ndim == 1
+    # factor and flow together (measured 0.66 of it at 192 cells, 0.03 at
+    # 64^2) stay below the size of one N x N complex array
+    assert peak < L.matrix.nbytes
+    lam = np.fft.fftn(L.matrix[:, 0].reshape(grid.shape))
+    nf = np.linalg.norm(f)
+    for t, col in zip(fd._HEAT_TIMES, got.T):
+        want = np.fft.ifftn(np.exp(-t * lam) * np.fft.fftn(f))
+        assert np.linalg.norm(col - want.reshape(-1)) <= 1e-12 * nf
+
+
+def _random_constant_case(r, dim):
+    """A periodic grid (8-40 cells in 1-D, 8-16 per axis in 2-D, extent
+    0.5-20) and a random accretive constant coefficient on it: r e^{i phi},
+    |phi| < 1.4, in 1-D, and H + iK with H positive definite and K
+    Hermitian in 2-D."""
+    cells = int(r.integers(8, 41 if dim == 1 else 17))
+    grid = fd.Grid(dim, cells, float(np.exp(r.uniform(np.log(0.5), np.log(20.0)))))
+    if dim == 1:
+        return grid, np.array([[np.exp(r.uniform(np.log(0.2), np.log(5.0))
+                                       + 1j * r.uniform(-1.4, 1.4))]])
+    B, K = (r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2)) for _ in range(2))
+    return grid, B @ B.conj().T + 0.1 * np.eye(2) + 1j * (K + K.conj().T)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dft_factor_matches_dense_expm(dim):
+    # against expm(-tL) of the assembled matrix: measured at most 1.9e-13
+    # ||f|| (2-D, 16^2 cells, extent 0.5, t = 5, where ||tL|| is largest)
+    # and, at t = 0, a round trip through the DFT, at most 6.5e-16 ||f||
+    r = np.random.default_rng(20 + dim)
+    for _ in range(10):
+        grid, a = _random_constant_case(r, dim)
+        L = fd.discretize_operator(fd.constant_field(grid, a))
+        assert L._factor[0] is None
+        f = fd.GridFunction(grid, r.standard_normal(grid.shape)
+                            + 1j * r.standard_normal(grid.shape))
+        nf = np.linalg.norm(f.values)
+        assert np.linalg.norm(fd.semigroup_apply(L, 0.0, f).values - f.values) <= 1e-15 * nf
+        for t in (1e-3, 0.3, 5.0):
+            want = scipy.linalg.expm(-t * L.matrix) @ f.values.reshape(-1)
+            got = fd.semigroup_apply(L, t, f).values.reshape(-1)
+            assert np.linalg.norm(got - want) <= 1e-12 * nf
 
 
 def test_nonnormal_2d_operator_takes_expm_per_time(monkeypatch):
@@ -838,6 +955,7 @@ def test_contractivity_probe_regimes():
     bad = fd.discretize_operator(
         fd.constant_field(grid, np.array([[np.exp(1.4j)]])))
     assert fd.contractivity_probe(bad, p, 0.05) > 1.0 + 1e-3
+    assert ok._factor[0] is None and bad._factor[0] is None  # the DFT factor
     assert 1.4 > crit  # the probe exceeds 1 only past the critical angle
 
 
