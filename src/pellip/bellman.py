@@ -376,12 +376,17 @@ class PairConstants:
 
 
 def pair_constants(A, B, p: float) -> PairConstants:
-    """The joint constants of (A, B) at exponent p; matrices or fields."""
+    """The joint constants of (A, B) at exponent p; matrices or fields.
+    Raises ParameterError naming p where q = p / (p - 1) rounds to 1."""
     lamA, LamA, _ = accretivity_bounds(A)
     lamB, LamB, _ = accretivity_bounds(B)
-    return PairConstants(delta_p=min(delta_p(A, p), delta_p(B, p)),
-                         lam=min(lamA, lamB), Lam=max(LamA, LamB),
-                         delta_q_B=delta_p(B, p / (p - 1.0)))
+    dp = min(delta_p(A, p), delta_p(B, p))  # refuses p <= 1
+    q = p / (p - 1.0)
+    if not q > 1:  # from p ~ 9.0e15
+        raise ParameterError(f"p = {p:g} is out of numeric range: its conjugate "
+                             "exponent p / (p - 1) rounds to 1")
+    return PairConstants(delta_p=dp, lam=min(lamA, lamB), Lam=max(LamA, LamB),
+                         delta_q_B=delta_p(B, q))
 
 
 # The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the

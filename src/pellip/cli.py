@@ -159,7 +159,7 @@ def _matrix(path, flag: str = "--spec") -> np.ndarray:
     return A
 
 
-def _coefficient(A, grid: field.Grid) -> field.MatrixField:
+def _as_field(A, grid: field.Grid) -> field.MatrixField:
     """A matrix spread over ``grid``; a field keeps its own grid."""
     if isinstance(A, field.MatrixField):
         return A
@@ -237,22 +237,15 @@ _DELTA_Q_FLOOR = 1e-6
 
 def _cmd_dissipativity(args) -> list[dict]:
     grid = field.Grid(2, args.grid_cells, args.extent, "periodic")
-    A = _coefficient(_spec(args.spec), grid)  # a field brings its own grid
+    A = _as_field(_spec(args.spec), grid)  # a field brings its own grid
     f_probe, g_probe = _smooth_pair(A.grid, np.random.default_rng(args.seed))
-    value, companion = field.dissipativity_functional(A, f_probe, args.p)
     c = bellman.pair_constants(A, A, args.p)
     delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_q_B, _DELTA_Q_FLOOR))
-    params = bellman.BellmanParams(args.p, delta)
-    # field.identity_checks, reusing the (value, companion) pair above
-    res = field._identity_residuals(A, A, f_probe, g_probe, params,
-                                    (value, companion))
-    row = {"p": args.p, "value": value, "companion": companion,
-           "hessian_identity": res["hessian_identity"],
-           "antisymmetric_divfree": res["antisymmetric_divfree"],
-           "chain_rule": res["chain_rule"]}
-    if c.delta_p >= 0 and value < -1e-8:
+    row = {"p": args.p, **field.identity_checks(
+        A, A, f_probe, g_probe, bellman.BellmanParams(args.p, delta))}
+    if c.delta_p >= 0 and row["value"] < -1e-8:
         raise VerificationError(
-            f"dissipativity functional negative ({value:.6g}) although the "
+            f"dissipativity functional negative ({row['value']:.6g}) although the "
             "p-ellipticity constant is nonnegative")
     return [row]
 
@@ -291,8 +284,8 @@ def _cmd_counterexample(args) -> list[dict]:
 
 
 def _cmd_heatflow(args) -> list[dict]:
-    A = _coefficient(_spec(args.spec),
-                     field.Grid(1, args.grid_cells, args.extent, "periodic"))
+    A = _as_field(_spec(args.spec),
+                  field.Grid(1, args.grid_cells, args.extent, "periodic"))
     grid = A.grid  # a field spec brings its own grid
     if grid.dim != 1:
         raise InputError("heatflow needs a 1-D coefficient field")

@@ -23,7 +23,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.optimize
 
 from . import ParameterError
 from .realform import antisym_part, realify, sym_part
@@ -205,7 +204,10 @@ def mu(A) -> float:
 
 def _sphere_min(A, form, samples, refine, rng, maxiter, fatol) -> float:
     """Sampled, then Nelder-Mead refined, minimum over distinct cells and
-    unit xi of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches."""
+    unit xi of form(<A xi, xi>, <A xi, conj xi>); ``form`` acts on batches.
+    Only the sampling oracles call it, so scipy.optimize loads here."""
+    import scipy.optimize
+
     rng = np.random.default_rng(rng)
     best = math.inf
     for Amat in _distinct_cells(A):

@@ -1,7 +1,7 @@
 """Grid calculus for divergence-form operators with complex coefficients.
 
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
-finite differences, dense discretized operators -div(A grad), their
+finite differences, discretized operators -div(A grad), their
 semigroups e^{-tL} in one unitary basis per operator (diagonal when L is
 normal: the DFT with closed-form eigenvalues for a constant coefficient
 on a periodic grid, whose operator is circulant, and one Hermitian eigh
@@ -437,31 +437,24 @@ def random_polar_probe(grid: Grid, rng) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
                     g: GridFunction, params) -> dict:
-    """Residuals of three exact continuum identities under discretization.
+    """The pair (``value``, ``companion``) of :func:`dissipativity_functional`
+    at (A, f, params.p) and the residuals of three exact continuum
+    identities under discretization:
 
-    (i)  p * dissipativity value vs the integrated power-function
-         Hessian form (chain rule inside the gradient);
-    (ii) the integral of <W grad f, grad g> for the constant
-         antisymmetric W (zero for divergence-free antisymmetric parts;
-         exactly zero on periodic grids);
-    (iii) the chain rule for the Bellman function: the pair of
-         first-derivative pairings vs the generalized Hessian form.
+    (i)  ``hessian_identity``: p * value vs p * companion, the integrated
+         power-function Hessian form (chain rule inside the gradient);
+    (ii) ``antisymmetric_divfree``: the integral of <W grad f, grad g> for
+         the constant antisymmetric W (zero for divergence-free
+         antisymmetric parts; exactly zero on periodic grids);
+    (iii) ``chain_rule``: the chain rule for the Bellman function, the
+         pair of first-derivative pairings vs the generalized Hessian form.
 
-    Raises ParameterError naming p where p is so large that a residual
-    overflows a float.
+    Raises ParameterError naming p where p is so large that the pair or
+    a residual overflows a float.
     """
-    return _identity_residuals(A, B, f, g, params,
-                               dissipativity_functional(A, f, params.p))
-
-
-def _identity_residuals(A: MatrixField, B: MatrixField, f: GridFunction,
-                        g: GridFunction, params, pair) -> dict:
-    """:func:`identity_checks` from the (value, companion) ``pair`` of
-    :func:`dissipativity_functional` at (A, f, params.p), for a caller
-    that reports the pair too and so computes it once."""
     p = params.p
     gr = A.grid
-    val, comp = pair
+    val, comp = dissipativity_functional(A, f, p)
 
     grad_f = gradient(f).values
     grad_g = gradient(g).values
@@ -484,9 +477,10 @@ def _identity_residuals(A: MatrixField, B: MatrixField, f: GridFunction,
         w2 = np.concatenate([grad_g.real, grad_g.imag], axis=-1)
         rhs = _bellman._pair(H4, MA, MB, w1, w2)
         res_iii = abs(float(gr.h ** gr.dim * np.sum(lhs - rhs)))
-    if np.all(np.isfinite(pair)):  # a non-finite pair is reported as it came
+    if math.isfinite(val) and math.isfinite(comp):  # else reported as it came
         _refuse_overflow(p, "an identity residual", res_i, res_iii)
-    return {"hessian_identity": res_i,
+    return {"value": val, "companion": comp,
+            "hessian_identity": res_i,
             "antisymmetric_divfree": res_ii,
             "chain_rule": res_iii}
 
@@ -527,7 +521,7 @@ def refinement_study(params) -> dict:
         A, B, f, g = default_identity_case(c)
         residuals.append(identity_checks(A, B, f, g, params))
     orders = {}
-    for key in residuals[0]:
+    for key in ("hessian_identity", "antisymmetric_divfree", "chain_rule"):
         seq = [r[key] for r in residuals]
         ords = []
         for r0, r1 in zip(seq, seq[1:]):
@@ -595,51 +589,75 @@ def counterexample_section7(p: float, gammas) -> list[dict]:
 
 @dataclasses.dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense -div(A grad) on the cell values of ``grid``.
+    """-div(A grad) on the cell values of its grid, for the coefficient
+    field A = ``field``; everything else is derived from that field.
 
-    Its semigroup comes from one unitary change of basis Q, computed on
-    first use and kept with the operator (``_factor``), which makes L
-    diagonal when it is normal.  The operator of a constant field on a
-    periodic grid is circulant (block circulant with circulant blocks in
-    2-D): :func:`discretize_operator` records that field's one matrix in
-    ``_coefficient``, Q is then the unitary DFT over the grid axes and
-    the eigenvalues have a closed form.  Every other operator has
-    ``_coefficient`` None and takes Q from one Hermitian ``eigh``.
+    ``matrix``, the dense array, is assembled on first read.  The
+    semigroup comes from one unitary change of basis Q, also computed on
+    first use (``_factor``), which makes L diagonal when it is normal.
     """
 
-    matrix: np.ndarray
-    grid: Grid
-    _coefficient: np.ndarray | None = dataclasses.field(
-        init=False, default=None, repr=False, compare=False)
+    field: MatrixField
 
-    def __post_init__(self):
-        # the cached factor describes these entries
-        self.matrix.flags.writeable = False
+    @property
+    def grid(self) -> Grid:
+        return self.field.grid
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense matrix, the sum over (j, k) of C_j^T diag(a_jk)
+        C_k with C_j the centered difference along axis j.
+
+        Periodic grids use centered differences throughout, which gives
+        exact summation by parts against :func:`gradient` and exact adjoint
+        consistency.  Dirichlet grids replace the diagonal terms by the
+        face-flux form G_j^T diag(a_jj at faces) G_j (the classical
+        second-difference stencil) and use zero ghosts for mixed terms.
+        """
+        g, mats = self.grid, self.field.mats
+        N = g.size
+        periodic = g.boundary == "periodic"
+        C1 = _centered_1d(g.cells, g.h, periodic)
+        G1 = None if periodic else _face_grad_1d(g.cells, g.h)
+        L = scipy.sparse.csr_matrix((N, N), dtype=complex)
+        for j in range(g.dim):
+            for k in range(g.dim):
+                if j == k and not periodic:
+                    a = _face_average(mats[..., j, j], axis=j)
+                    Dj = Dk = _along(G1, j, g.dim)
+                else:
+                    a = mats[..., j, k]
+                    Dj, Dk = _along(C1, j, g.dim), _along(C1, k, g.dim)
+                L = L + Dj.T @ (scipy.sparse.diags(a.reshape(-1)) @ Dk)
+        L = L.toarray()
+        L.flags.writeable = False  # the cached factor describes these entries
+        return L
 
     @functools.cached_property
     def _factor(self) -> tuple[np.ndarray | None, np.ndarray]:
         """(Q, D) with Q unitary and L = Q D Q^H in matrix form: D is the
         vector of eigenvalues when L is normal, else the matrix Q^H L Q.
 
-        A circulant L (``_coefficient`` a) has Q = None, which stands for
-        the unitary inverse DFT over the grid axes (applied by
-        :func:`_apply_basis`): no N x N basis is formed.  The centered difference C_j has
-        eigenvalue i sin(theta_j) / h on the Fourier mode m, theta_j =
-        2 pi m_j / cells, and C_j^T = -C_j, so the eigenvalue of
-        sum_jk C_j^T a_jk C_k is d(m) = sum_jk a_jk sin(theta_j)
-        sin(theta_k) / h^2, in the order of ``np.fft.fftn``.
+        A constant field on a periodic grid gives a circulant L (block
+        circulant with circulant blocks in 2-D).  Its Q is None, which
+        stands for the unitary inverse DFT over the grid axes (applied by
+        :func:`_apply_basis`), and ``matrix`` is never read.  The centered
+        difference C_j has eigenvalue i sin(theta_j) / h on the Fourier
+        mode m, theta_j = 2 pi m_j / cells, and C_j^T = -C_j, so with a the
+        field's one value, the eigenvalue of sum_jk C_j^T a_jk C_k is d(m) =
+        sum_jk a_jk sin(theta_j) sin(theta_k) / h^2, in the order of
+        ``np.fft.fftn``.
 
         Any other L = H + iK (H, K Hermitian), when normal, has H and K
         commuting, so the eigenvectors of the Hermitian C = H +
         _SKEW_WEIGHT K diagonalize it; one ``eigh`` of C gives Q, and
         D = Q^H L Q is taken as diagonal when its off-diagonal part is
-        rounding (see ``_NORMAL_TOL``).  The diagonal factor is then exact
-        for L + E with ||E||_F <= _NORMAL_TOL ||L||_F.  A non-normal L
-        keeps the full D, which a unitary Q leaves as well conditioned as
-        L itself.
+        rounding (see ``_NORMAL_TOL``).  A non-normal L keeps the full D,
+        which a unitary Q leaves as well conditioned as L itself.
         """
-        a, g = self._coefficient, self.grid
-        if a is not None:
+        g, values = self.grid, self.field.distinct
+        if g.boundary == "periodic" and len(values) == 1:
+            a = values[0]
             s = np.sin(2.0 * np.pi * np.arange(g.cells) / g.cells) / g.h
             s = np.meshgrid(*[s] * g.dim, indexing="ij")
             d = sum(a[j, k] * s[j] * s[k] for j in range(g.dim) for k in range(g.dim))
@@ -691,36 +709,11 @@ def _face_average(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def discretize_operator(A: MatrixField) -> OperatorMatrix:
-    """Dense matrix of -div(A grad) on cell values, the sum over (j, k)
-    of C_j^T diag(a_jk) C_k with C_j the centered difference along axis j.
-
-    Periodic grids use centered differences throughout, which gives
-    exact summation by parts against :func:`gradient` and exact adjoint
-    consistency.  Dirichlet grids replace the diagonal terms by the
-    face-flux form G_j^T diag(a_jj at faces) G_j (the classical
-    second-difference stencil) and use zero ghosts for mixed terms.
-    """
-    g = A.grid
-    N = g.size
-    if N > 4096:
+    """The :class:`OperatorMatrix` of -div(A grad); grids of more than
+    4096 cells are refused, since its dense ``matrix`` may be read."""
+    if A.grid.size > 4096:
         raise ParameterError("operator too large for dense storage")
-    periodic = g.boundary == "periodic"
-    C1 = _centered_1d(g.cells, g.h, periodic)
-    G1 = None if periodic else _face_grad_1d(g.cells, g.h)
-    L = scipy.sparse.csr_matrix((N, N), dtype=complex)
-    for j in range(g.dim):
-        for k in range(g.dim):
-            if j == k and not periodic:
-                a = _face_average(A.mats[..., j, j], axis=j)
-                Dj = Dk = _along(G1, j, g.dim)
-            else:
-                a = A.mats[..., j, k]
-                Dj, Dk = _along(C1, j, g.dim), _along(C1, k, g.dim)
-            L = L + Dj.T @ (scipy.sparse.diags(a.reshape(-1)) @ Dk)
-    op = OperatorMatrix(L.toarray(), g)
-    if periodic and len(A.distinct) == 1:  # circulant: factored by the DFT
-        object.__setattr__(op, "_coefficient", A.distinct[0])
-    return op
+    return OperatorMatrix(A)
 
 
 def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:

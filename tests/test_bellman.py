@@ -653,6 +653,17 @@ def test_pair_constants_match_their_definitions():
         bl.pair_constants(A, el.rotation_matrix(1.5, 2), 3.0).delta
 
 
+def test_pair_constants_refuse_p_whose_conjugate_rounds_to_1():
+    # q = p / (p - 1) is 1.0 from p ~ 9.0e15 on: delta_q(B) was asked at
+    # q = 1 and refused it as "exponent p must satisfy p > 1"
+    A = el.rotation_matrix(0.3, 2)
+    assert bl.pair_constants(A, A, 9.0e15).delta_q_B < 0
+    for p in (9.1e15, 1e300):
+        with pytest.raises(bl.ParameterError) as exc:
+            bl.pair_constants(A, A, p)
+        assert str(exc.value).startswith(f"p = {p:g} is out of numeric range")
+
+
 def test_hessian_q_inner_branch_at_p2():
     # q = 2: the |eta|^{2-q} factor is constant, so the tensor Hessian
     # has no eta-eta block and no cross terms

@@ -2,7 +2,9 @@ import collections
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -481,6 +483,31 @@ def test_cli_paths_run_no_optimizer(tmp_path, capsys, monkeypatch):
                  ["heatnorm", "--p", "4", "--phi-grid", "0:1.4:0.7"]):
         assert cli.main(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_cli_imports_no_optimizer(tmp_path):
+    # scipy.optimize serves only ellipticity's sampling oracles, so a fresh
+    # process that runs every subcommand never loads it
+    specs = rotation_specs(tmp_path)
+    argvs = [["ellipticity", "--spec", specs["rot.json"], "--p", "4"],
+             ["bellman", "--spec", specs["rot.json"], "--p", "3"],
+             ["dissipativity", "--spec", specs["rot.json"], "--grid-cells", "16",
+              "--p", "3"],
+             ["counterexample", "--p", "40", "--gamma-scan", "0.97:0.99:0.01"],
+             ["heatflow", "--spec", specs["rot1.json"], "--p", "3"],
+             ["heatnorm", "--p", "4", "--phi-grid", "0.3"]]
+    assert {a[0] for a in argvs} == set(cli._COMMANDS)
+    argvs = [a + ["--out", str(tmp_path / f"{a[0]}.json")] for a in argvs]
+    script = ("import json, sys\n"
+              "from pellip import cli\n"
+              "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(argvs), False]
 
 
 # the flags each subcommand reads, besides the shared --seed --out --format

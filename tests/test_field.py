@@ -522,6 +522,14 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
     assert fd.discretize_operator(A)._factor[1].ndim == 2
 
 
+def _circulant_case(case):
+    """A periodic grid and a constant coefficient on it: 1-D at 192
+    cells, or the skew matrix at 64^2, the dense cap."""
+    if case == "1d-192":
+        return fd.Grid(1, 192, 6.0, "periodic"), np.array([[1.3 * np.exp(0.7j)]])
+    return fd.Grid(2, 64, 3.0, "periodic"), _SKEW_A
+
+
 @pytest.mark.parametrize("case", ["1d-192", "2d-64"])
 def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
     # a constant field on a periodic grid gives a circulant operator: its
@@ -530,10 +538,7 @@ def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
     # 64^2 skew operator, at the dense cap, is normal, yet its eigh factor
     # measured an off-diagonal share of 1.2e-12, over _NORMAL_TOL, and
     # took one expm per time
-    if case == "1d-192":
-        grid, a = fd.Grid(1, 192, 6.0, "periodic"), np.array([[1.3 * np.exp(0.7j)]])
-    else:
-        grid, a = fd.Grid(2, 64, 3.0, "periodic"), _SKEW_A
+    grid, a = _circulant_case(case)
     A = fd.constant_field(grid, a)
 
     def refuse(*args, **kwargs):
@@ -557,6 +562,52 @@ def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
     for t, col in zip(fd._HEAT_TIMES, got.T):
         want = np.fft.ifftn(np.exp(-t * lam) * np.fft.fftn(f))
         assert np.linalg.norm(col - want.reshape(-1)) <= 1e-12 * nf
+
+
+@pytest.mark.parametrize("case", ["1d-192", "2d-64"])
+def test_circulant_operator_is_never_assembled(case, monkeypatch):
+    # the DFT factor reads the field's one value: a heat flow, a semigroup
+    # step and the contractivity probe build no stencil, and the dense
+    # matrix stays unassembled
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator assembled")
+    monkeypatch.setattr(fd, "_centered_1d", refuse)
+    grid, a = _circulant_case(case)
+    A = fd.constant_field(grid, a)
+    X = grid.meshes()
+    r2 = sum(c * c for c in X)
+    f = fd.GridFunction(grid, np.exp(-r2) * (1 + 0.3j * X[0]))
+    g = fd.GridFunction(grid, np.exp(-0.5 * r2) + 0j)
+    out = fd.heat_flow_experiment(A, A, f, g, p=3.0)
+    assert out["monotone"] and out["budget_ok"]
+    L = fd.discretize_operator(A)
+    assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
+    # the probe forms the N x N propagator (28 s and 0.95 GB peak at
+    # 64^2), so the 2-D case probes the same coefficient at 16^2
+    P = L if grid.dim == 1 else fd.discretize_operator(
+        fd.constant_field(fd.Grid(2, 16, 3.0, "periodic"), a))
+    assert fd.contractivity_probe(P, 3.0, 0.5) > 0
+    assert "matrix" not in vars(L) and "matrix" not in vars(P)
+
+
+@pytest.mark.parametrize("case", ["dirichlet", "variable"])
+def test_noncirculant_operator_is_assembled_once(case, monkeypatch):
+    # the eigh factor reads the dense matrix, which is assembled on its
+    # first read, whichever of the two comes first, and then kept
+    calls, _ = _count_calls(monkeypatch, fd, "_centered_1d")
+    if case == "dirichlet":
+        A = fd.constant_field(fd.Grid(1, 32, 3.0, "dirichlet"), np.array([[np.exp(0.3j)]]))
+    else:
+        A = fd.section7_field(fd.Grid(2, 12, 3.0, "periodic"), 0.5)
+    for first in ("matrix", "_factor"):
+        calls.clear()
+        L = fd.discretize_operator(A)
+        assert calls == [] and L.field is A and L.grid is A.grid
+        getattr(L, first)
+        M = L.matrix
+        assert L._factor[0] is not None
+        fd.semigroup_apply(L, 0.5, fd.GridFunction(A.grid, np.ones(A.grid.shape)))
+        assert L.matrix is M and len(calls) == 1
 
 
 def _random_constant_case(r, dim):
