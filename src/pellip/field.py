@@ -3,10 +3,10 @@
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
 finite differences, discretized operators -div(A grad), their
 semigroups e^{-tL} in one unitary basis per operator (diagonal when L is
-normal: the DFT with closed-form eigenvalues for a constant coefficient
-on a periodic grid, whose operator is circulant, and one Hermitian eigh
-for any other), the L^p dissipativity functional and its
-polar-coordinate decomposition, and the heat-flow energy experiment.
+normal: the grid's transform, DFT or DST-I, with closed-form eigenvalues
+for a constant coefficient, one eigh of the Hermitian part for any other
+operator), the L^p dissipativity functional and its polar-coordinate
+decomposition, and the heat-flow energy experiment.
 
 Periodic grids enjoy exact summation by parts, so the structural
 identities (adjoint consistency, vanishing of divergence-free
@@ -71,33 +71,18 @@ _HEAT_TIMES = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 40)])
 # factored semigroup, measured over the heat times: the DFT factor at most
 # 2.1e-14 ||f|| from an extended-precision reference on constant periodic
 # operators (1-D at 64-192 cells with |arg a| <= 1.4, 2-D at 16^2-48^2);
-# the eigh factor at most 2.2e-13 ||f|| from an exact eigh reference on
-# 1-D constant Dirichlet operators at 64-192 cells, and 3.5e-13 from dense
-# expm on 1-D variable fields at 32-128 cells.
+# the DST factor at most 5.9e-16 ||f|| on constant Dirichlet operators
+# (the same 1-D cases, and diag(e^{0.3i}, e^{-0.3i}) at 16^2-48^2); the
+# eigh factor 6.4e-13 ||f|| from dense expm on 1-D variable fields.
 _HEAT_TOL = 1e-9
-# An operator that is not circulant, L = H + iK (H, K Hermitian), is taken
-# as normal by OperatorMatrix, and its semigroup as diagonal, when
-# D = Q^H L Q, Q the eigenvectors of C = H + _SKEW_WEIGHT K, holds at most
-# this share of ||L||_F off its diagonal; dropping that part perturbs L by
-# at most this share of its norm.  For a normal L, eigh returns exact
-# eigenvectors of C + E with ||E|| of order N u ||C|| (u = 1.1e-16), which
-# leave an off-diagonal part of that size, larger where eigenvalues of C
-# nearly meet.  Measured on the normal operators that reach eigh: at most
-# 1.6e-15 on 1-D constant Dirichlet operators at 64-192 cells; on the 2-D
-# Dirichlet A = diag(e^{0.3i}, e^{-0.3i}), 2.0e-14 at 12^2, 1.1e-13 at
-# 24^2, and 1.0e-12 at 32^2 and 2.4e-12 at 48^2, which fail the test and
-# take expm per time.  Non-normal operators measure 0.045 (2-D Dirichlet
-# mixed terms) and 0.21 (1-D variable coefficients, periodic or Dirichlet);
-# they keep the full D and take expm(-tD) per time.
+# An operator that no transform diagonalizes, L = H + iK (H, K Hermitian),
+# is taken as normal, and its semigroup as diagonal, when D = Q^H L Q, Q
+# the eigenvectors of H, holds at most this share of ||L||_F off its
+# diagonal, which eigh's rounding leaves for a normal L.  Measured: 8.4e-16
+# to 1.9e-15 on the normal e^{0.5i}(1.5 + cos x) at 32-192 cells; 0.20-0.21
+# on 1-D fields of varying phase, and 0.13 on the 2-D Dirichlet
+# I + 0.3i [[1, .5], [.5, -1]], which keep the full D and take expm per time.
 _NORMAL_TOL = 1e-12
-# The skew part's weight in C.  It separates eigenvalues of L that share
-# a real part: without it, the 2-D Dirichlet A = diag(e^{0.3i}, e^{-0.3i})
-# measures 0.13 at 12^2-48^2 and takes expm per time.  Two eigenvalues
-# still meet in C where their real and imaginary gaps are in ratio
-# -_SKEW_WEIGHT; the golden-ratio conjugate keeps clear of the simple
-# ratios of hand-written coefficients, and where C does degenerate the
-# share test keeps the full D, so the weight sets speed, never accuracy.
-_SKEW_WEIGHT = (math.sqrt(5.0) - 1.0) / 2.0
 # Power-method steps per start of contractivity_probe (evidence only),
 # and its random starts, drawn from a fixed seed.
 _POWER_ITERS = 40
@@ -638,33 +623,37 @@ class OperatorMatrix:
         """(Q, D) with Q unitary and L = Q D Q^H in matrix form: D is the
         vector of eigenvalues when L is normal, else the matrix Q^H L Q.
 
-        A constant field on a periodic grid gives a circulant L (block
-        circulant with circulant blocks in 2-D).  Its Q is None, which
-        stands for the unitary inverse DFT over the grid axes (applied by
-        :func:`_apply_basis`), and ``matrix`` is never read.  The centered
-        difference C_j has eigenvalue i sin(theta_j) / h on the Fourier
-        mode m, theta_j = 2 pi m_j / cells, and C_j^T = -C_j, so with a the
-        field's one value, the eigenvalue of sum_jk C_j^T a_jk C_k is d(m) =
-        sum_jk a_jk sin(theta_j) sin(theta_k) / h^2, in the order of
-        ``np.fft.fftn``.
+        A constant field, with a its one value, is diagonalized by its
+        grid's transform: Q = None (applied by :func:`_apply_basis`), with
+        closed-form eigenvalues, and ``matrix`` is never read.  On a
+        periodic grid L is circulant and Q the unitary inverse DFT: C_j has
+        eigenvalue i sin(theta_j) / h on the mode m, theta_j = 2 pi m_j /
+        cells, and C_j^T = -C_j, so d(m) = sum_jk a_jk sin(theta_j)
+        sin(theta_k) / h^2.  On a Dirichlet grid where a_01 + a_10 = 0
+        (always in 1-D) the mixed terms a_01 X + a_10 X cancel exactly, so
+        L = sum_j a_jj T_j with T_j the second difference along axis j,
+        which the orthonormal DST-I diagonalizes: d(k) = sum_j a_jj (2
+        sin(pi k_j / (2 cells + 2)) / h)^2, k_j = 1..cells.
 
         Any other L = H + iK (H, K Hermitian), when normal, has H and K
-        commuting, so the eigenvectors of the Hermitian C = H +
-        _SKEW_WEIGHT K diagonalize it; one ``eigh`` of C gives Q, and
-        D = Q^H L Q is taken as diagonal when its off-diagonal part is
-        rounding (see ``_NORMAL_TOL``).  A non-normal L keeps the full D,
-        which a unitary Q leaves as well conditioned as L itself.
+        commuting, so one ``eigh`` of H gives a Q that diagonalizes L
+        unless H repeats an eigenvalue that L splits; D = Q^H L Q is taken
+        as diagonal when its off-diagonal part is rounding (see
+        ``_NORMAL_TOL``).  A non-normal L keeps the full D, which a
+        unitary Q leaves as well conditioned as L itself.
         """
         g, values = self.grid, self.field.distinct
-        if g.boundary == "periodic" and len(values) == 1:
-            a = values[0]
-            s = np.sin(2.0 * np.pi * np.arange(g.cells) / g.cells) / g.h
-            s = np.meshgrid(*[s] * g.dim, indexing="ij")
+        a, n = values[0], np.arange(g.cells)
+        if len(values) == 1 and g.boundary == "periodic":
+            s = np.meshgrid(*[np.sin(2.0 * np.pi * n / g.cells) / g.h] * g.dim, indexing="ij")
             d = sum(a[j, k] * s[j] * s[k] for j in range(g.dim) for k in range(g.dim))
             return None, d.reshape(-1)
+        if len(values) == 1 and (g.dim == 1 or a[0, 1] + a[1, 0] == 0):
+            s = (2.0 * np.sin(np.pi * (n + 1) / (2 * g.cells + 2)) / g.h) ** 2
+            s = np.meshgrid(*[s] * g.dim, indexing="ij")
+            return None, sum(a[j, j] * s[j] for j in range(g.dim)).reshape(-1)
         L = self.matrix
-        M = (1.0 - 1j * _SKEW_WEIGHT) * L  # C = (M + M^H) / 2
-        _, Q = np.linalg.eigh((M + M.conj().T) / 2.0)
+        _, Q = np.linalg.eigh((L + L.conj().T) / 2.0)
         D = Q.conj().T @ (L @ Q)
         d = np.diag(D).copy()
         np.fill_diagonal(D, 0.0)
@@ -735,15 +724,19 @@ def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
 
 def _apply_basis(L: OperatorMatrix, v: np.ndarray, adjoint: bool) -> np.ndarray:
     """Q v, or Q^H v when ``adjoint``, for the columns of v (N x k), with Q
-    the basis of the factor of L.  Q = None is the unitary inverse DFT over
-    the grid axes, so Q^H is the unitary forward DFT."""
+    the basis of the factor of L.  Q = None is the grid's transform over
+    its axes: the unitary inverse DFT on a periodic grid, so Q^H is the
+    forward one, and on a Dirichlet grid the orthonormal DST-I, Q^H = Q."""
     Q = L._factor[0]
     if Q is not None:
         return (Q.conj().T if adjoint else Q) @ v
     g = L.grid
+    u, axes = v.reshape(g.shape + v.shape[1:]), tuple(range(g.dim))
+    if g.boundary == "dirichlet":
+        import scipy.fft  # here: at module level it slows every CLI import
+        return scipy.fft.dstn(u, type=1, axes=axes, norm="ortho").reshape(v.shape)
     dft = np.fft.fftn if adjoint else np.fft.ifftn
-    return dft(v.reshape(g.shape + v.shape[1:]), axes=tuple(range(g.dim)),
-               norm="ortho").reshape(v.shape)
+    return dft(u, axes=axes, norm="ortho").reshape(v.shape)
 
 
 def semigroup_apply(L: OperatorMatrix, t: float, f: GridFunction) -> GridFunction:

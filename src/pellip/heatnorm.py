@@ -7,8 +7,9 @@ fourth-root expression beyond that angle.  An independent oracle
 recovers the same value as the supremum of the norm ratio over centered
 Gaussians exp(-a x^2), for which both the evolution and the L^p norms
 are closed-form: the ratio depends only on |a| t and arg a, its optimum
-over the width |a| solves a quadratic, and arg a is scanned on a grid
-that is then zoomed, with no iterative optimizer.  Tensorization C^n
+over the width |a| solves a quadratic, and arg a, of the one sign that
+dominates, is scanned on a grid that is then zoomed, with no iterative
+optimizer.  Tensorization C^n
 demonstrates how the norm diverges with dimension outside the
 contractivity sector.
 """
@@ -133,11 +134,16 @@ def gaussian_oracle(phi: float, p: float) -> float:
 
     The vanishing-width limit a -> 0 always gives ratio 1, so the
     supremum is at least 1.  The optimum over |a| is taken in closed form
-    (:func:`_width_optimum`).  As |phi| -> pi/2 the optimal arg a moves to
-    the edge +-pi/2 (within 7e-10 of it at phi = 1.5707963, p = 40), so
-    arg a = +-(pi/2 - e^u) is scanned over u in [log 1e-17, log(pi/2)] at
-    1000 points per sign, then zoomed 8 times in u around each sign's best
-    point; both signs share one evaluation per round.
+    (:func:`_width_optimum`).  One sign of arg a = theta suffices: in
+    :func:`_gaussian_ratio` the factor (1 + rho cos phi / cos theta)^{-e}
+    is even in theta, and |1+4za|^2 = (1 - rho)^2 + 2 rho (1 + cos(theta
+    + phi)), smaller where theta has the sign of phi, enters with exponent
+    e - 1/4 = (2 - p) / (4p).  So that sign dominates pointwise for p > 2,
+    the other for p < 2, and both tie at p = 2 or phi = 0.  As |phi| ->
+    pi/2 the optimal arg a moves to the edge (within 7e-10 of it at phi =
+    1.5707963, p = 40), so arg a = +-(pi/2 - e^u), of that one sign, is
+    scanned over u in [log 1e-17, log(pi/2)] at 1000 points, then zoomed
+    8 times in u around the best point.
     """
     if not abs(phi) < math.pi / 2:
         raise ParameterError("|phi| must be less than pi/2")
@@ -146,15 +152,15 @@ def gaussian_oracle(phi: float, p: float) -> float:
     if not 8.0 * p * p < math.inf:  # bounds qb^2 - 4 qa qc of _width_optimum
         raise ParameterError(f"p = {p:g} is out of numeric range: the oracle's "
                              "quadratic in the width overflows a float")
-    sign = np.array([[-1.0], [1.0]])  # one row of u per sign of arg a
+    sign = 1.0 if phi * (p - 2.0) > 0 else -1.0
     u, step = np.linspace(math.log(1e-17), math.log(math.pi / 2), 1000, retstep=True)
-    u, rows, zoom = np.tile(u, (2, 1)), np.arange(2), np.linspace(-1.0, 1.0, 17)
+    zoom = np.linspace(-1.0, 1.0, 17)
     best = 1.0  # boundary candidate: the a -> 0 limit
-    for _ in range(9):  # the scan, then 8 zooms of 17 points per sign
+    for _ in range(9):  # the scan, then 8 zooms of 17 points
         vals = _width_optimum(sign * (math.pi / 2 - np.exp(u)), phi, p)
-        i = vals.argmax(axis=1)
-        best = max(best, float(vals[rows, i].max()))
-        u = u[rows, i][:, None] + step * zoom
+        i = vals.argmax()
+        best = max(best, float(vals[i]))
+        u = u[i] + step * zoom
         step /= 8.0
     return best
 

@@ -487,7 +487,9 @@ def test_cli_paths_run_no_optimizer(tmp_path, capsys, monkeypatch):
 
 def test_cli_imports_no_optimizer(tmp_path):
     # scipy.optimize serves only ellipticity's sampling oracles, so a fresh
-    # process that runs every subcommand never loads it
+    # process that runs every subcommand never loads it; scipy.fft serves
+    # only the DST factor of Dirichlet heat operators, and these runs are
+    # all periodic
     specs = rotation_specs(tmp_path)
     argvs = [["ellipticity", "--spec", specs["rot.json"], "--p", "4"],
              ["bellman", "--spec", specs["rot.json"], "--p", "3"],
@@ -501,13 +503,14 @@ def test_cli_imports_no_optimizer(tmp_path):
     script = ("import json, sys\n"
               "from pellip import cli\n"
               "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, 'scipy.optimize' in sys.modules]))\n")
+              "print(json.dumps([codes, 'scipy.optimize' in sys.modules,\n"
+              "                  'scipy.fft' in sys.modules]))\n")
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * len(argvs), False]
+    assert json.loads(proc.stdout) == [[0] * len(argvs), False, False]
 
 
 # the flags each subcommand reads, besides the shared --seed --out --format

@@ -406,6 +406,26 @@ def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
     assert expm_calls == []
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_single_phase_variable_operator_is_diagonalized_by_eigh(boundary, monkeypatch):
+    # A = e^{ia} b(x) with b real makes L = e^{ia} S, S real symmetric: a
+    # normal operator that no transform diagonalizes.  The eigenvectors
+    # of its Hermitian part cos(a) S are those of L (off-diagonal share
+    # measured at most 1.1e-15 at 64 cells), so the factor is diagonal, no
+    # expm runs, and the flow matches dense expm (at most 7.0e-14 ||f||)
+    expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
+    grid = fd.Grid(1, 64, np.pi, boundary)
+    x = grid.axis()
+    L = fd.discretize_operator(
+        fd.MatrixField(grid, (np.exp(0.5j) * (1.5 + np.cos(x)))[:, None, None]))
+    f = np.exp(-x * x) * (1 + 0.3j * np.sin(x))
+    got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
+    assert L._factor[0] is not None and L._factor[1].ndim == 1 and expm_calls == []
+    for t, col in zip(fd._HEAT_TIMES, got.T):
+        want = expm(-t * L.matrix) @ f
+        assert np.linalg.norm(col - want) <= 1e-12 * np.linalg.norm(f)
+
+
 def _count_factors(monkeypatch):
     """Count the computations of OperatorMatrix._factor (diagonal or
     full D alike); returns the list of calls."""
@@ -500,46 +520,88 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
     for j in (1, 20, len(fd._HEAT_TIMES) - 1):
         want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f.values.reshape(-1)
         assert np.linalg.norm(got[:, j] - want) <= 1e-12 * nf
-    # the eigh factor needs the skew weight where the Hermitian part is
-    # degenerate and L is not.  On a Dirichlet grid A = diag(e^{ia}, e^{-ia})
-    # gives L = e^{ia} S1 + e^{-ia} S2 with S1, S2 the commuting second
-    # differences along the axes: normal, while modes with swapped indices
-    # share Re but not Im of the eigenvalue.  With the weight the eigh
-    # factor is diagonal (off-diagonal share 3.2e-14 at 16^2) and matches
-    # expm; without it the eigenvectors of the Hermitian part mix modes of
-    # distinct eigenvalues (share 0.13), and L keeps the full D
+    # on a Dirichlet grid A = diag(e^{ia}, e^{-ia}) gives L = e^{ia} S1 +
+    # e^{-ia} S2 with S1, S2 the commuting second differences along the
+    # axes: normal, while modes with swapped indices share Re but not Im
+    # of the eigenvalue, so the eigenvectors of the Hermitian part would
+    # mix modes of distinct eigenvalues (off-diagonal share 0.13).  The
+    # DST-I diagonalizes S1 and S2 alike: no eigh, no expm, and the flow
+    # matches expm
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     grid = fd.Grid(2, 16, 3.0, "dirichlet")
     A = fd.constant_field(grid, np.diag([np.exp(0.3j), np.exp(-0.3j)]))
     X, Y = grid.meshes()
     f = np.exp(-X**2 - 0.5 * Y**2).reshape(-1) * (1 + 0.3j * X.reshape(-1))
     L = fd.discretize_operator(A)
-    assert L._factor[0] is not None and L._factor[1].ndim == 1
     got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
+    assert L._factor[0] is None and L._factor[1].ndim == 1 and expm_calls == []
     for j in (1, 20, len(fd._HEAT_TIMES) - 1):
         want = expm(-fd._HEAT_TIMES[j] * L.matrix) @ f
         assert np.linalg.norm(got[:, j] - want) <= 1e-12 * np.linalg.norm(f)
-    monkeypatch.setattr(fd, "_SKEW_WEIGHT", 0.0)
-    assert fd.discretize_operator(A)._factor[1].ndim == 2
 
 
-def _circulant_case(case):
-    """A periodic grid and a constant coefficient on it: 1-D at 192
-    cells, or the skew matrix at 64^2, the dense cap."""
-    if case == "1d-192":
-        return fd.Grid(1, 192, 6.0, "periodic"), np.array([[1.3 * np.exp(0.7j)]])
-    return fd.Grid(2, 64, 3.0, "periodic"), _SKEW_A
+def _transform_case(case):
+    """A grid and a constant coefficient on it that the grid's transform
+    diagonalizes: periodic, 1-D at 192 cells or the skew matrix at 64^2,
+    the dense cap; Dirichlet (mixed terms that cancel), 1-D at 192 cells,
+    diag(e^{0.3i}, e^{-0.3i}) at 48^2 or I + 0.6i R at 32^2."""
+    boundary = "dirichlet" if case.startswith("dirichlet-") else "periodic"
+    shape = case.removeprefix("dirichlet-")
+    if shape == "1d-192":
+        return fd.Grid(1, 192, 6.0, boundary), np.array([[1.3 * np.exp(0.7j)]])
+    if shape == "2d-48":
+        return fd.Grid(2, 48, 3.0, boundary), np.diag([np.exp(0.3j), np.exp(-0.3j)])
+    if shape == "2d-32":
+        return fd.Grid(2, 32, 3.0, boundary), el.skew_matrix(0.6)
+    return fd.Grid(2, 64, 3.0, boundary), _SKEW_A
 
 
-@pytest.mark.parametrize("case", ["1d-192", "2d-64"])
+_TRANSFORM_CASES = ["1d-192", "2d-64", "dirichlet-1d-192", "dirichlet-2d-48",
+                    "dirichlet-2d-32"]
+
+
+def _reference_flow(L):
+    """(t, f) -> e^{-tL} f for a grid-shaped f, by a route independent of
+    the factor: on a periodic grid the DFT of the first column of the
+    circulant L gives its eigenvalues; on a Dirichlet grid L is sum_j a_jj
+    T_j (checked against the assembled matrix), T the 1-D second
+    difference, and eigh(T) gives a real orthogonal basis along each axis."""
+    g = L.grid
+    if g.boundary == "periodic":
+        lam = np.fft.fftn(L.matrix[:, 0].reshape(g.shape))
+        return lambda t, f: np.fft.ifftn(np.exp(-t * lam) * np.fft.fftn(f))
+    one = fd.Grid(1, g.cells, g.extent, "dirichlet")
+    T = fd.discretize_operator(fd.constant_field(one, np.ones((1, 1)))).matrix.real
+    a = np.diagonal(L.field.distinct[0])
+    s, V = np.linalg.eigh(T)
+    if g.dim == 1:
+        M, lam = a[0] * T, a[0] * s
+    else:
+        eye = np.eye(g.cells)
+        M = a[0] * np.kron(T, eye) + a[1] * np.kron(eye, T)
+        lam = a[0] * s[:, None] + a[1] * s[None, :]
+    assert np.abs(L.matrix - M).max() <= 1e-15 * np.abs(M).max()
+
+    def flow(t, f):
+        w = np.exp(-t * lam) * (V.T @ f if g.dim == 1 else V.T @ f @ V)
+        return V @ w if g.dim == 1 else V @ w @ V.T
+    return flow
+
+
+@pytest.mark.parametrize("case", _TRANSFORM_CASES)
 def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
-    # a constant field on a periodic grid gives a circulant operator: its
-    # basis is the unitary DFT and its eigenvalues have a closed form, so
-    # no eigh runs and no N x N array is formed besides L.matrix.  The
-    # 64^2 skew operator, at the dense cap, is normal, yet its eigh factor
-    # measured an off-diagonal share of 1.2e-12, over _NORMAL_TOL, and
-    # took one expm per time
-    grid, a = _circulant_case(case)
+    # a constant field is diagonalized by its grid's transform: the DFT on
+    # a periodic grid, where L is circulant, and the DST-I on a Dirichlet
+    # grid whose mixed terms cancel.  The eigenvalues have a closed form,
+    # so no eigh runs and no N x N array is formed besides L.matrix.  The
+    # 64^2 periodic skew operator, at the dense cap, is normal, yet its
+    # eigh factor measured an off-diagonal share of 1.2e-12, over
+    # _NORMAL_TOL, and took one expm per time
+    grid, a = _transform_case(case)
     A = fd.constant_field(grid, a)
+    want = _reference_flow(fd.discretize_operator(A))  # runs eigh: before the patch
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
@@ -554,25 +616,24 @@ def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
     finally:
         tracemalloc.stop()
     assert L._factor[0] is None and L._factor[1].ndim == 1
-    # factor and flow together (measured 0.66 of it at 192 cells, 0.03 at
-    # 64^2) stay below the size of one N x N complex array
+    # factor and flow together (measured 0.66 of it at 192 periodic cells,
+    # 0.03 at 64^2) stay below the size of one N x N complex array
     assert peak < L.matrix.nbytes
-    lam = np.fft.fftn(L.matrix[:, 0].reshape(grid.shape))
     nf = np.linalg.norm(f)
     for t, col in zip(fd._HEAT_TIMES, got.T):
-        want = np.fft.ifftn(np.exp(-t * lam) * np.fft.fftn(f))
-        assert np.linalg.norm(col - want.reshape(-1)) <= 1e-12 * nf
+        assert np.linalg.norm(col - want(t, f).reshape(-1)) <= 1e-12 * nf
 
 
-@pytest.mark.parametrize("case", ["1d-192", "2d-64"])
+@pytest.mark.parametrize("case", _TRANSFORM_CASES)
 def test_circulant_operator_is_never_assembled(case, monkeypatch):
-    # the DFT factor reads the field's one value: a heat flow, a semigroup
-    # step and the contractivity probe build no stencil, and the dense
-    # matrix stays unassembled
+    # the transform factor reads the field's one value: a heat flow, a
+    # semigroup step and the contractivity probe build no stencil, and the
+    # dense matrix stays unassembled
     def refuse(*args, **kwargs):
         raise AssertionError("operator assembled")
     monkeypatch.setattr(fd, "_centered_1d", refuse)
-    grid, a = _circulant_case(case)
+    monkeypatch.setattr(fd, "_face_grad_1d", refuse)
+    grid, a = _transform_case(case)
     A = fd.constant_field(grid, a)
     X = grid.meshes()
     r2 = sum(c * c for c in X)
@@ -583,9 +644,9 @@ def test_circulant_operator_is_never_assembled(case, monkeypatch):
     L = fd.discretize_operator(A)
     assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
     # the probe forms the N x N propagator (28 s and 0.95 GB peak at
-    # 64^2), so the 2-D case probes the same coefficient at 16^2
+    # 64^2), so a 2-D case probes the same coefficient at 16^2
     P = L if grid.dim == 1 else fd.discretize_operator(
-        fd.constant_field(fd.Grid(2, 16, 3.0, "periodic"), a))
+        fd.constant_field(fd.Grid(2, 16, 3.0, grid.boundary), a))
     assert fd.contractivity_probe(P, 3.0, 0.5) > 0
     assert "matrix" not in vars(L) and "matrix" not in vars(P)
 
@@ -595,8 +656,8 @@ def test_noncirculant_operator_is_assembled_once(case, monkeypatch):
     # the eigh factor reads the dense matrix, which is assembled on its
     # first read, whichever of the two comes first, and then kept
     calls, _ = _count_calls(monkeypatch, fd, "_centered_1d")
-    if case == "dirichlet":
-        A = fd.constant_field(fd.Grid(1, 32, 3.0, "dirichlet"), np.array([[np.exp(0.3j)]]))
+    if case == "dirichlet":  # mixed terms that do not cancel: no DST factor
+        A = fd.constant_field(fd.Grid(2, 12, 3.0, "dirichlet"), _SKEW_A)
     else:
         A = fd.section7_field(fd.Grid(2, 12, 3.0, "periodic"), 0.5)
     for first in ("matrix", "_factor"):
@@ -610,28 +671,38 @@ def test_noncirculant_operator_is_assembled_once(case, monkeypatch):
         assert L.matrix is M and len(calls) == 1
 
 
-def _random_constant_case(r, dim):
-    """A periodic grid (8-40 cells in 1-D, 8-16 per axis in 2-D, extent
-    0.5-20) and a random accretive constant coefficient on it: r e^{i phi},
-    |phi| < 1.4, in 1-D, and H + iK with H positive definite and K
-    Hermitian in 2-D."""
+def _random_constant_case(r, dim, boundary):
+    """A grid (8-40 cells in 1-D, 8-16 per axis in 2-D, extent 0.5-20) and
+    a random accretive constant coefficient on it: r e^{i phi}, |phi| <
+    1.4, in 1-D.  In 2-D, periodic: H + iK with H positive definite and K
+    Hermitian; Dirichlet: diag(d) + w R, mixed terms -w and w that cancel,
+    with |arg d_j| < 1.4 and |Im w| below the root of Re d_0 Re d_1."""
     cells = int(r.integers(8, 41 if dim == 1 else 17))
-    grid = fd.Grid(dim, cells, float(np.exp(r.uniform(np.log(0.5), np.log(20.0)))))
+    grid = fd.Grid(dim, cells, float(np.exp(r.uniform(np.log(0.5), np.log(20.0)))),
+                   boundary)
     if dim == 1:
         return grid, np.array([[np.exp(r.uniform(np.log(0.2), np.log(5.0))
                                        + 1j * r.uniform(-1.4, 1.4))]])
+    if boundary == "dirichlet":
+        d = np.exp(r.uniform(np.log(0.2), np.log(5.0), 2) + 1j * r.uniform(-1.4, 1.4, 2))
+        y = 0.9 * r.uniform(-1.0, 1.0) * np.sqrt(d[0].real * d[1].real)
+        return grid, np.diag(d) + (r.uniform(-2.0, 2.0) + 1j * y) * el.ROT_GEN
     B, K = (r.standard_normal((2, 2)) + 1j * r.standard_normal((2, 2)) for _ in range(2))
     return grid, B @ B.conj().T + 0.1 * np.eye(2) + 1j * (K + K.conj().T)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_dft_factor_matches_dense_expm(dim):
-    # against expm(-tL) of the assembled matrix: measured at most 1.9e-13
-    # ||f|| (2-D, 16^2 cells, extent 0.5, t = 5, where ||tL|| is largest)
-    # and, at t = 0, a round trip through the DFT, at most 6.5e-16 ||f||
-    r = np.random.default_rng(20 + dim)
+@pytest.mark.parametrize("dim, boundary",
+                         [(1, "periodic"), (2, "periodic"), (1, "dirichlet"), (2, "dirichlet")],
+                         ids=["1", "2", "dirichlet-1", "dirichlet-2"])
+def test_dft_factor_matches_dense_expm(dim, boundary):
+    # the transform factor (DFT, or DST-I on Dirichlet grids) against
+    # expm(-tL) of the assembled matrix: measured at most 1.9e-13 ||f||
+    # (2-D periodic, 16^2 cells, extent 0.5, t = 5, where ||tL|| is
+    # largest; 2.4e-15 on Dirichlet grids) and, at t = 0, a round trip
+    # through the transform, at most 6.5e-16 ||f||
+    r = np.random.default_rng(20 + dim + (10 if boundary == "dirichlet" else 0))
     for _ in range(10):
-        grid, a = _random_constant_case(r, dim)
+        grid, a = _random_constant_case(r, dim, boundary)
         L = fd.discretize_operator(fd.constant_field(grid, a))
         assert L._factor[0] is None
         f = fd.GridFunction(grid, r.standard_normal(grid.shape)
@@ -646,7 +717,7 @@ def test_dft_factor_matches_dense_expm(dim):
 
 def test_nonnormal_2d_operator_takes_expm_per_time(monkeypatch):
     # Dirichlet walls make the mixed terms non-normal (off-diagonal share
-    # of the eigh factor 0.045): full D, one expm per time
+    # of the eigh factor 0.13): full D, one expm per time
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     L, f = _skew_2d(12, "dirichlet")
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))[:, 0, :]
