@@ -2,11 +2,11 @@
 
 Uniform periodic or Dirichlet grids in one and two dimensions, centered
 finite differences, discretized operators -div(A grad), their
-semigroups e^{-tL} in one unitary basis per operator (diagonal when L is
-normal: the grid's transform, DFT or DST-I, with closed-form eigenvalues
-for a constant coefficient, one eigh of the Hermitian part for any other
-operator), the L^p dissipativity functional and its polar-coordinate
-decomposition, and the heat-flow energy experiment.
+semigroups e^{-tL} and e^{-tL^H} in one unitary basis per operator
+(diagonal when L is normal: the grid's transform, DFT or DST-I, for a
+constant coefficient, else one eigh of the dense operator's Hermitian
+part), the L^p dissipativity functional and its polar decomposition,
+the heat-flow energy experiment and the L^p contractivity probe.
 
 Periodic grids enjoy exact summation by parts, so the structural
 identities (adjoint consistency, vanishing of divergence-free
@@ -50,7 +50,6 @@ __all__ = [
     "refinement_study",
     "default_identity_case",
     "counterexample_section7",
-    "discretize_operator",
     "semigroup_apply",
     "heat_flow_experiment",
     "contractivity_probe",
@@ -83,6 +82,12 @@ _HEAT_TOL = 1e-9
 # on 1-D fields of varying phase, and 0.13 on the 2-D Dirichlet
 # I + 0.3i [[1, .5], [.5, -1]], which keep the full D and take expm per time.
 _NORMAL_TOL = 1e-12
+# OperatorMatrix.matrix refuses more cells: the dense array takes 16 N^2
+# bytes (268 MB at 4096 cells) and the eigh factor that reads it O(N^3) time.
+_DENSE_CELLS = 4096
+# _propagator refuses more entries (cells x columns x times) before it
+# allocates: 1-D heatflow (41 times) peaked at 316 MB RSS at 65536 cells.
+_FLOW_ENTRIES = 2 ** 22
 # Power-method steps per start of contractivity_probe (evidence only),
 # and its random starts, drawn from a fixed seed.
 _POWER_ITERS = 40
@@ -577,9 +582,10 @@ class OperatorMatrix:
     """-div(A grad) on the cell values of its grid, for the coefficient
     field A = ``field``; everything else is derived from that field.
 
-    ``matrix``, the dense array, is assembled on first read.  The
-    semigroup comes from one unitary change of basis Q, also computed on
-    first use (``_factor``), which makes L diagonal when it is normal.
+    e^{-tL} and e^{-tL^H} come from one unitary change of basis Q, computed
+    on first use (``_factor``), which makes L diagonal when it is normal.
+    ``matrix``, the dense array, is assembled when the ``eigh`` basis first
+    reads it, and refused over ``_DENSE_CELLS`` cells.
     """
 
     field: MatrixField
@@ -599,8 +605,9 @@ class OperatorMatrix:
         face-flux form G_j^T diag(a_jj at faces) G_j (the classical
         second-difference stencil) and use zero ghosts for mixed terms.
         """
-        g, mats = self.grid, self.field.mats
-        N = g.size
+        g, mats, N = self.grid, self.field.mats, self.grid.size
+        if N > _DENSE_CELLS:
+            raise ParameterError(f"operator on {N} cells too large for dense storage")
         periodic = g.boundary == "periodic"
         C1 = _centered_1d(g.cells, g.h, periodic)
         G1 = None if periodic else _face_grad_1d(g.cells, g.h)
@@ -662,6 +669,12 @@ class OperatorMatrix:
         np.fill_diagonal(D, d)
         return Q, D
 
+    @functools.cached_property
+    def _expm(self):
+        """t -> expm(-tD), D non-normal; keeps the one t of the probe's steps."""
+        D = self._factor[1]
+        return functools.lru_cache(maxsize=1)(lambda t: scipy.linalg.expm(-t * D))
+
 
 def _centered_1d(c: int, h: float, periodic: bool):
     """Centered difference on c cells; periodic wrap, or zero ghost
@@ -697,29 +710,26 @@ def _face_average(a: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis((e[:-1] + e[1:]) / 2.0, 0, axis)
 
 
-def discretize_operator(A: MatrixField) -> OperatorMatrix:
-    """The :class:`OperatorMatrix` of -div(A grad); grids of more than
-    4096 cells are refused, since its dense ``matrix`` may be read."""
-    if A.grid.size > 4096:
-        raise ParameterError("operator too large for dense storage")
-    return OperatorMatrix(A)
-
-
-def _propagator(L: OperatorMatrix, times, v: np.ndarray) -> np.ndarray:
-    """e^{-tL} v for the columns of v (N x k) and every t of ``times``, as
-    an N x k x len(times) array, in the basis Q of the factor of L:
-    Q (e^{-d t} * Q^H v) over all times when L is normal (D = diag d),
-    Q expm(-tD) Q^H v per time otherwise."""
+def _propagator(L: OperatorMatrix, times, v: np.ndarray,
+                adjoint: bool = False) -> np.ndarray:
+    """e^{-tL} v, or e^{-tL^H} v (D^H for D) when ``adjoint``, for the columns
+    of v (N x k) and every t of ``times``, as an N x k x len(times) array:
+    Q (e^{-d t} * Q^H v) over all times when L is normal (D = diag d), Q
+    expm(-tD) Q^H v per time otherwise.  Over ``_FLOW_ENTRIES`` entries are refused."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ParameterError("time must be finite and nonnegative")
-    D = L._factor[1]
+    if v.size * times.size > _FLOW_ENTRIES:
+        raise ParameterError(f"flow of {v.size * times.size} entries exceeds {_FLOW_ENTRIES}")
+    d = L._factor[1]
     w = _apply_basis(L, v, adjoint=True)
-    if D.ndim == 1:
-        w = np.exp(-np.multiply.outer(D, times))[:, None, :] * w[:, :, None]
+    if d.ndim == 1:
+        d = d.conj() if adjoint else d
+        w = np.exp(-np.multiply.outer(d, times))[:, None, :] * w[:, :, None]
     else:
-        w = np.stack([scipy.linalg.expm(-t * D) @ w for t in times], axis=-1)
-    return _apply_basis(L, w.reshape(len(D), -1), adjoint=False).reshape(w.shape)
+        E = (L._expm(t) for t in times)
+        w = np.stack([(e.conj().T if adjoint else e) @ w for e in E], axis=-1)
+    return _apply_basis(L, w.reshape(len(d), -1), adjoint=False).reshape(w.shape)
 
 
 def _apply_basis(L: OperatorMatrix, v: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -767,8 +777,8 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     if not c.delta_p > 0:
         raise ParameterError("joint p-ellipticity constant must be positive")
     params = _bellman.BellmanParams(p, c.delta)
-    LA = discretize_operator(A)
-    LB = LA if B is A else discretize_operator(B)
+    LA = OperatorMatrix(A)
+    LB = LA if B is A else OperatorMatrix(B)
     shape = gr.shape + (_HEAT_TIMES.size,)
     ft, gt = (GridFunction(gr, _propagator(L, _HEAT_TIMES, u.values.reshape(-1, 1))
                            .reshape(shape)) for L, u in ((LA, f), (LB, g)))
@@ -798,35 +808,25 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
 
 def contractivity_probe(L: OperatorMatrix, p: float, t: float) -> float:
     """Largest observed ||e^{-tL} f||_p / ||f||_p over ``_PROBE_TRIALS``
-    random starts, each refined by ``_POWER_ITERS`` nonlinear power-method
-    steps for p-norms.  Evidence only: a lower bound on the discrete
-    operator norm."""
+    random starts, side by side as columns, each refined by ``_POWER_ITERS``
+    nonlinear power-method steps x -> J_q(e^{-tL^H} J_p(e^{-tL} x)), normalized,
+    J_s(y) = |y|^{s-2} y, both flows through :func:`_propagator` (a transform
+    factor needs no N x N array).  Evidence only: a lower bound on the norm."""
     if not 1 < p < math.inf:
         raise ParameterError("exponent p must be finite and satisfy p > 1")
-    rng = np.random.default_rng(_PROBE_SEED)
-    N = L.grid.size
-    E = _propagator(L, [t], np.eye(N))[:, :, 0]
-    q = p / (p - 1.0)
-    best = 0.0
+    r = np.random.default_rng(_PROBE_SEED).standard_normal((_PROBE_TRIALS, 2, L.grid.size))
+    x = (r[:, 0] + 1j * r[:, 1]).T
+    x /= np.linalg.norm(x, axis=0)
 
-    def ratio(x):
-        y = E @ x
-        return (np.sum(np.abs(y) ** p) / np.sum(np.abs(x) ** p)) ** (1.0 / p)
+    def dual(y, s):
+        ay = np.abs(y)
+        return np.where(ay == 0, 0.0, ay ** (s - 2.0)) * y
 
-    for _ in range(_PROBE_TRIALS):
-        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        x /= np.linalg.norm(x)
-        for _ in range(_POWER_ITERS):
-            y = E @ x
-            ay = np.abs(y)
-            u = np.where(ay == 0, 0.0, ay ** (p - 2.0)) * y
-            z = E.conj().T @ u
-            az = np.abs(z)
-            x = np.where(az == 0, 0.0, az ** (q - 2.0)) * z
-            nx = np.linalg.norm(x)
-            if nx == 0:
-                break
-            x /= nx
-        if np.linalg.norm(x) > 0:
-            best = max(best, float(ratio(x)))
-    return best
+    y = _propagator(L, [t], x)[:, :, 0]
+    for _ in range(_POWER_ITERS):
+        x = dual(_propagator(L, [t], dual(y, p), adjoint=True)[:, :, 0], p / (p - 1.0))
+        nx = np.linalg.norm(x, axis=0)
+        x /= np.where(nx == 0, 1.0, nx)  # a start that reaches 0 stays 0
+        y = _propagator(L, [t], x)[:, :, 0]
+    sx, sy = (np.sum(np.abs(u) ** p, axis=0) for u in (x, y))
+    return float(max((sy[sx > 0] / sx[sx > 0]) ** (1.0 / p), default=0.0))

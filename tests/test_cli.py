@@ -247,6 +247,18 @@ def test_heatflow_subcommand(tmp_path, capsys):
     assert rows[0]["ratio"] <= 1.0
 
 
+def test_heatflow_reaches_past_the_dense_cap_within_the_flow_budget(tmp_path, capsys):
+    # a constant periodic coefficient never forms the dense operator, so
+    # 8192 cells run; MAX_CELLS would need 41 x 2^18 flow entries per
+    # function, over the flow budget, and is an input error
+    spec = write_spec(tmp_path, "rot1.json", {"kind": "rotation", "phi": 0.3, "n": 1})
+    argv = ["heatflow", "--spec", spec, "--p", "3", "--extent", "6", "--grid-cells"]
+    assert cli.main(argv + ["8192"]) == 0, capsys.readouterr().err
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 41
+    assert cli.main(argv + ["262144"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
 def test_heatflow_runs_on_the_field_grid(tmp_path, capsys, boundary):
     # the field's 48 cells, not --grid-cells (64), set the probe grid

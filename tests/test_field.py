@@ -179,7 +179,7 @@ def test_mollify_errors():
 def test_dirichlet_laplacian_tridiagonal():
     grid = fd.Grid(1, 8, 4.0, "dirichlet")
     F = fd.constant_field(grid, np.array([[1.0 + 0j]]))
-    L = fd.discretize_operator(F).matrix
+    L = fd.OperatorMatrix(F).matrix
     h = grid.h
     want = (np.diag(np.full(8, 2.0)) + np.diag(np.full(7, -1.0), 1)
             + np.diag(np.full(7, -1.0), -1)) / h**2
@@ -191,8 +191,8 @@ def test_operator_adjoint_consistency(boundary):
     grid = fd.Grid(2, 8, 1.0, boundary)
     A = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) \
         + 2 * np.eye(2)
-    L = fd.discretize_operator(fd.constant_field(grid, A)).matrix
-    Lstar = fd.discretize_operator(
+    L = fd.OperatorMatrix(fd.constant_field(grid, A)).matrix
+    Lstar = fd.OperatorMatrix(
         fd.constant_field(grid, A.conj().T)).matrix
     assert np.abs(L.conj().T - Lstar).max() < 1e-12
 
@@ -201,7 +201,7 @@ def test_summation_by_parts_periodic():
     grid = fd.Grid(2, 16, 2.0, "periodic")
     A = np.eye(2) + 0.4j * np.asarray(el.ROT_GEN)
     F = fd.constant_field(grid, A)
-    L = fd.discretize_operator(F)
+    L = fd.OperatorMatrix(F)
     f = fd.sample(grid, lambda X, Y: np.exp(np.sin(np.pi * X / 2))
                   + 1j * np.cos(np.pi * Y / 2))
     g = fd.sample(grid, lambda X, Y: np.sin(np.pi * X / 2) + np.cos(np.pi * Y / 2))
@@ -276,7 +276,7 @@ def test_operator_matches_dense_reference(boundary, dim):
     if dim == 2:
         fields.append(fd.section7_field(grid, 0.7))
     for F in fields:
-        L = fd.discretize_operator(F).matrix
+        L = fd.OperatorMatrix(F).matrix
         want = _dense_reference(F)
         assert np.abs(L - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -287,8 +287,8 @@ def test_variable_operator_adjoint_consistency(boundary, kind):
     grid = fd.Grid(2, 8, 1.0, boundary)
     F = _variable_field(kind, grid)
     Fstar = fd.MatrixField(grid, F.mats.conj().swapaxes(-1, -2))
-    L = fd.discretize_operator(F).matrix
-    Lstar = fd.discretize_operator(Fstar).matrix
+    L = fd.OperatorMatrix(F).matrix
+    Lstar = fd.OperatorMatrix(Fstar).matrix
     assert np.abs(L.conj().T - Lstar).max() <= 1e-14 * np.abs(L).max()
 
 
@@ -296,7 +296,7 @@ def test_variable_operator_adjoint_consistency(boundary, kind):
 def test_variable_summation_by_parts_periodic(kind):
     grid = fd.Grid(2, 16, 2.0, "periodic")
     F = _variable_field(kind, grid)
-    L = fd.discretize_operator(F)
+    L = fd.OperatorMatrix(F)
     f = fd.sample(grid, lambda X, Y: np.exp(np.sin(np.pi * X / 2))
                   + 1j * np.cos(np.pi * Y / 2))
     g = fd.sample(grid, lambda X, Y: np.sin(np.pi * (X + Y) / 2))
@@ -312,7 +312,7 @@ def test_numerical_range_in_sector():
     grid = fd.Grid(1, 32, 2.0, "periodic")
     phi = 0.8
     F = fd.constant_field(grid, np.array([[np.exp(1j * phi)]]))
-    L = fd.discretize_operator(F).matrix
+    L = fd.OperatorMatrix(F).matrix
     for _ in range(20):
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         z = np.vdot(u, L @ u)
@@ -323,7 +323,7 @@ def test_numerical_range_in_sector():
 def test_semigroup_identity_and_decay():
     grid = fd.Grid(1, 64, np.pi, "periodic")
     F = fd.constant_field(grid, np.array([[1.0 + 0j]]))
-    L = fd.discretize_operator(F)
+    L = fd.OperatorMatrix(F)
     f = fd.sample(grid, lambda X: np.exp(1j * X) + 0.3 * np.sin(2 * X))
     assert np.allclose(fd.semigroup_apply(L, 0.0, f).values, f.values)
     n0 = fd.lp_norm(f, 2.0)
@@ -337,7 +337,7 @@ def test_semigroup_identity_and_decay():
 def test_semigroup_fourier_mode_decay():
     grid = fd.Grid(1, 64, np.pi, "periodic")
     F = fd.constant_field(grid, np.array([[1.0 + 0j]]))
-    L = fd.discretize_operator(F)
+    L = fd.OperatorMatrix(F)
     x = grid.axis()
     for k in (1, 3, 7):
         v = np.exp(1j * k * x)
@@ -357,10 +357,10 @@ def test_semigroup_matches_exact_reference(boundary, cells):
     # 4.6e-15 of an extended-precision flow)
     grid = fd.Grid(1, cells, 6.0, boundary)
     a = 1.3 * np.exp(0.7j)
-    S = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0]]))).matrix
+    S = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0]]))).matrix
     assert not S.imag.any() and np.array_equal(S, S.T)
     s, V = np.linalg.eigh(S.real)
-    L = fd.discretize_operator(fd.constant_field(grid, np.array([[a]])))
+    L = fd.OperatorMatrix(fd.constant_field(grid, np.array([[a]])))
     x = grid.axis()
     f = fd.GridFunction(grid, np.exp(-x * x) * np.exp(0.4j * x))
     for t in fd._HEAT_TIMES:
@@ -390,7 +390,7 @@ def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
     grid = fd.Grid(1, 32, np.pi, "dirichlet")
     x = grid.axis()
     a = (1.5 + np.cos(x)) * np.exp(0.3j * np.sin(2 * x))
-    L = fd.discretize_operator(fd.MatrixField(grid, a[:, None, None]))
+    L = fd.OperatorMatrix(fd.MatrixField(grid, a[:, None, None]))
     f = fd.GridFunction(grid, np.exp(-x * x) * (1 + 0.3j * np.sin(x)))
     for t in fd._HEAT_TIMES:
         want = expm(-t * L.matrix) @ f.values
@@ -400,7 +400,7 @@ def test_semigroup_fallback_for_nonnormal_operators(monkeypatch):
 
     # a constant coefficient gives a normal L: diagonal path, no expm
     expm_calls.clear()
-    const = fd.discretize_operator(fd.constant_field(grid, np.array([[1.5]])))
+    const = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.5]])))
     for t in fd._HEAT_TIMES:
         fd.semigroup_apply(const, t, f)
     assert expm_calls == []
@@ -416,7 +416,7 @@ def test_single_phase_variable_operator_is_diagonalized_by_eigh(boundary, monkey
     expm_calls, expm = _count_calls(monkeypatch, scipy.linalg, "expm")
     grid = fd.Grid(1, 64, np.pi, boundary)
     x = grid.axis()
-    L = fd.discretize_operator(
+    L = fd.OperatorMatrix(
         fd.MatrixField(grid, (np.exp(0.5j) * (1.5 + np.cos(x)))[:, None, None]))
     f = np.exp(-x * x) * (1 + 0.3j * np.sin(x))
     got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
@@ -471,7 +471,7 @@ def test_heat_flow_factors_each_operator_once(monkeypatch):
         fd.heat_flow_experiment(V, B, f, g, p=3.0)
         assert len(factor_calls) == factors and sum(operator_eighs) == 1
     # the factor belongs to the operator's entries, which stay fixed
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     with pytest.raises(ValueError):
         L.matrix[0, 0] = 0.0
 
@@ -485,7 +485,7 @@ def test_periodic_assembly_builds_no_face_gradient(monkeypatch):
         grid = fd.Grid(dim, 16, 3.0, "periodic")
         r = np.random.default_rng(dim)
         mats = np.eye(dim) * (1.0 + r.uniform(0, 0.5, grid.shape + (1, 1)))
-        fd.discretize_operator(fd.MatrixField(grid, mats))
+        fd.OperatorMatrix(fd.MatrixField(grid, mats))
 
 
 _SKEW_A = np.eye(2) + 0.3j * np.array([[1.0, 0.5], [0.5, -1.0]])
@@ -499,7 +499,7 @@ def _skew_2d(cells, boundary):
     grid = fd.Grid(2, cells, 3.0, boundary)
     X, Y = grid.meshes()
     f = fd.GridFunction(grid, np.exp(-X**2 - 0.5 * Y**2) * (1 + 0.3j * X))
-    return fd.discretize_operator(fd.constant_field(grid, _SKEW_A)), f
+    return fd.OperatorMatrix(fd.constant_field(grid, _SKEW_A)), f
 
 
 def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypatch):
@@ -534,7 +534,7 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
     A = fd.constant_field(grid, np.diag([np.exp(0.3j), np.exp(-0.3j)]))
     X, Y = grid.meshes()
     f = np.exp(-X**2 - 0.5 * Y**2).reshape(-1) * (1 + 0.3j * X.reshape(-1))
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     got = fd._propagator(L, fd._HEAT_TIMES, f.reshape(-1, 1))[:, 0, :]
     assert L._factor[0] is None and L._factor[1].ndim == 1 and expm_calls == []
     for j in (1, 20, len(fd._HEAT_TIMES) - 1):
@@ -545,8 +545,9 @@ def test_normal_operator_with_degenerate_hermitian_part_is_diagonalized(monkeypa
 def _transform_case(case):
     """A grid and a constant coefficient on it that the grid's transform
     diagonalizes: periodic, 1-D at 192 cells or the skew matrix at 64^2,
-    the dense cap; Dirichlet (mixed terms that cancel), 1-D at 192 cells,
-    diag(e^{0.3i}, e^{-0.3i}) at 48^2 or I + 0.6i R at 32^2."""
+    the dense cap, or at 128^2, above it; Dirichlet (mixed terms that
+    cancel), 1-D at 192 cells, diag(e^{0.3i}, e^{-0.3i}) at 48^2 or
+    I + 0.6i R at 32^2."""
     boundary = "dirichlet" if case.startswith("dirichlet-") else "periodic"
     shape = case.removeprefix("dirichlet-")
     if shape == "1d-192":
@@ -555,7 +556,7 @@ def _transform_case(case):
         return fd.Grid(2, 48, 3.0, boundary), np.diag([np.exp(0.3j), np.exp(-0.3j)])
     if shape == "2d-32":
         return fd.Grid(2, 32, 3.0, boundary), el.skew_matrix(0.6)
-    return fd.Grid(2, 64, 3.0, boundary), _SKEW_A
+    return fd.Grid(2, 128 if shape == "2d-128" else 64, 3.0, boundary), _SKEW_A
 
 
 _TRANSFORM_CASES = ["1d-192", "2d-64", "dirichlet-1d-192", "dirichlet-2d-48",
@@ -573,7 +574,7 @@ def _reference_flow(L):
         lam = np.fft.fftn(L.matrix[:, 0].reshape(g.shape))
         return lambda t, f: np.fft.ifftn(np.exp(-t * lam) * np.fft.fftn(f))
     one = fd.Grid(1, g.cells, g.extent, "dirichlet")
-    T = fd.discretize_operator(fd.constant_field(one, np.ones((1, 1)))).matrix.real
+    T = fd.OperatorMatrix(fd.constant_field(one, np.ones((1, 1)))).matrix.real
     a = np.diagonal(L.field.distinct[0])
     s, V = np.linalg.eigh(T)
     if g.dim == 1:
@@ -601,12 +602,12 @@ def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
     # _NORMAL_TOL, and took one expm per time
     grid, a = _transform_case(case)
     A = fd.constant_field(grid, a)
-    want = _reference_flow(fd.discretize_operator(A))  # runs eigh: before the patch
+    want = _reference_flow(fd.OperatorMatrix(A))  # runs eigh: before the patch
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     X = grid.meshes()
     f = np.exp(-sum(c * c for c in X)) * (1 + 0.3j * X[0])
     tracemalloc.start()
@@ -624,11 +625,11 @@ def test_constant_periodic_operator_is_factored_by_the_dft(case, monkeypatch):
         assert np.linalg.norm(col - want(t, f).reshape(-1)) <= 1e-12 * nf
 
 
-@pytest.mark.parametrize("case", _TRANSFORM_CASES)
+@pytest.mark.parametrize("case", _TRANSFORM_CASES + ["2d-128"])
 def test_circulant_operator_is_never_assembled(case, monkeypatch):
     # the transform factor reads the field's one value: a heat flow, a
     # semigroup step and the contractivity probe build no stencil, and the
-    # dense matrix stays unassembled
+    # dense matrix stays unassembled, also above its cap (2d-128)
     def refuse(*args, **kwargs):
         raise AssertionError("operator assembled")
     monkeypatch.setattr(fd, "_centered_1d", refuse)
@@ -641,14 +642,10 @@ def test_circulant_operator_is_never_assembled(case, monkeypatch):
     g = fd.GridFunction(grid, np.exp(-0.5 * r2) + 0j)
     out = fd.heat_flow_experiment(A, A, f, g, p=3.0)
     assert out["monotone"] and out["budget_ok"]
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
-    # the probe forms the N x N propagator (28 s and 0.95 GB peak at
-    # 64^2), so a 2-D case probes the same coefficient at 16^2
-    P = L if grid.dim == 1 else fd.discretize_operator(
-        fd.constant_field(fd.Grid(2, 16, 3.0, grid.boundary), a))
-    assert fd.contractivity_probe(P, 3.0, 0.5) > 0
-    assert "matrix" not in vars(L) and "matrix" not in vars(P)
+    assert fd.contractivity_probe(L, 3.0, 0.5) > 0
+    assert "matrix" not in vars(L)
 
 
 @pytest.mark.parametrize("case", ["dirichlet", "variable"])
@@ -662,7 +659,7 @@ def test_noncirculant_operator_is_assembled_once(case, monkeypatch):
         A = fd.section7_field(fd.Grid(2, 12, 3.0, "periodic"), 0.5)
     for first in ("matrix", "_factor"):
         calls.clear()
-        L = fd.discretize_operator(A)
+        L = fd.OperatorMatrix(A)
         assert calls == [] and L.field is A and L.grid is A.grid
         getattr(L, first)
         M = L.matrix
@@ -703,7 +700,7 @@ def test_dft_factor_matches_dense_expm(dim, boundary):
     r = np.random.default_rng(20 + dim + (10 if boundary == "dirichlet" else 0))
     for _ in range(10):
         grid, a = _random_constant_case(r, dim, boundary)
-        L = fd.discretize_operator(fd.constant_field(grid, a))
+        L = fd.OperatorMatrix(fd.constant_field(grid, a))
         assert L._factor[0] is None
         f = fd.GridFunction(grid, r.standard_normal(grid.shape)
                             + 1j * r.standard_normal(grid.shape))
@@ -741,7 +738,7 @@ def test_batched_flow_matches_semigroup_apply(normal):
         A = fd.constant_field(fd.Grid(1, 64, 6.0, "periodic"), np.array([[np.exp(0.7j)]]))
     else:
         A = _variable_dirichlet(32)
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     assert (L._factor[1].ndim == 1) == normal
     f, _ = _gaussian_pair(A.grid)
     got = fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))
@@ -774,8 +771,8 @@ def test_semigroup_law_and_duality(case):
     # relative on these operators
     A, normal = _semigroup_case(case)
     grid = A.grid
-    L = fd.discretize_operator(A)
-    Lstar = fd.discretize_operator(fd.MatrixField(grid, A.mats.conj().swapaxes(-1, -2)))
+    L = fd.OperatorMatrix(A)
+    Lstar = fd.OperatorMatrix(fd.MatrixField(grid, A.mats.conj().swapaxes(-1, -2)))
     assert (L._factor[1].ndim == 1) == normal == (Lstar._factor[1].ndim == 1)
     r = np.random.default_rng(11)
     f, h = (fd.GridFunction(grid, r.standard_normal(grid.shape)
@@ -796,13 +793,16 @@ def test_nonnormal_operators_need_no_schur_factor(monkeypatch):
         raise AssertionError("scipy.linalg.schur called")
     monkeypatch.setattr(scipy.linalg, "schur", refuse)
     A = _variable_dirichlet(32)
-    L = fd.discretize_operator(A)
+    L = fd.OperatorMatrix(A)
     assert L._factor[1].ndim == 2
     f, g = _gaussian_pair(A.grid)
     assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
     out = fd.heat_flow_experiment(A, A, f, g, p=3.0)
     assert out["monotone"] and out["budget_ok"]
-    assert fd.contractivity_probe(L, 3.0, 0.5) > 0
+    # the probe's 81 flows, forward and adjoint, share one t: one expm
+    expm_calls, _ = _count_calls(monkeypatch, scipy.linalg, "expm")
+    assert fd.contractivity_probe(fd.OperatorMatrix(A), 3.0, 0.5) > 0
+    assert len(expm_calls) == 1
 
 
 @pytest.mark.parametrize("case", ["normal", "nonnormal"])
@@ -819,7 +819,7 @@ def test_heat_flow_matches_the_per_step_reference(case):
     f, g = _gaussian_pair(grid)
     out = fd.heat_flow_experiment(A, B, f, g, p=3.0)
     params = bl.BellmanParams(3.0, out["delta"])
-    LA, LB = fd.discretize_operator(A), fd.discretize_operator(B)
+    LA, LB = fd.OperatorMatrix(A), fd.OperatorMatrix(B)
     energy, bilinear = [], []
     for t in fd._HEAT_TIMES:
         ft = fd.semigroup_apply(LA, t, f)
@@ -864,10 +864,49 @@ def test_lp_norm_at_infinity_is_the_largest_modulus():
     assert fd.lp_norm(f, 400.0) == pytest.approx(fd.lp_norm(f, math.inf), rel=1e-2)
 
 
-def test_discretize_operator_refuses_more_than_4096_cells():
+def test_dense_matrix_refuses_more_than_4096_cells():
     F = fd.constant_field(fd.Grid(2, 65, 4.0), np.eye(2))
     with pytest.raises(ParameterError, match="too large for dense storage"):
-        fd.discretize_operator(F)
+        fd.OperatorMatrix(F).matrix
+    # a variable field takes the eigh factor, which reads the dense matrix:
+    # the operator is built, and the flow refuses when it first reads the
+    # factor, which stays uncomputed
+    grid = fd.Grid(2, 65, 4.0, "periodic")
+    X, _ = grid.meshes()
+    V = fd.MatrixField(grid, (1.5 + np.cos(X))[..., None, None] * np.eye(2))
+    f, g = (fd.GridFunction(grid, np.exp(-c * X**2) + 0j) for c in (1.0, 0.5))
+    L = fd.OperatorMatrix(V)
+    with pytest.raises(ParameterError, match="too large for dense storage"):
+        fd.semigroup_apply(L, 0.5, f)
+    with pytest.raises(ParameterError, match="too large for dense storage"):
+        fd.heat_flow_experiment(V, V, f, g, p=3.0)
+    assert "_factor" not in vars(L) and "matrix" not in vars(L)
+
+
+def test_flow_over_its_budget_is_refused_before_allocating():
+    # a constant field at MAX_CELLS is factored by the DFT and never reads
+    # the dense matrix, but its 41-time flow would hold MAX_CELLS x 41
+    # complex values per function (172 MB): the flow refuses it before it
+    # allocates, or computes the factor
+    grid = fd.Grid(1, fd.MAX_CELLS, 6.0, "periodic")
+    A = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
+    x = grid.axis()
+    f, g = (fd.GridFunction(grid, np.exp(-c * x * x) + 0j) for c in (1.0, 0.5))
+    assert grid.size * len(fd._HEAT_TIMES) > fd._FLOW_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="entries exceeds"):
+            fd.heat_flow_experiment(A, A, f, g, p=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes  # one grid function, 4.2 MB; measured 4.1 kB
+    L = fd.OperatorMatrix(A)
+    with pytest.raises(ParameterError, match="entries exceeds"):
+        fd._propagator(L, fd._HEAT_TIMES, f.values.reshape(-1, 1))
+    assert "_factor" not in vars(L)
+    # one time fits: a semigroup step on the same grid runs
+    assert np.linalg.norm(fd.semigroup_apply(L, 0.5, f).values) > 0
 
 
 def test_polar_decomposition_real_field():
@@ -1065,16 +1104,110 @@ def test_heat_flow_and_semigroup_need_one_grid():
     with pytest.raises(ParameterError):
         fd.heat_flow_experiment(A, A, fw, g, p=3.0)
     with pytest.raises(ParameterError):
-        fd.semigroup_apply(fd.discretize_operator(A), 0.5, fw)
+        fd.semigroup_apply(fd.OperatorMatrix(A), 0.5, fw)
+
+
+def _factor_kind_case(kind):
+    """An operator whose factor is of one kind: the DFT (periodic skew
+    coefficient), the DST-I (Dirichlet diag(e^{0.3i}, e^{-0.3i})), a
+    diagonal eigh basis (e^{0.5i}(1.5 + cos x), normal) or an eigh basis
+    that keeps the full D (a variable Dirichlet phase, non-normal)."""
+    if kind == "dft":
+        return fd.OperatorMatrix(fd.constant_field(fd.Grid(2, 12, 3.0), _SKEW_A))
+    if kind == "dst":
+        a = np.diag([np.exp(0.3j), np.exp(-0.3j)])
+        return fd.OperatorMatrix(fd.constant_field(fd.Grid(2, 12, 3.0, "dirichlet"), a))
+    if kind == "eigh-normal":
+        grid = fd.Grid(1, 64, np.pi, "periodic")
+        a = np.exp(0.5j) * (1.5 + np.cos(grid.axis()))
+        return fd.OperatorMatrix(fd.MatrixField(grid, a[:, None, None]))
+    return fd.OperatorMatrix(_variable_dirichlet(32))
+
+
+@pytest.mark.parametrize("kind", ["dft", "dst", "eigh-normal", "eigh-nonnormal"])
+def test_adjoint_flow_matches_dense_expm(kind):
+    # e^{-tL^H} = Q e^{-tD^H} Q^H in the factor's own basis, against the
+    # dense exponential of the conjugate transpose (measured at most
+    # 1.9e-14 ||v||, on the eigh-normal case)
+    L = _factor_kind_case(kind)
+    Q, D = L._factor
+    assert (Q is None) == (kind in ("dft", "dst"))
+    assert (D.ndim == 2) == (kind == "eigh-nonnormal")
+    N = L.grid.size
+    r = np.random.default_rng(5)
+    v = r.standard_normal((N, 2)) + 1j * r.standard_normal((N, 2))
+    times = [0.0, 0.01, 0.5, 3.0]
+    got = fd._propagator(L, times, v, adjoint=True)
+    forward = fd._propagator(L, times, v)
+    assert got.shape == (N, 2, len(times))
+    nv = np.linalg.norm(v)
+    for j, t in enumerate(times):
+        want = scipy.linalg.expm(-t * L.matrix.conj().T) @ v
+        assert np.linalg.norm(got[:, :, j] - want) <= 1e-12 * nv
+    # L is not self-adjoint, so the adjoint flow is another flow
+    assert np.linalg.norm(got[:, :, 2] - forward[:, :, 2]) > 1e-3 * nv
+
+
+def _dense_probe(L, p, t):
+    """The power method of contractivity_probe on the N x N propagator E
+    from the factor, one start at a time, with E^H for the adjoint flow."""
+    rng = np.random.default_rng(fd._PROBE_SEED)
+    N = L.grid.size
+    E = fd._propagator(L, [t], np.eye(N))[:, :, 0]
+    q = p / (p - 1.0)
+    best = 0.0
+    for _ in range(fd._PROBE_TRIALS):
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        x /= np.linalg.norm(x)
+        for _ in range(fd._POWER_ITERS):
+            y = E @ x
+            z = E.conj().T @ (np.abs(y) ** (p - 2.0) * y)
+            x = np.abs(z) ** (q - 2.0) * z
+            x /= np.linalg.norm(x)
+        y = E @ x
+        best = max(best, (np.sum(np.abs(y) ** p) / np.sum(np.abs(x) ** p)) ** (1.0 / p))
+    return best
+
+
+@pytest.mark.parametrize("cells", [16, 32])
+@pytest.mark.parametrize("case", ["periodic-skew", "dirichlet-rotated"])
+def test_contractivity_probe_matches_the_dense_power_method(case, cells):
+    # the starts run side by side as columns through the factor, drawn in
+    # the order of the one-at-a-time loop: the same values to rounding
+    # (measured at most 8.9e-16 relative).  The rotated e^{1.4i} I at
+    # p = 4 is past the critical angle, so its value exceeds 1
+    if case == "periodic-skew":
+        grid, a, p, t = fd.Grid(2, cells, 3.0), _SKEW_A, 3.0, 0.5
+    else:
+        grid, a, p, t = fd.Grid(2, cells, 3.0, "dirichlet"), np.exp(1.4j) * np.eye(2), 4.0, 0.05
+    L = fd.OperatorMatrix(fd.constant_field(grid, a))
+    want = _dense_probe(L, p, t)
+    assert fd.contractivity_probe(L, p, t) == pytest.approx(want, rel=1e-12, abs=0)
+    assert case == "periodic-skew" or want > 1.2
+
+
+def test_contractivity_probe_forms_no_dense_array():
+    # at 64^2 one N x N complex array is 268 MB; the probe holds a few
+    # N x _PROBE_TRIALS arrays (measured peak 2.0 MB)
+    L = fd.OperatorMatrix(fd.constant_field(fd.Grid(2, 64, 3.0), _SKEW_A))
+    N = L.grid.size
+    tracemalloc.start()
+    try:
+        assert fd.contractivity_probe(L, 3.0, 0.5) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6 < N * N * 16
+    assert "matrix" not in vars(L)
 
 
 def test_contractivity_probe_regimes():
     grid = fd.Grid(1, 128, np.pi, "periodic")
     p = 4.0
-    ok = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    ok = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     assert fd.contractivity_probe(ok, p, 0.05) <= 1.0 + 1e-9
     crit = math.acos(abs(1 - 2 / p))  # = pi/3
-    bad = fd.discretize_operator(
+    bad = fd.OperatorMatrix(
         fd.constant_field(grid, np.array([[np.exp(1.4j)]])))
     assert fd.contractivity_probe(bad, p, 0.05) > 1.0 + 1e-3
     assert ok._factor[0] is None and bad._factor[0] is None  # the DFT factor
@@ -1084,7 +1217,7 @@ def test_contractivity_probe_regimes():
 def test_contractivity_probe_rejects_negative_time():
     # e^{+tL} is the backward heat flow, whose norm exceeds 1
     grid = fd.Grid(1, 32, np.pi, "periodic")
-    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    L = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     with pytest.raises(ParameterError):
         fd.contractivity_probe(L, 4.0, -0.05)
 
@@ -1094,7 +1227,7 @@ def test_nonfinite_times_are_refused(t):
     # a NaN time made the probe return 0.0, and an infinite one made
     # semigroup_apply warn and then fail on non-finite entries
     grid = fd.Grid(1, 32, np.pi, "periodic")
-    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    L = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     f, _ = _gaussian_pair(grid)
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         fd.contractivity_probe(L, 3.0, t)
@@ -1105,6 +1238,6 @@ def test_nonfinite_times_are_refused(t):
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_contractivity_probe_rejects_nonfinite_exponent(p):
     grid = fd.Grid(1, 32, np.pi, "periodic")
-    L = fd.discretize_operator(fd.constant_field(grid, np.array([[1.0 + 0j]])))
+    L = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     with pytest.raises(ParameterError):
         fd.contractivity_probe(L, p, 0.05)
