@@ -72,8 +72,9 @@ def load_spec(path: str):
 
 
 # e^{i phi} I_n is dense and bellman solves 4n x 4n eigenproblems at
-# every scan point: its run takes ~4x longer per doubling of n, 37 s at
-# n = 32 on one core.  So a rotation spec's n is capped there.
+# every scan point: its run takes 3-5x longer per doubling of n, 1.2 s at
+# n = 32 (p = 4, phi = 0.3) on one core.  So a rotation spec's n is capped
+# there.
 _MAX_ROTATION_N = 32
 
 

@@ -571,7 +571,39 @@ def test_convexity_verify_work_per_scanned_rho(kind, n, p, monkeypatch):
     bl.convexity_verify(params, A, B)
     assert counts["rho"] == bl._LOG_RHO.size + bl._ZOOMS * (2 * bl._ZOOM_POINTS - 1)
     assert np.all(np.concatenate(rhos) > 1.0)  # the inner branch only
-    assert counts["matrices"] <= 12 * counts["rho"]
+    assert counts["matrices"] <= 8 * counts["rho"]
+
+
+@pytest.mark.parametrize("p", [2.05, 2.5, 3.0, 4.0, 8.0])
+@pytest.mark.parametrize("kind,n", [("random", 1), ("rotation", 2), ("random", 3)])
+def test_pruned_rho_scan_is_exact(kind, n, p, monkeypatch):
+    # every batch convexity_verify scans keeps its argmin, value and log tau
+    # bit for bit when the rho that cannot hold the minimum are dropped, so
+    # the zooms and the report are the full scan's; at delta = 0.6 and 0.99
+    # the minimum is negative in six of the 45 cases (p >= 3)
+    A, B = elliptic_pair(kind, n, p, seed=n)
+    full = bl._direction_inf
+
+    def both(K, prune=False):
+        val, s = full(K)
+        pval, ps = full(K, prune=True)
+        i = int(np.argmin(val))
+        assert int(np.argmin(pval)) == i
+        assert (pval[i], ps[i]) == (val[i], s[i])
+        cut = np.isposinf(pval)
+        assert np.all(val[cut] > val[i]) and np.all(np.isnan(ps[cut]))
+        assert np.array_equal(pval[~cut], val[~cut]) and np.array_equal(ps[~cut], s[~cut])
+        return val, s
+
+    for delta in (bl.pair_constants(A, B, p).delta, 0.6, 0.99):
+        params = bl.BellmanParams(p, delta)
+        got = bl.convexity_verify(params, A, B)
+        with monkeypatch.context() as m:
+            m.setattr(bl, "_direction_inf", both)
+            want = bl.convexity_verify(params, A, B)
+        assert got == {**want, "witness": got["witness"]}
+        for key, val in want["witness"].items():
+            assert np.array_equal(got["witness"][key], val)
 
 
 @settings(max_examples=60, deadline=None)

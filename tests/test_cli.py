@@ -608,6 +608,21 @@ def test_bellman_rejects_spec_b_of_another_size(tmp_path, capsys):
     assert "--spec-b is 3x3 but --spec is 2x2" in capsys.readouterr().err
 
 
+def test_bellman_computes_each_pair_constant_once(tmp_path, monkeypatch):
+    # choosing delta and convexity_verify read one computation of lambda,
+    # Lambda, delta_p and delta_q(B); delta_q(A) is the outer branch's own
+    a = write_spec(tmp_path, "a.json", {"kind": "rotation", "phi": 0.3})
+    b = write_spec(tmp_path, "b.json", {"kind": "skew", "w": 0.3})
+    calls = collections.Counter()
+    for name in ("accretivity_bounds", "delta_p"):
+        def counted(*args, _fn=getattr(bellman, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bellman, name, counted)
+    assert cli.main(["bellman", "--spec", a, "--spec-b", b, "--p", "8"]) == 0
+    assert calls == {"accretivity_bounds": 2, "delta_p": 4}
+
+
 @pytest.mark.parametrize("n", [0, -1, cli._MAX_ROTATION_N + 1, 3000, 100_000,
                                2.7, 2.0, True, "2"])
 def test_rotation_dimension_is_bounded(tmp_path, capsys, n):
