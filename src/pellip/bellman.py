@@ -5,8 +5,8 @@ The central object is the quadratic pairing of a real 4x4 Hessian
 (in the coordinates (Re zeta, Im zeta, Re eta, Im eta)) against the
 block real forms of two coefficient matrices A and B.  Convexity of
 Q in this generalized sense is what drives the heat-flow estimates;
-``convexity_verify`` searches for the minimal normalized value of the
-form and compares it with the proven lower bound.
+``convexity_verify`` judges a pair: the minimal normalized value of the
+form against the proven lower bound, or a point where it is negative.
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ class PairConstants:
     delta_p(B)), lam = min(lam_A, lam_B), Lam = max(Lam_A, Lam_B), and
     delta_q(B), the input of :func:`delta_choice` (delta_p(B) by duality,
     but only up to rounding); lam_A and delta_p(B) themselves, which
-    :func:`convexity_verify` also reads."""
+    :func:`_convexity` also reads."""
 
     delta_p: float
     lam: float
@@ -378,34 +378,20 @@ class PairConstants:
         return delta_choice(self.lam, self.Lam, self.delta_q_B)
 
 
-# pellip bellman reads a pair's constants twice, to choose delta and in
-# convexity_verify, from the same two arrays.  The last pair of arrays
-# keeps its constants for a call with those arrays, unchanged: a new
-# array (another job) computes them afresh.
-_last_pair: list = []
-
-
 def pair_constants(A, B, p: float) -> PairConstants:
     """The joint constants of (A, B) at exponent p; matrices or fields.
-    Raises ParameterError naming p where q = p / (p - 1) rounds to 1."""
-    key = None
-    if isinstance(A, np.ndarray) and isinstance(B, np.ndarray):
-        key = (p, A.dtype.str, A.shape, A.tobytes(), B.dtype.str, B.shape, B.tobytes())
-        if _last_pair and _last_pair[0] is A and _last_pair[1] is B \
-                and _last_pair[2] == key:
-            return _last_pair[3]
+    Where B is A, A's numbers serve for B.  Raises ParameterError naming
+    p where q = p / (p - 1) rounds to 1."""
     lamA, LamA, _ = accretivity_bounds(A)
-    lamB, LamB, _ = accretivity_bounds(B)
-    dpA, dpB = delta_p(A, p), delta_p(B, p)  # refuses p <= 1
+    lamB, LamB = (lamA, LamA) if B is A else accretivity_bounds(B)[:2]
+    dpA = delta_p(A, p)  # refuses p <= 1
+    dpB = dpA if B is A else delta_p(B, p)
     q = p / (p - 1.0)
     if not q > 1:  # from p ~ 9.0e15
         raise ParameterError(f"p = {p:g} is out of numeric range: its conjugate "
                              "exponent p / (p - 1) rounds to 1")
-    c = PairConstants(delta_p=min(dpA, dpB), lam=min(lamA, lamB), Lam=max(LamA, LamB),
-                      delta_q_B=delta_p(B, q), lam_A=lamA, delta_p_B=dpB)
-    if key is not None:
-        _last_pair[:] = [A, B, key, c]
-    return c
+    return PairConstants(delta_p=min(dpA, dpB), lam=min(lamA, lamB), Lam=max(LamA, LamB),
+                         delta_q_B=delta_p(B, q), lam_A=lamA, delta_p_B=dpB)
 
 
 # The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the
@@ -596,10 +582,31 @@ def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
     return E @ c / np.linalg.norm(c)
 
 
-def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dict:
+def convexity_verify(A: np.ndarray, B: np.ndarray, p: float) -> dict:
+    """Judge (A, B) at p by the sign of the joint delta_p of one
+    :func:`pair_constants`: > 0, :func:`_convexity`'s report at the paper's
+    delta; = 0 (an endpoint of the p-range), ParameterError; < 0,
+    :func:`violation_search`'s witness at delta = 0.5, its value as
+    min_ratio, bound 0 and pass true.  Both reports hold delta, delta_p,
+    min_ratio, bound, witness, pass and violation (true on the last)."""
+    constants = pair_constants(A, B, p)
+    if constants.delta_p > 0:
+        return _convexity(BellmanParams(p, constants.delta), A, B, constants)
+    if constants.delta_p == 0:
+        raise ParameterError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
+                             "range (delta_p = 0): no convexity bound and no violation")
+    witness = violation_search(BellmanParams(p, 0.5), A, B)
+    value = witness.pop("value")
+    return {"delta": 0.5, "delta_p": constants.delta_p, "min_ratio": value,
+            "bound": 0.0, "witness": witness, "pass": True, "violation": True}
+
+
+def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
+               constants: PairConstants) -> dict:
     """Minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over off-singular-set
-    points v and nonzero directions, against the proven lower bound
-    (delta_p / 5)(lam / Lam).  It is the least of three values:
+    points v and nonzero directions at the caller's delta, against the
+    proven lower bound (delta_p / 5)(lam / Lam); ``constants`` are
+    :func:`pair_constants` of (A, B) at params.p.  It is the least of:
       - the inner-branch scan of rho above, zoomed around its best point;
       - the outer-branch infimum C = p q sqrt((1 + 2 delta/p)(1 + phat
         delta) delta_q(A) delta_p(B)).  There Q is separable and K is
@@ -610,12 +617,8 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dic
       - for p > 2 the inner-branch rho -> infinity limit (at p = 2 the
         branches coincide and the ratio does not depend on rho).
     The witness attains the best scanned value.  Passes when min_ratio >=
-    bound - ``_VERIFY_TOL``.
-
-    Refuses when the joint ellipticity constant min(delta_p(A),
-    delta_p(B)) is not positive; use :func:`violation_search` there.
+    bound - ``_VERIFY_TOL``.  Refuses where delta_p is not positive.
     """
-    constants = pair_constants(A, B, params.p)
     if not constants.delta_p > 0:
         raise ValueError("joint p-ellipticity constant is not positive")
     MA, MB = realify(A), realify(B)
@@ -641,31 +644,37 @@ def convexity_verify(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dic
         min_ratio = min(min_ratio, 2.0 * q * math.sqrt(
             d * constants.lam_A * constants.delta_q_B))
     return {
+        "delta": d, "delta_p": constants.delta_p,
         "min_ratio": min_ratio,
         "bound": constants.bound,
         "witness": {"zeta": 1.0 + 0.0j, "eta": complex(math.exp(x[i] / params.q)),
                     "omega1": devectorize(w1),
                     "omega2": math.exp(log_tau[i]) * devectorize(w2)},
         "pass": min_ratio >= constants.bound - _VERIFY_TOL,
+        "violation": False,
     }
 
 
 def violation_search(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dict:
-    """Construct a point where the branch-restricted Hessian form of Q is
-    negative, available whenever delta_p(A) < 0.
-
-    Takes omega2 = 0 and zeta = 1 in the outer branch, so the form reduces
-    to a positive multiple of the power-function Hessian form, whose
-    sphere minimum is (p^2/2) delta_p(A).
-    """
-    A = np.asarray(A, dtype=complex)
-    if not delta_p(A, params.p) < 0:
-        raise ValueError("no violation to construct: delta_p(A) >= 0")
+    """A point where the branch-restricted Hessian form of Q against (A, B)
+    is negative, on the side that fails: delta_p(A) < 0, else delta_p(B) <
+    0; refuses where neither does.  At v = (1, 0.1), outer branch, with
+    the other side's direction 0, the form is (1 + 2 delta/p) (p^2/2)
+    delta_q(A), omega1 the bottom eigenvector of weighted_form(A, q), or
+    (1 + phat delta) (q^2/2) |eta|^{q-2} delta_p(B), omega2 that of
+    weighted_form(B, p) (delta_q = delta_p by duality)."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     n = A.shape[-1]
-    x = np.linalg.eigh(weighted_form(A, params.q))[1][:, 0]
-    xi = x[:n] + 1j * x[n:]
+    if delta_p(A, params.p) < 0:
+        side, M, r = 0, A, params.q
+    elif delta_p(B, params.p) < 0:
+        side, M, r = 1, B, params.p
+    else:
+        raise ValueError("no violation to construct: delta_p(A), delta_p(B) >= 0")
+    x = np.linalg.eigh(weighted_form(M, r))[1][:, 0]
+    omega = [np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)]
+    omega[side] = x[:n] + 1j * x[n:]
     v = (1.0 + 0.0j, 0.1 + 0.0j)  # outer branch: 1 >= 0.1^q
-    value = bellman_hessian_form(params, A, B, v,
-                                 (xi, np.zeros(n, dtype=complex)))
-    return {"zeta": v[0], "eta": v[1], "omega1": xi,
-            "omega2": np.zeros(n, dtype=complex), "value": float(value)}
+    value = bellman_hessian_form(params, A, B, v, tuple(omega))
+    return {"zeta": v[0], "eta": v[1], "omega1": omega[0],
+            "omega2": omega[1], "value": float(value)}

@@ -1,13 +1,16 @@
 """Batch command-line front end.
 
 Subcommands wrap the library modules one-to-one and hold no numerics of
-their own.  Each declares only the flags it reads (``_COMMANDS``) besides
-the shared ``--seed``, ``--out`` and ``--format``, and three it accepts
-for old argv and ignores: ``bellman --budget`` and the closed-form
-``counterexample``'s ``--grid-cells`` and ``--extent``; argparse rejects any
-other flag, or prefix of one, with exit 2.  A spec file loads to a validated complex (n, n)
-matrix or a ``field.MatrixField``: ``bellman`` takes matrices of one
-size, ``dissipativity`` and ``heatflow`` spread a matrix over their
+their own but the probe functions of ``dissipativity`` and ``heatflow``
+and the former's floor on delta: ``bellman`` only maps the verdict of
+``bellman.convexity_verify`` to its row.  Each declares only the flags it
+reads (``_COMMANDS``) besides the shared ``--seed``, ``--out`` and
+``--format``, and three it accepts for old argv and ignores: ``bellman
+--budget`` and the closed-form ``counterexample``'s ``--grid-cells`` and
+``--extent``; argparse rejects any other flag, or prefix of one, with
+exit 2.  A spec file loads to a validated complex (n, n) matrix or a
+``field.MatrixField``: ``bellman`` takes matrices of one size,
+``dissipativity`` and ``heatflow`` spread a matrix over their
 --grid-cells grid and run a field on its own grid.  Reports are emitted
 as CSV or JSON with the seed recorded, so a rerun with the same config
 is byte-identical.
@@ -207,28 +210,15 @@ def _cmd_bellman(args) -> list[dict]:
     if B.shape != A.shape:
         raise InputError(f"--spec-b is {B.shape[0]}x{B.shape[0]} but --spec "
                          f"is {A.shape[0]}x{A.shape[0]}")
-    p = args.p
-    c = bellman.pair_constants(A, B, p)
-    if c.delta_p > 0:
-        params = bellman.BellmanParams(p, c.delta)
-        out = bellman.convexity_verify(params, A, B)
-        row = {"p": p, "delta": params.delta, "delta_p": c.delta_p,
-               "min_ratio": out["min_ratio"], "bound": out["bound"],
-               "passed": out["pass"], "violation": ""}
-        if not out["pass"]:
-            raise VerificationError(
-                f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
-                f"< bound={out['bound']:.6g}")
-        return [row]
-    if c.delta_p == 0:
-        raise InputError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
-                         "range (delta_p = 0): no convexity bound and no violation")
-    params = bellman.BellmanParams(p, 0.5)
-    wit = bellman.violation_search(
-        params, A if ellipticity.delta_p(A, p) < 0 else B, B)
-    return [{"p": p, "delta": 0.5, "delta_p": c.delta_p,
-             "min_ratio": wit["value"], "bound": 0.0, "passed": True,
-             "violation": f"negative branch value {wit['value']:.6g}"}]
+    out = bellman.convexity_verify(A, B, args.p)
+    if not out["pass"]:
+        raise VerificationError(
+            f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
+            f"< bound={out['bound']:.6g}")
+    return [{"p": args.p, "delta": out["delta"], "delta_p": out["delta_p"],
+             "min_ratio": out["min_ratio"], "bound": out["bound"], "passed": out["pass"],
+             "violation": f"negative branch value {out['min_ratio']:.6g}"
+             if out["violation"] else ""}]
 
 
 # The identity checks need a Bellman delta > 0 even when A lies outside

@@ -344,7 +344,7 @@ def sector_test_symmetric(A, p: float) -> bool:
         raise ParameterError("exponent p must satisfy p > 1")
     if abs(p - 2) < 1e-15:
         return True
-    mats = _cells(A)
+    mats = _distinct_cells(A)
     Us, Vs = sym_part(mats.real), sym_part(mats.imag)
     if np.linalg.eigvalsh(Us)[..., 0].min() <= 0:
         return False
@@ -353,7 +353,7 @@ def sector_test_symmetric(A, p: float) -> bool:
 
 def ellipticity_report(A, p: float) -> EllipticityReport:
     lam, Lam, nu = accretivity_bounds(A)
-    _, wnorm = script_w_p(A, p)
+    _, wnorm = script_w_p(_distinct_cells(A), p)
     m = mu(A)
     return EllipticityReport(
         lam=lam,

@@ -144,8 +144,8 @@ def test_criterion_05_bellman_convexity():
         q = p / (p - 1)
         delta = bl.delta_choice(min(lamA, lamB), max(LamA, LamB),
                                 el.delta_p(B, q))
-        params = bl.BellmanParams(p, delta)
-        out = bl.convexity_verify(params, A, B)
+        out = bl.convexity_verify(A, B, p)
+        all_ok &= out["delta"] == delta and not out["violation"]
         all_ok &= out["min_ratio"] >= out["bound"] - 1e-8
     # negative-branch witness beyond the angle
     witness_ok = True

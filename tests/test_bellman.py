@@ -316,8 +316,9 @@ def elliptic_pair(kind, n, p, seed=0):
 
 def verified(kind, n, p, seed=0):
     A, B = elliptic_pair(kind, n, p, seed)
-    params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
-    return params, A, B, bl.convexity_verify(params, A, B)
+    out = bl.convexity_verify(A, B, p)
+    assert not out["violation"]
+    return bl.BellmanParams(p, out["delta"]), A, B, out
 
 
 def _form_ratio(params, A, B, z, e, o1, o2):
@@ -547,7 +548,8 @@ def test_convexity_verify_work_per_scanned_rho(kind, n, p, monkeypatch):
     # every eigen-decomposition of one convexity_verify run, against the
     # number of rho it scans: the 60-step bisection took 61 per rho
     A, B = elliptic_pair(kind, n, p)
-    params = bl.BellmanParams(p, bl.pair_constants(A, B, p).delta)
+    constants = bl.pair_constants(A, B, p)
+    params = bl.BellmanParams(p, constants.delta)
     counts = {"matrices": 0, "rho": 0}
 
     def counted(fn, key):
@@ -568,7 +570,7 @@ def test_convexity_verify_work_per_scanned_rho(kind, n, p, monkeypatch):
         return hessian_q(params, zeta, eta)
 
     monkeypatch.setattr(bl, "hessian_q", recorded)
-    bl.convexity_verify(params, A, B)
+    bl._convexity(params, A, B, constants)
     assert counts["rho"] == bl._LOG_RHO.size + bl._ZOOMS * (2 * bl._ZOOM_POINTS - 1)
     assert np.all(np.concatenate(rhos) > 1.0)  # the inner branch only
     assert counts["matrices"] <= 8 * counts["rho"]
@@ -595,12 +597,13 @@ def test_pruned_rho_scan_is_exact(kind, n, p, monkeypatch):
         assert np.array_equal(pval[~cut], val[~cut]) and np.array_equal(ps[~cut], s[~cut])
         return val, s
 
-    for delta in (bl.pair_constants(A, B, p).delta, 0.6, 0.99):
+    constants = bl.pair_constants(A, B, p)
+    for delta in (constants.delta, 0.6, 0.99):
         params = bl.BellmanParams(p, delta)
-        got = bl.convexity_verify(params, A, B)
+        got = bl._convexity(params, A, B, constants)
         with monkeypatch.context() as m:
             m.setattr(bl, "_direction_inf", both)
-            want = bl.convexity_verify(params, A, B)
+            want = bl._convexity(params, A, B, constants)
         assert got == {**want, "witness": got["witness"]}
         for key, val in want["witness"].items():
             assert np.array_equal(got["witness"][key], val)
@@ -646,26 +649,47 @@ def test_ratio_scaling_symmetry(rz, re_, s, p, seed):
 
 
 def test_convexity_verify_refuses_nonelliptic():
-    A = el.rotation_matrix(1.5, 2)  # beyond the p=3 angle
+    # the core refuses a pair with delta_p < 0; the public call reports
+    # the violation instead, at delta = 0.5
+    A, B = el.rotation_matrix(1.5, 2), np.eye(2) + 0j  # A beyond the p=3 angle
     params = bl.BellmanParams(p=3.0, delta=0.05)
     with pytest.raises(ValueError):
-        bl.convexity_verify(params, A, np.eye(2) + 0j)
+        bl._convexity(params, A, B, bl.pair_constants(A, B, 3.0))
+    out = bl.convexity_verify(A, B, 3.0)
+    wit = bl.violation_search(bl.BellmanParams(3.0, 0.5), A, B)
+    assert out["violation"] and out["pass"]
+    assert (out["delta"], out["bound"]) == (0.5, 0.0)
+    assert out["delta_p"] == el.delta_p(A, 3.0) < 0
+    assert out["min_ratio"] == wit.pop("value") < 0
+    for key, val in wit.items():
+        assert np.array_equal(out["witness"][key], val)
 
 
 def test_violation_search_finds_negative_form():
     p = 3.0
-    A = el.rotation_matrix(1.5, 2)  # delta_3 = cos 1.5 - 1/3 < 0
-    assert el.delta_p(A, p) < 0
+    wide, ok, eye = el.rotation_matrix(1.5, 2), el.rotation_matrix(0.3, 2), np.eye(2) + 0j
+    assert el.delta_p(wide, p) < 0 < el.delta_p(ok, p)  # delta_3 = cos 1.5 - 1/3
     params = bl.BellmanParams(p=p, delta=0.05)
-    out = bl.violation_search(params, A, np.eye(2) + 0j)
-    assert out["value"] < 0
-    # the witness reproduces through the public evaluator
-    val = bl.bellman_hessian_form(params, A, np.eye(2) + 0j,
-                                  (out["zeta"], out["eta"]),
-                                  (out["omega1"], out["omega2"]))
-    assert abs(val - out["value"]) < 1e-12
+    q, d = params.q, params.delta
+    # the witness is on the side that fails, A's where both do: the other
+    # side's direction is 0, and the value is (1 + 2 delta/p)(p^2/2)
+    # delta_q(A) or (1 + phat delta)(q^2/2)|eta|^{q-2} delta_q(B); where
+    # only B failed it was refused as "delta_p(A) >= 0"
+    for A, B, side in ((wide, eye, 0), (wide, wide, 0), (ok, wide, 1)):
+        out = bl.violation_search(params, A, B)
+        assert out["value"] < 0
+        # the witness reproduces through the public evaluator
+        val = bl.bellman_hessian_form(params, A, B,
+                                      (out["zeta"], out["eta"]),
+                                      (out["omega1"], out["omega2"]))
+        assert abs(val - out["value"]) < 1e-12
+        assert not np.any(out[("omega2", "omega1")[side]])
+        want = ((1 + 2 * d / p) * p * p / 2 * el.delta_p(A, q) if side == 0 else
+                (1 + params.phat * d) * q * q / 2 * abs(out["eta"]) ** (q - 2)
+                * el.delta_p(B, q))
+        assert abs(out["value"] - want) < 1e-12
     with pytest.raises(ValueError):
-        bl.violation_search(params, np.eye(2) + 0j, np.eye(2) + 0j)
+        bl.violation_search(params, eye, eye)
 
 
 def test_pair_constants_match_their_definitions():

@@ -190,6 +190,22 @@ def test_bellman_violation_row(tmp_path, capsys):
     assert row["delta_p"] < 0
     assert row["min_ratio"] < 0
     assert "negative branch value" in row["violation"]
+    # where only --spec-b fails, the witness is B's, for the pair (A, B):
+    # min_ratio read -1.57558, the form of (B, B), while the pair's form at
+    # that point is +5.0073
+    rot = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
+    assert cli.main(["bellman", "--spec", rot, "--spec-b", spec, "--p", "3"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    A, B = cli.load_spec(rot), cli.load_spec(spec)
+    params = bellman.BellmanParams(3.0, 0.5)
+    wit = bellman.violation_search(params, A, B)
+    val = bellman.bellman_hessian_form(params, A, B, (wit["zeta"], wit["eta"]),
+                                       (wit["omega1"], wit["omega2"]))
+    assert row["delta_p"] == ellipticity.delta_p(B, 3.0) < 0
+    assert row["min_ratio"] == wit["value"] < 0
+    assert abs(row["min_ratio"] - val) < 1e-12
+    assert row["violation"] == f"negative branch value {val:.6g}"
+    assert (row["delta"], row["bound"], row["passed"]) == (0.5, 0.0, True)
 
 
 @pytest.mark.parametrize("doc", [
@@ -398,7 +414,9 @@ def test_dissipativity_reduces_and_evaluates_each_thing_once(tmp_path, capsys,
                                                              monkeypatch):
     # a 128^2 section-7 field: its distinct cells come from the two values
     # it was built from, so no np.unique runs over all cells; the
-    # dissipativity functional runs once and the field is realified once
+    # dissipativity functional runs once and the field is realified once;
+    # pair_constants(A, A, p) reads A's constants once for B: one
+    # accretivity_bounds and one delta_p per exponent (p and q)
     cells = 128
     counts = collections.Counter()
 
@@ -418,12 +436,52 @@ def test_dissipativity_reduces_and_evaluates_each_thing_once(tmp_path, capsys,
     monkeypatch.setattr(field, "dissipativity_functional", counting(
         "dissipativity_functional", field.dissipativity_functional,
         lambda A: True))
+    monkeypatch.setattr(bellman, "accretivity_bounds", counting(
+        "accretivity_bounds", bellman.accretivity_bounds, lambda A: True))
+    delta_p = bellman.delta_p
+
+    def delta_p_counted(A, r):
+        counts["delta_p", r] += 1
+        return delta_p(A, r)
+
+    monkeypatch.setattr(bellman, "delta_p", delta_p_counted)
     spec = write_spec(tmp_path, "s7.json", {
         "kind": "field", "grid": {"dim": 2, "cells": cells, "extent": 4.0},
         "generator": {"name": "section7", "gamma": 0.5}})
     assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["value"] > 0
-    assert counts == {"realify": 1, "dissipativity_functional": 1}
+    assert counts == {"realify": 1, "dissipativity_functional": 1,
+                      "accretivity_bounds": 1, ("delta_p", 3.0): 1, ("delta_p", 1.5): 1}
+
+
+def test_ellipticity_reduces_each_functional_over_distinct_cells(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a 128^2 section-7 field has two distinct cells: the report's W_p norm
+    # and the sector test read those, not all 16384 cells (script_w_p keeps
+    # its per-cell stack for a caller that passes a stack, with the same norm)
+    cells = 128
+    spec = write_spec(tmp_path, "s7.json", {
+        "kind": "field", "grid": {"dim": 2, "cells": cells, "extent": 4.0},
+        "generator": {"name": "section7", "gamma": 0.5}})
+    A = cli.load_spec(spec)
+    W, norm = ellipticity.script_w_p(A, 3.0)
+    assert W.shape == (cells * cells, 2, 2)
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            if np.size(getattr(args[0], "mats", args[0])) >= cells * cells:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+    for name in ("_cells", "sym_part", "realify"):
+        monkeypatch.setattr(ellipticity, name, counting(name, getattr(ellipticity, name)))
+    assert cli.main(["ellipticity", "--spec", spec, "--p", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["w_p_norm"] == norm
+    assert ellipticity.sector_test_symmetric(A, 40.0)  # A_s = I
+    assert counts == {}
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
