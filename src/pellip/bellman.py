@@ -57,6 +57,8 @@ class BellmanParams:
     def __post_init__(self):
         if not self.p >= 2:
             raise ParameterError("exponent p must satisfy p >= 2")
+        if self.p == math.inf:
+            raise ParameterError("exponent p must be finite")
         if not 0 < self.delta < 1:
             raise ParameterError("delta must lie in (0, 1)")
 
@@ -330,15 +332,13 @@ def tensor_lower_bound(A, B, q, v, omega) -> float:
     2 lam_A |eta|^{2-q} |o1|^2 - 4(2-q) Lam |o1||o2|
     + ((2-q)^2/2) delta_{2-q}(B) |eta|^{q-2} |o2|^2."""
     zeta, eta = v
-    lamA, LamA, _ = accretivity_bounds(np.asarray(A, dtype=complex))
-    _, LamB, _ = accretivity_bounds(np.asarray(B, dtype=complex))
-    Lam = max(LamA, LamB)
+    c = pair_constants(A, B, q / (q - 1.0))
     d2q = delta_r_extended(np.asarray(B, dtype=complex), 2.0 - q)
     n1 = np.linalg.norm(omega[0])
     n2 = np.linalg.norm(omega[1])
     ae = abs(eta)
-    return (2.0 * lamA * ae ** (2.0 - q) * n1 * n1
-            - 4.0 * (2.0 - q) * Lam * n1 * n2
+    return (2.0 * c.lam_A * ae ** (2.0 - q) * n1 * n1
+            - 4.0 * (2.0 - q) * c.Lam * n1 * n2
             + ((2.0 - q) ** 2 / 2.0) * d2q * ae ** (q - 2.0) * n2 * n2)
 
 
@@ -355,18 +355,23 @@ def delta_choice(lam: float, Lam: float, delta_q_B: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class PairConstants:
-    """Joint constants of (A, B) at p: delta_p = min(delta_p(A),
-    delta_p(B)), lam = min(lam_A, lam_B), Lam = max(Lam_A, Lam_B), and
-    delta_q(B), the input of :func:`delta_choice` (delta_p(B) by duality,
-    but only up to rounding); lam_A and delta_p(B) themselves, which
-    :func:`_convexity` also reads."""
+    """The constants of (A, B) at p, each reduced once per side: delta_p and
+    delta_q (delta_p at q = p / (p - 1); equal by duality, but only up to
+    rounding) of A and of B, lam = min(lam_A, lam_B), Lam = max(Lam_A,
+    Lam_B) and lam_A.  Every judgement of the pair reads them."""
 
-    delta_p: float
+    delta_p_A: float
+    delta_p_B: float
+    delta_q_A: float
+    delta_q_B: float
     lam: float
     Lam: float
-    delta_q_B: float
     lam_A: float
-    delta_p_B: float
+
+    @property
+    def delta_p(self) -> float:
+        """The joint p-ellipticity constant min(delta_p(A), delta_p(B))."""
+        return min(self.delta_p_A, self.delta_p_B)
 
     @property
     def bound(self) -> float:
@@ -379,9 +384,10 @@ class PairConstants:
 
 
 def pair_constants(A, B, p: float) -> PairConstants:
-    """The joint constants of (A, B) at exponent p; matrices or fields.
-    Where B is A, A's numbers serve for B.  Raises ParameterError naming
-    p where q = p / (p - 1) rounds to 1."""
+    """The constants of (A, B) at exponent p; matrices or fields.  The only
+    caller of accretivity_bounds and delta_p in this module: one reduction
+    per side and exponent, and where B is A, A's numbers serve for B.
+    Raises ParameterError naming p where q = p / (p - 1) rounds to 1."""
     lamA, LamA, _ = accretivity_bounds(A)
     lamB, LamB = (lamA, LamA) if B is A else accretivity_bounds(B)[:2]
     dpA = delta_p(A, p)  # refuses p <= 1
@@ -390,8 +396,10 @@ def pair_constants(A, B, p: float) -> PairConstants:
     if not q > 1:  # from p ~ 9.0e15
         raise ParameterError(f"p = {p:g} is out of numeric range: its conjugate "
                              "exponent p / (p - 1) rounds to 1")
-    return PairConstants(delta_p=min(dpA, dpB), lam=min(lamA, lamB), Lam=max(LamA, LamB),
-                         delta_q_B=delta_p(B, q), lam_A=lamA, delta_p_B=dpB)
+    dqA = delta_p(A, q)
+    dqB = dqA if B is A else delta_p(B, q)
+    return PairConstants(delta_p_A=dpA, delta_p_B=dpB, delta_q_A=dqA, delta_q_B=dqB,
+                         lam=min(lamA, lamB), Lam=max(LamA, LamB), lam_A=lamA)
 
 
 # The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the
@@ -586,16 +594,17 @@ def convexity_verify(A: np.ndarray, B: np.ndarray, p: float) -> dict:
     """Judge (A, B) at p by the sign of the joint delta_p of one
     :func:`pair_constants`: > 0, :func:`_convexity`'s report at the paper's
     delta; = 0 (an endpoint of the p-range), ParameterError; < 0,
-    :func:`violation_search`'s witness at delta = 0.5, its value as
-    min_ratio, bound 0 and pass true.  Both reports hold delta, delta_p,
-    min_ratio, bound, witness, pass and violation (true on the last)."""
+    :func:`_violation`'s witness at delta = 0.5, its value as min_ratio,
+    bound 0 and pass true.  Both read those constants and no others, and
+    both reports hold delta, delta_p, min_ratio, bound, witness, pass and
+    violation (true on the last)."""
     constants = pair_constants(A, B, p)
     if constants.delta_p > 0:
         return _convexity(BellmanParams(p, constants.delta), A, B, constants)
     if constants.delta_p == 0:
         raise ParameterError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
                              "range (delta_p = 0): no convexity bound and no violation")
-    witness = violation_search(BellmanParams(p, 0.5), A, B)
+    witness = _violation(BellmanParams(p, 0.5), A, B, constants)
     value = witness.pop("value")
     return {"delta": 0.5, "delta_p": constants.delta_p, "min_ratio": value,
             "bound": 0.0, "witness": witness, "pass": True, "violation": True}
@@ -606,7 +615,8 @@ def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     """Minimum of H_Q^{(A,B)}[v; omega] / (|o1||o2|) over off-singular-set
     points v and nonzero directions at the caller's delta, against the
     proven lower bound (delta_p / 5)(lam / Lam); ``constants`` are
-    :func:`pair_constants` of (A, B) at params.p.  It is the least of:
+    :func:`pair_constants` of (A, B) at params.p, and the only constants of
+    the pair it reads.  It is the least of:
       - the inner-branch scan of rho above, zoomed around its best point;
       - the outer-branch infimum C = p q sqrt((1 + 2 delta/p)(1 + phat
         delta) delta_q(A) delta_p(B)).  There Q is separable and K is
@@ -638,7 +648,7 @@ def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     w1, w2 = np.split(_balanced_minimizer(_scaled(K[i], log_tau[i])), 2)
     p, q, d = params.p, params.q, params.delta
     outer = p * q * math.sqrt((1.0 + 2.0 * d / p) * (1.0 + params.phat * d)
-                              * delta_p(A, q) * constants.delta_p_B)
+                              * constants.delta_q_A * constants.delta_p_B)
     min_ratio = min(float(vals[i]), outer)
     if p > 2:
         min_ratio = min(min_ratio, 2.0 * q * math.sqrt(
@@ -657,17 +667,24 @@ def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
 
 def violation_search(params: BellmanParams, A: np.ndarray, B: np.ndarray) -> dict:
     """A point where the branch-restricted Hessian form of Q against (A, B)
-    is negative, on the side that fails: delta_p(A) < 0, else delta_p(B) <
-    0; refuses where neither does.  At v = (1, 0.1), outer branch, with
-    the other side's direction 0, the form is (1 + 2 delta/p) (p^2/2)
-    delta_q(A), omega1 the bottom eigenvector of weighted_form(A, q), or
-    (1 + phat delta) (q^2/2) |eta|^{q-2} delta_p(B), omega2 that of
-    weighted_form(B, p) (delta_q = delta_p by duality)."""
+    is negative, on the side that fails by :func:`pair_constants` at
+    params.p: delta_p(A) < 0, else delta_p(B) < 0; refuses where neither
+    does.  At v = (1, 0.1), outer branch, with the other side's direction
+    0, the form is (1 + 2 delta/p) (p^2/2) delta_q(A), omega1 the bottom
+    eigenvector of weighted_form(A, q), or (1 + phat delta) (q^2/2)
+    |eta|^{q-2} delta_p(B), omega2 that of weighted_form(B, p) (delta_q =
+    delta_p by duality)."""
+    return _violation(params, A, B, pair_constants(A, B, params.p))
+
+
+def _violation(params: BellmanParams, A: np.ndarray, B: np.ndarray,
+               constants: PairConstants) -> dict:
+    """:func:`violation_search`, its side read from the given constants."""
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     n = A.shape[-1]
-    if delta_p(A, params.p) < 0:
+    if constants.delta_p_A < 0:
         side, M, r = 0, A, params.q
-    elif delta_p(B, params.p) < 0:
+    elif constants.delta_p_B < 0:
         side, M, r = 1, B, params.p
     else:
         raise ValueError("no violation to construct: delta_p(A), delta_p(B) >= 0")

@@ -297,6 +297,8 @@ def script_w_p(A, p: float):
     """
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
+    if p == math.inf:
+        raise ParameterError("exponent p must be finite")
     mats = _cells(A)
     S_inv = _inv_sqrt(sym_part(mats.real), "(Re A)_s must be positive definite")
     W = S_inv @ _script_v_p(mats.imag, p) @ S_inv
@@ -338,15 +340,17 @@ def sector_test_symmetric(A, p: float) -> bool:
     Checked without going through delta_p: the condition is
     |p - 2| |<V alpha, alpha>| <= 2 sqrt(p-1) <U alpha, alpha> for all
     real alpha, i.e. the largest-magnitude eigenvalue of the pencil
-    (V_s, U_s) stays below tan of the critical sector angle.
+    (V_s, U_s) stays below tan of the critical sector angle.  At p = 2 it
+    reads U_s >= 0 (delta_2(A_s) = lambda_min(U_s)), whatever V_s.
     """
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
-    if abs(p - 2) < 1e-15:
-        return True
     mats = _distinct_cells(A)
     Us, Vs = sym_part(mats.real), sym_part(mats.imag)
-    if np.linalg.eigvalsh(Us)[..., 0].min() <= 0:
+    lowest = np.linalg.eigvalsh(Us)[..., 0].min()
+    if abs(p - 2) < 1e-15:
+        return bool(lowest >= -_SECTOR_TOL)
+    if lowest <= 0:
         return False
     return _pencil_radius(Vs, Us) <= 2.0 * math.sqrt(p - 1) / abs(p - 2) + _SECTOR_TOL
 

@@ -22,8 +22,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import ParameterError
 from . import bellman as _bellman
@@ -281,8 +279,8 @@ def mollify(field: MatrixField, eps: float) -> MatrixField:
     convex combination, so the accretivity and ellipticity functionals
     can only improve.
     """
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and nonnegative")
     g = field.grid
     if g.boundary != "periodic":
         raise ParameterError("mollification requires a periodic grid")
@@ -561,6 +559,8 @@ def counterexample_section7(p: float, gammas) -> list[dict]:
     """
     if not p > 2:
         raise ParameterError("requires p > 2")
+    if p == math.inf:
+        raise ParameterError("requires finite p")
     gammas = [float(g) for g in gammas]
     if not all(0 <= g < 1 for g in gammas):
         raise ParameterError("gamma must lie in [0, 1)")
@@ -605,6 +605,8 @@ class OperatorMatrix:
         face-flux form G_j^T diag(a_jj at faces) G_j (the classical
         second-difference stencil) and use zero ghosts for mixed terms.
         """
+        import scipy.sparse  # here and in its helpers: no other path reads it
+
         g, mats, N = self.grid, self.field.mats, self.grid.size
         if N > _DENSE_CELLS:
             raise ParameterError(f"operator on {N} cells too large for dense storage")
@@ -672,6 +674,8 @@ class OperatorMatrix:
     @functools.cached_property
     def _expm(self):
         """t -> expm(-tD), D non-normal; keeps the one t of the probe's steps."""
+        import scipy.linalg  # here: only a non-normal flow reads it
+
         D = self._factor[1]
         return functools.lru_cache(maxsize=1)(lambda t: scipy.linalg.expm(-t * D))
 
@@ -679,6 +683,8 @@ class OperatorMatrix:
 def _centered_1d(c: int, h: float, periodic: bool):
     """Centered difference on c cells; periodic wrap, or zero ghost
     values outside Dirichlet walls."""
+    import scipy.sparse
+
     w = 1.0 / (2 * h)
     offsets = (1, -1, 1 - c, c - 1) if periodic else (1, -1)
     return scipy.sparse.diags((w, -w, w, -w)[:len(offsets)], offsets,
@@ -687,6 +693,8 @@ def _centered_1d(c: int, h: float, periodic: bool):
 
 def _face_grad_1d(c: int, h: float):
     """(c+1) x c forward difference to faces, zero Dirichlet ghosts."""
+    import scipy.sparse
+
     return scipy.sparse.diags((1.0 / h, -1.0 / h), (0, -1), shape=(c + 1, c),
                               format="csr")
 
@@ -695,6 +703,8 @@ def _along(D1, axis: int, dim: int):
     """The 1-D difference D1 acting along one axis of a dim-D grid."""
     if dim == 1:
         return D1
+    import scipy.sparse
+
     eye = scipy.sparse.identity(D1.shape[1])
     if axis == 0:
         return scipy.sparse.kron(D1, eye, format="csr")

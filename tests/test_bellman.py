@@ -692,6 +692,33 @@ def test_violation_search_finds_negative_form():
         bl.violation_search(params, eye, eye)
 
 
+_OK, _WIDE = el.rotation_matrix(0.3, 2), el.rotation_matrix(1.5, 2)  # inside, outside p = 3
+
+
+@pytest.mark.parametrize("A, B, p, violation, counts", [
+    (_OK, _OK, 3.0, False, (1, 2)),
+    (_OK, el.skew_matrix(0.3), 8.0, False, (2, 4)),
+    (_WIDE, _WIDE, 3.0, True, (1, 2)),
+    (_OK, _WIDE, 3.0, True, (2, 4)),
+    (_WIDE, _OK, 3.0, True, (2, 4)),
+], ids=["A-only-convexity", "pair-convexity", "A-only-violation", "only-B-fails",
+        "only-A-fails"])
+def test_convexity_verify_reduces_each_side_once(monkeypatch, A, B, p, violation, counts):
+    # pair_constants alone reduces: one accretivity_bounds per side and one
+    # delta_p per side and exponent, which the convexity and violation
+    # cores read; their own delta_q(A) and delta_p of the failing side made
+    # 3, 3 and 5 delta_p calls on the A-only and only-B-fails paths
+    calls = {"accretivity_bounds": 0, "delta_p": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bl, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bl, name, counted)
+    out = bl.convexity_verify(A, B, p)  # B is A on the A-only paths
+    assert out["violation"] == violation and out["pass"]
+    assert (calls["accretivity_bounds"], calls["delta_p"]) == counts
+
+
 def test_pair_constants_match_their_definitions():
     A, B = el.rotation_matrix(0.3, 2), random_accretive(2, scale=0.2)
     for p in (2.0, 3.0, 8.0):

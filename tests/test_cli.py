@@ -182,6 +182,14 @@ def test_csv_booleans_of_a_counterexample_report(tmp_path):
     assert [r["first_negative"] for r in rows] == ["false", "false", "true"]
 
 
+def test_csv_integer_column_of_a_heatnorm_report(tmp_path):
+    out = str(tmp_path / "norm.csv")
+    assert cli.main(["heatnorm", "--p", "4", "--phi-grid", "0.3", "--n", "2",
+                     "--format", "csv", "--out", out]) == 0
+    keys, row = (line.split(",") for line in pathlib.Path(out).read_text().splitlines())
+    assert dict(zip(keys, row))["n"] == "2"
+
+
 def test_bellman_violation_row(tmp_path, capsys):
     spec = write_spec(tmp_path, "wide.json", {"kind": "rotation", "phi": 1.5})
     assert cli.main(["bellman", "--spec", spec, "--p", "3",
@@ -321,6 +329,28 @@ def test_dissipativity_subcommand(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert row["value"] > 0
     assert row["antisymmetric_divfree"] < 1e-10
+
+
+def test_dissipativity_outside_the_p_range_reports_without_a_verdict(tmp_path, capsys):
+    # phi = 1.5 is outside the p = 3 angle: delta_q <= 0, so delta's input
+    # is floored (_DELTA_Q_FLOOR), and delta_p < 0 leaves nothing to verify
+    spec = write_spec(tmp_path, "wide.json", {"kind": "rotation", "phi": 1.5})
+    c = bellman.pair_constants(*[ellipticity.rotation_matrix(1.5, 2)] * 2, 3.0)
+    assert c.delta_p < 0 and c.delta_q_B < cli._DELTA_Q_FLOOR
+    assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert all(math.isfinite(v) for v in row.values())
+
+
+def test_dissipativity_on_a_1d_field(tmp_path, capsys):
+    # the antisymmetric pairing is a 2-D identity: 0 on a line
+    spec = write_spec(tmp_path, "rot1d.json", {
+        "kind": "field", "grid": {"dim": 1, "cells": 32, "extent": 4.0},
+        "generator": {"name": "rotation", "phi": 0.3}})
+    assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["antisymmetric_divfree"] == 0.0
+    assert row["value"] > 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -558,8 +588,9 @@ def test_cli_paths_run_no_optimizer(tmp_path, capsys, monkeypatch):
 def test_cli_imports_no_optimizer(tmp_path):
     # scipy.optimize serves only ellipticity's sampling oracles, so a fresh
     # process that runs every subcommand never loads it; scipy.fft serves
-    # only the DST factor of Dirichlet heat operators, and these runs are
-    # all periodic
+    # only the DST factor of Dirichlet heat operators, scipy.sparse only
+    # the eigh factor's dense operator and scipy.linalg only a non-normal
+    # flow, and these runs are all periodic with constant coefficients
     specs = rotation_specs(tmp_path)
     argvs = [["ellipticity", "--spec", specs["rot.json"], "--p", "4"],
              ["bellman", "--spec", specs["rot.json"], "--p", "3"],
@@ -573,14 +604,14 @@ def test_cli_imports_no_optimizer(tmp_path):
     script = ("import json, sys\n"
               "from pellip import cli\n"
               "codes = [cli.main(a) for a in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, 'scipy.optimize' in sys.modules,\n"
-              "                  'scipy.fft' in sys.modules]))\n")
+              "print(json.dumps([codes, sorted(m for m in sys.modules if m in\n"
+              "    ('scipy.optimize', 'scipy.fft', 'scipy.linalg', 'scipy.sparse'))]))\n")
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * len(argvs), False, False]
+    assert json.loads(proc.stdout) == [[0] * len(argvs), []]
 
 
 # the flags each subcommand reads, besides the shared --seed --out --format
@@ -668,7 +699,7 @@ def test_bellman_rejects_spec_b_of_another_size(tmp_path, capsys):
 
 def test_bellman_computes_each_pair_constant_once(tmp_path, monkeypatch):
     # choosing delta and convexity_verify read one computation of lambda,
-    # Lambda, delta_p and delta_q(B); delta_q(A) is the outer branch's own
+    # Lambda, delta_p, delta_q(B) and the outer branch's delta_q(A)
     a = write_spec(tmp_path, "a.json", {"kind": "rotation", "phi": 0.3})
     b = write_spec(tmp_path, "b.json", {"kind": "skew", "w": 0.3})
     calls = collections.Counter()

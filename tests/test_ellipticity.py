@@ -207,6 +207,11 @@ def test_sector_test_symmetric():
     # purely skew imaginary part: symmetric part is real, passes all p
     for p in (1.5, 2, 4, 25):
         assert el.sector_test_symmetric(el.skew_matrix(0.9), p)
+    # at p = 2 the condition is (Re A)_s >= 0: these returned True there
+    # and False at p = 2 + 1e-14
+    for A in (-np.eye(2), np.diag([1.0, -0.5])):
+        assert not el.sector_test_symmetric(A, 2)
+        assert not el.sector_test_symmetric(A, 2 + 1e-14)
     # rotation family: passes exactly up to the critical angle
     for p in (1.5, 4.0):
         crit = math.acos(abs(1 - 2 / p))

@@ -1241,3 +1241,22 @@ def test_contractivity_probe_rejects_nonfinite_exponent(p):
     L = fd.OperatorMatrix(fd.constant_field(grid, np.array([[1.0 + 0j]])))
     with pytest.raises(ParameterError):
         fd.contractivity_probe(L, p, 0.05)
+
+
+_PERIODIC_FIELD = fd.constant_field(fd.Grid(2, 16, 1.0, "periodic"), np.eye(2) + 0j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bl.BellmanParams(math.inf, 0.1),
+    lambda: el.script_w_p(np.eye(2) + 0j, math.inf),
+    lambda: el.ellipticity_report(np.eye(2) + 0j, math.inf),
+    lambda: fd.counterexample_section7(math.inf, [0.5]),
+    lambda: fd.mollify(_PERIODIC_FIELD, math.nan),
+    lambda: fd.mollify(_PERIODIC_FIELD, math.inf),
+], ids=["bellman-p-inf", "script_w_p-inf", "report-inf",
+        "section7-inf", "mollify-nan", "mollify-inf"])
+def test_nonfinite_parameters_are_refused(call):
+    # these gave q = nan and Q = nan, a LinAlgError, a row with value 0.0,
+    # the field unchanged and an OverflowError
+    with pytest.raises(ParameterError, match="finite"):
+        call()
