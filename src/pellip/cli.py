@@ -305,13 +305,13 @@ def _cmd_heatflow(args) -> list[dict]:
 
 def _cmd_heatnorm(args) -> list[dict]:
     rows = []
-    for phi in sorted(float(ph) for ph in _parse_scan(args.phi_grid)):
-        res = heatnorm.tensorized_demo(phi, args.p, args.n)
+    phis = sorted(float(ph) for ph in _parse_scan(args.phi_grid))
+    for res in heatnorm.tensorized_demo(phis, args.p, args.n):
         if abs(res.oracle - res.C) > 1e-5:
             raise VerificationError(
                 f"Gaussian oracle {res.oracle:.8g} disagrees with the "
-                f"closed form {res.C:.8g} at phi={phi}")
-        rows.append({"p": args.p, "phi": phi, "C": res.C, "oracle": res.oracle,
+                f"closed form {res.C:.8g} at phi={res.phi}")
+        rows.append({"p": args.p, "phi": res.phi, "C": res.C, "oracle": res.oracle,
                      "n": args.n, "C_pow_n": res.C_pow_n,
                      "N_p_lower": res.N_p_lower})
     return rows

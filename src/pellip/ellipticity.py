@@ -52,7 +52,7 @@ ROT_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
 # there the quotient is unbounded and its value is rounding.
 _MU_GUARD = 1e-12
 # Slack of sector_test_symmetric, so that matrices on the boundary
-# delta_p(A_s) = 0 pass despite rounding in the pencil radius.
+# delta_p(A_s) = 0 pass despite rounding in the eigenvalues of U_s +- t V_s.
 _SECTOR_TOL = 1e-12
 
 
@@ -339,20 +339,18 @@ def sector_test_symmetric(A, p: float) -> bool:
 
     Checked without going through delta_p: the condition is
     |p - 2| |<V alpha, alpha>| <= 2 sqrt(p-1) <U alpha, alpha> for all
-    real alpha, i.e. the largest-magnitude eigenvalue of the pencil
-    (V_s, U_s) stays below tan of the critical sector angle.  At p = 2 it
-    reads U_s >= 0 (delta_2(A_s) = lambda_min(U_s)), whatever V_s.
+    real alpha, i.e. U_s +- t V_s >= 0 with t = |p - 2| / (2 sqrt(p-1)),
+    two symmetric eigenvalue problems with no pencil, so a singular U_s
+    passes where V_s vanishes on its kernel.  At p = 2 it reads U_s >= 0
+    (delta_2(A_s) = lambda_min(U_s)), whatever V_s.
     """
     if not p > 1:
         raise ParameterError("exponent p must satisfy p > 1")
     mats = _distinct_cells(A)
     Us, Vs = sym_part(mats.real), sym_part(mats.imag)
-    lowest = np.linalg.eigvalsh(Us)[..., 0].min()
-    if abs(p - 2) < 1e-15:
-        return bool(lowest >= -_SECTOR_TOL)
-    if lowest <= 0:
-        return False
-    return _pencil_radius(Vs, Us) <= 2.0 * math.sqrt(p - 1) / abs(p - 2) + _SECTOR_TOL
+    t = abs(p - 2) / (2.0 * math.sqrt(p - 1))
+    lowest = np.linalg.eigvalsh(np.stack([Us + t * Vs, Us - t * Vs]))[..., 0].min()
+    return bool(lowest >= -_SECTOR_TOL)
 
 
 def ellipticity_report(A, p: float) -> EllipticityReport:

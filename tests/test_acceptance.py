@@ -332,7 +332,7 @@ def test_criterion_11_mollification():
 def test_criterion_12_divergence():
     best_n, best = None, 0.0
     for n in range(1, 201):
-        res = hn.tensorized_demo(1.4, 4.0, n)
+        [res] = hn.tensorized_demo([1.4], 4.0, n)
         if res.N_p_lower > 1e3:
             best_n, best = n, res.N_p_lower
             break

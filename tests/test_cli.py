@@ -118,9 +118,13 @@ def test_exit_codes(tmp_path, capsys):
 
 def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force an oracle/closed-form disagreement
-    monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p: 2.0)
+    monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p: np.full(np.shape(phi), 2.0))
     assert cli.main(["heatnorm", "--phi-grid", "0.2", "--p", "4"]) == 3
     assert "verification failure" in capsys.readouterr().err
+    # the disagreement at phi = 0.2 comes before the input error at 1.6,
+    # as it did when each angle was computed in turn
+    assert cli.main(["heatnorm", "--phi-grid", "0.2:1.6:0.7", "--p", "4"]) == 3
+    assert "at phi=0.2" in capsys.readouterr().err
 
 
 _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],

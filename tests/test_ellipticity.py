@@ -212,6 +212,11 @@ def test_sector_test_symmetric():
     for A in (-np.eye(2), np.diag([1.0, -0.5])):
         assert not el.sector_test_symmetric(A, 2)
         assert not el.sector_test_symmetric(A, 2 + 1e-14)
+    # a singular (Re A)_s on the boundary, delta_p = 0: it was refused
+    # away from p = 2 before the sector condition was looked at
+    for p in (1.5, 3):
+        assert el.delta_p(np.diag([1.0, 0.0]), p) == 0.0
+        assert el.sector_test_symmetric(np.diag([1.0, 0.0]), p)
     # rotation family: passes exactly up to the critical angle
     for p in (1.5, 4.0):
         crit = math.acos(abs(1 - 2 / p))

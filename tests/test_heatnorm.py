@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         hn.heat_norm_constant(0.5, 0.9)
     with pytest.raises(ValueError):
-        hn.tensorized_demo(0.3, 4.0, 0)
+        list(hn.tensorized_demo([0.3], 4.0, 0))
 
 
 def test_oracle_matches_formula():
@@ -81,20 +82,21 @@ def test_oracle_matches_formula():
 
 def test_tensorized_demo_divergence():
     p, phi = 4.0, 1.4
-    out = hn.tensorized_demo(phi, p, 150)
+    [out] = hn.tensorized_demo([phi], p, 150)
     assert out.C > 1.0
     assert abs(out.C_pow_n - out.C ** 150) < 1e-9 * out.C_pow_n
     assert out.N_p_lower == out.C_pow_n / 2.0
     assert out.N_p_lower > 1e3
-    inside = hn.tensorized_demo(0.2, p, 50)
+    [inside] = hn.tensorized_demo([0.2], p, 50)
     assert inside.C == 1.0 and inside.C_pow_n == 1.0
 
 
 def test_tensorized_demo_overflow_is_parameter_error():
     # C(1.4, 4) ~ 1.23, so C^n passes the largest float near n = 3381
     with pytest.raises(ParameterError, match="overflows"):
-        hn.tensorized_demo(1.4, 4.0, 100_000)
-    assert hn.tensorized_demo(0.2, 4.0, 10**9).C_pow_n == 1.0
+        list(hn.tensorized_demo([1.4], 4.0, 100_000))
+    [inside] = hn.tensorized_demo([0.2], 4.0, 10**9)
+    assert inside.C_pow_n == 1.0
 
 
 # Near |phi| = pi/2 the optimal arg a moves to the edge +-pi/2, which the
@@ -178,3 +180,47 @@ def test_dropped_sign_of_arg_a_never_beats_the_scanned_one(p, phi):
         assert np.array_equal(dropped, kept)
     assert np.all(hn._width_optimum(-s * theta, phi, p)
                   <= np.maximum(hn._width_optimum(s * theta, phi, p), 1.0) * (1 + 4e-16))
+
+
+_ANGLE = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.5707963, -1.5707963]),
+                   st.floats(min_value=-1.5707963, max_value=1.5707963))
+_R = hn._ORACLE_ROWS
+
+
+@given(phis=st.sampled_from([1, 2, _R - 1, _R, _R + 1, 2 * _R + 1]).flatmap(
+           lambda n: st.lists(_ANGLE, min_size=n, max_size=n)),
+       p=st.one_of(st.just(2.0), st.floats(min_value=1.05, max_value=2.0),
+                   st.floats(min_value=2.0, max_value=40.0)))
+@settings(max_examples=60, deadline=None)
+def test_batched_oracle_is_the_scalar_oracle(phis, p):
+    # one row per angle, each with its own sign of arg a, in blocks of
+    # _ORACLE_ROWS rows: every entry is bit for bit the scalar value
+    batch = hn.gaussian_oracle(np.array(phis), p)
+    assert batch.shape == (len(phis),)
+    for k, phi in enumerate(phis):
+        assert batch[k] == hn.gaussian_oracle(phi, p)
+
+
+def test_batched_oracle_memory_is_one_block():
+    # 2000 angles in one block would hold about 300 MB at the first round
+    phis = np.linspace(-1.5, 1.5, 2000)
+    tracemalloc.start()
+    try:
+        hn.gaussian_oracle(phis, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_tensorized_demo_reports_the_angles_before_a_refused_one(monkeypatch):
+    # one oracle call for the angles before the first refused one; their
+    # results come first, then its error, as a loop over the angles gave
+    calls = []
+    oracle = hn.gaussian_oracle
+    monkeypatch.setattr(hn, "gaussian_oracle", lambda phi, p: calls.append(len(phi)) or oracle(phi, p))
+    demo = hn.tensorized_demo([0.2, 1.4, 1.6, 0.3], 4.0, 3)
+    assert [r.phi for r in (next(demo), next(demo))] == [0.2, 1.4]
+    with pytest.raises(ParameterError, match="pi/2"):
+        next(demo)
+    assert calls == [2]
