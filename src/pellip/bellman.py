@@ -353,17 +353,26 @@ def delta_choice(lam: float, Lam: float, delta_q_B: float) -> float:
     return lam * delta_q_B / (10.0 * Lam * Lam)
 
 
+# eigvalsh's rounding of a smallest eigenvalue, relative to the matrix's
+# norm: a delta_p within _EIGH_ERR * Lambda of 0 is 0 (pair_constants)
+_EIGH_ERR = 64.0 * np.finfo(float).eps
+
+
 @dataclasses.dataclass(frozen=True)
 class PairConstants:
-    """The constants of (A, B) at p, each reduced once per side: delta_p and
-    delta_q (delta_p at q = p / (p - 1); equal by duality, but only up to
-    rounding) of A and of B, lam = min(lam_A, lam_B), Lam = max(Lam_A,
-    Lam_B) and lam_A.  Every judgement of the pair reads them."""
+    """The constants of (A, B) at p, each reduced once per side: the
+    p-ellipticity constants delta_p_A and delta_p_B, lam = min(lam_A,
+    lam_B), Lam = max(Lam_A, Lam_B) and lam_A.  Every judgement of the pair
+    reads them.
+
+    A side has one p-ellipticity number: xi -> i xi maps weighted_form(.,
+    p) onto weighted_form(., q), q = p / (p - 1), so delta_p = delta_q.  It
+    is reduced at q, where the proof reads it (delta, the outer branch and
+    the rho -> infinity limit), and taken as 0 within _EIGH_ERR times that
+    side's Lambda of 0, where its sign is rounding."""
 
     delta_p_A: float
     delta_p_B: float
-    delta_q_A: float
-    delta_q_B: float
     lam: float
     Lam: float
     lam_A: float
@@ -380,26 +389,31 @@ class PairConstants:
 
     @property
     def delta(self) -> float:
-        return delta_choice(self.lam, self.Lam, self.delta_q_B)
+        return delta_choice(self.lam, self.Lam, self.delta_p_B)
 
 
 def pair_constants(A, B, p: float) -> PairConstants:
     """The constants of (A, B) at exponent p; matrices or fields.  The only
     caller of accretivity_bounds and delta_p in this module: one reduction
-    per side and exponent, and where B is A, A's numbers serve for B.
-    Raises ParameterError naming p where q = p / (p - 1) rounds to 1."""
-    lamA, LamA, _ = accretivity_bounds(A)
-    lamB, LamB = (lamA, LamA) if B is A else accretivity_bounds(B)[:2]
-    dpA = delta_p(A, p)  # refuses p <= 1
-    dpB = dpA if B is A else delta_p(B, p)
+    of each per side, and where B is A, A's numbers serve for B.
+    Raises ParameterError where p <= 1, and naming p where q = p / (p - 1)
+    rounds to 1."""
+    if not p > 1:
+        raise ParameterError("exponent p must satisfy p > 1")
     q = p / (p - 1.0)
     if not q > 1:  # from p ~ 9.0e15
         raise ParameterError(f"p = {p:g} is out of numeric range: its conjugate "
                              "exponent p / (p - 1) rounds to 1")
-    dqA = delta_p(A, q)
-    dqB = dqA if B is A else delta_p(B, q)
-    return PairConstants(delta_p_A=dpA, delta_p_B=dpB, delta_q_A=dqA, delta_q_B=dqB,
-                         lam=min(lamA, lamB), Lam=max(LamA, LamB), lam_A=lamA)
+
+    def side(M):
+        lam, Lam, _ = accretivity_bounds(M)
+        d = delta_p(M, q)
+        return lam, Lam, 0.0 if abs(d) <= _EIGH_ERR * Lam else d
+
+    lamA, LamA, dA = side(A)
+    lamB, LamB, dB = (lamA, LamA, dA) if B is A else side(B)
+    return PairConstants(delta_p_A=dA, delta_p_B=dB, lam=min(lamA, lamB),
+                         Lam=max(LamA, LamB), lam_A=lamA)
 
 
 # The ratio H_Q^{(A,B)}[v; omega] / (|o1||o2|) is unchanged under the
@@ -423,10 +437,10 @@ _TAU_STEPS = 2 * math.ceil(math.log2(2.0 * _LOG_TAU_SPAN / _TAU_CLOSE)) + 2
 # past its model point, beyond Newton's O(h^2) error, to cross the root.
 _TAU_TIE = 8.0 * np.finfo(float).eps
 _OVERSHOOT = 16.0
-# The pruned scan's allowance err = _PRUNE_ERR * ||K_tau||: 64 eps for
+# The pruned scan's allowance err = _PRUNE_ERR * ||K_tau||: _EIGH_ERR for
 # eigh's rounding, plus the most lam_min(K_tau) can fall across a closed
 # bracket, of width at most _TAU_CLOSE * _LOG_TAU_SPAN (see _direction_inf).
-_PRUNE_ERR = 64.0 * np.finfo(float).eps + _TAU_CLOSE * _LOG_TAU_SPAN
+_PRUNE_ERR = _EIGH_ERR + _TAU_CLOSE * _LOG_TAU_SPAN
 
 
 def _scaled(K: np.ndarray, log_tau) -> np.ndarray:
@@ -619,9 +633,10 @@ def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     the pair it reads.  It is the least of:
       - the inner-branch scan of rho above, zoomed around its best point;
       - the outer-branch infimum C = p q sqrt((1 + 2 delta/p)(1 + phat
-        delta) delta_q(A) delta_p(B)).  There Q is separable and K is
+        delta) delta_p(A) delta_p(B)).  There Q is separable and K is
         block diagonal, with blocks p^2 (1 + 2 delta/p) weighted_form(A, q)
-        and q^2 (1 + phat delta) rho^{(q-2)/q} weighted_form(B, p), so the
+        and q^2 (1 + phat delta) rho^{(q-2)/q} weighted_form(B, p), whose
+        lam_min are delta_p / 2 (see :class:`PairConstants`), so the
         ratio is 2 sqrt(lam_min(K11) lam_min(K22)) = C rho^{(q-2)/(2q)},
         nonincreasing in rho, with C its limit at rho = 1;
       - for p > 2 the inner-branch rho -> infinity limit (at p = 2 the
@@ -648,11 +663,11 @@ def _convexity(params: BellmanParams, A: np.ndarray, B: np.ndarray,
     w1, w2 = np.split(_balanced_minimizer(_scaled(K[i], log_tau[i])), 2)
     p, q, d = params.p, params.q, params.delta
     outer = p * q * math.sqrt((1.0 + 2.0 * d / p) * (1.0 + params.phat * d)
-                              * constants.delta_q_A * constants.delta_p_B)
+                              * constants.delta_p_A * constants.delta_p_B)
     min_ratio = min(float(vals[i]), outer)
     if p > 2:
         min_ratio = min(min_ratio, 2.0 * q * math.sqrt(
-            d * constants.lam_A * constants.delta_q_B))
+            d * constants.lam_A * constants.delta_p_B))
     return {
         "delta": d, "delta_p": constants.delta_p,
         "min_ratio": min_ratio,

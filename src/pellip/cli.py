@@ -222,7 +222,7 @@ def _cmd_bellman(args) -> list[dict]:
 
 
 # The identity checks need a Bellman delta > 0 even when A lies outside
-# the q-range (delta_q(A) <= 0), so delta's input is floored here.
+# the p-range (delta_p(A) <= 0), so delta's input is floored here.
 _DELTA_Q_FLOOR = 1e-6
 
 
@@ -231,7 +231,7 @@ def _cmd_dissipativity(args) -> list[dict]:
     A = _as_field(_spec(args.spec), grid)  # a field brings its own grid
     f_probe, g_probe = _smooth_pair(A.grid, np.random.default_rng(args.seed))
     c = bellman.pair_constants(A, A, args.p)
-    delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_q_B, _DELTA_Q_FLOOR))
+    delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_p_B, _DELTA_Q_FLOOR))
     row = {"p": args.p, **field.identity_checks(
         A, A, f_probe, g_probe, bellman.BellmanParams(args.p, delta))}
     if c.delta_p >= 0 and row["value"] < -1e-8:

@@ -191,10 +191,15 @@ def integrate(f: GridFunction):
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
+    """(h^dim sum |f|^p)^{1/p}, taken as m (h^dim sum (|f| / m)^p)^{1/p}
+    with m = max |f|, so that |f|^p neither underflows nor overflows at
+    large p; 0 for f = 0, and m at p = inf."""
     g = f.grid
-    if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    return float((g.h ** g.dim * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    a = np.abs(f.values)
+    m = float(a.max())
+    if math.isinf(p) or not 0 < m < math.inf:
+        return m
+    return m * float((g.h ** g.dim * np.sum((a / m) ** p)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,14 @@ dominates, is scanned on a grid that is then zoomed, with no iterative
 optimizer.  The oracle takes a whole sweep of angles at once: one row of
 the scan per angle, each with its own sign of arg a, in blocks of a fixed
 number of rows.  Tensorization C^n demonstrates how the norm diverges
-with dimension outside the contractivity sector.
+with dimension outside the contractivity sector; a sweep checks every
+angle before the one oracle scan.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,30 +84,11 @@ def heat_norm_constant(phi: float, p: float) -> float:
     return val ** 0.25
 
 
-class _Phase(NamedTuple):
-    """phi with cos phi and |sin phi|, as floats or as (rows, 1) columns.
-    The columns take math.cos and math.sin per row, so that a batch sees
-    the very values of the scalar evaluation."""
-    phi: float | np.ndarray
-    c: float | np.ndarray
-    s: float | np.ndarray
-
-    @classmethod
-    def of(cls, phi) -> _Phase:
-        if isinstance(phi, cls):
-            return phi
-        if np.ndim(phi) == 0:
-            return cls(phi, math.cos(phi), abs(math.sin(phi)))
-        phis = np.ravel(phi).tolist()
-        return cls(np.array(phis)[:, None], np.array([[math.cos(f)] for f in phis]),
-                   np.array([[abs(math.sin(f))] for f in phis]))
-
-
 def _gaussian_ratio(rho, theta, phi, p: float) -> np.ndarray:
     """||evolved g_a||_p / ||g_a||_p for g_a(x) = exp(-a x^2) at time
     z = t e^{i phi}, where a = rho e^{i theta} / (4t); batched over
     (rho, theta), and it depends on them and phi only.  phi is a float or
-    a :class:`_Phase` of (rows, 1) columns that broadcast against theta.
+    a (rows, 1) column that broadcasts against theta.
 
     The evolution maps a to b = a/(1+4za) with amplitude (1+4za)^{-1/2};
     Gaussian p-norms are closed form, so the ratio is
@@ -124,7 +104,7 @@ def _gaussian_ratio(rho, theta, phi, p: float) -> np.ndarray:
     not as exp of a sum of logs, whose rounding (about 5 ulp at |phi| near
     pi/2, where |1+4za|^2 ~ 1e-11) lifted the oracle above C.
     """
-    phi, c, s = _Phase.of(phi)
+    c, s = np.cos(phi), np.abs(np.sin(phi))
     ct, st = np.cos(theta), np.abs(np.sin(theta))
     ok = (ct > 0) & (rho > 0)
     # ct keeps theta's shape, without rho's extra axis, so one_cos is
@@ -149,14 +129,13 @@ def _width_optimum(theta: np.ndarray, phi, p: float) -> np.ndarray:
     or not positive cost nothing, since every value comes from
     :func:`_gaussian_ratio` and is therefore a lower bound.
     """
-    phase = _Phase.of(phi)
-    c, ct, cs = phase.c, np.cos(theta), np.cos(theta + phase.phi)
+    c, ct, cs = np.cos(phi), np.cos(theta), np.cos(theta + phi)
     qa = (1.0 - p) * c  # < 0
     qb = (2.0 - p) * ct - p * cs * c
     qc = (2.0 - p) * cs * ct - c
     root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
     rho = np.maximum(np.stack([-qb + root, -qb - root]) / (2.0 * qa), 0.0)
-    return _gaussian_ratio(rho, theta, phase, p).max(axis=0)
+    return _gaussian_ratio(rho, theta, phi, p).max(axis=0)
 
 
 def _check_oracle_args(phi: float, p: float) -> None:
@@ -192,8 +171,8 @@ def gaussian_oracle(phi, p: float) -> float | np.ndarray:
 
     The angles are scanned together, one row each with its own sign of
     arg a, in blocks of ``_ORACLE_ROWS`` rows, so that memory stays that
-    of one block whatever the number of angles.  Each angle is checked in
-    turn before any scan, phi first, then p.
+    of one block whatever the number of angles.  Every angle is checked,
+    phi first, then p, before any block is scanned.
     """
     phis = np.asarray(phi, dtype=float)
     flat = phis.ravel()
@@ -207,13 +186,13 @@ def gaussian_oracle(phi, p: float) -> float | np.ndarray:
 
 def _scan(phis: np.ndarray, p: float) -> np.ndarray:
     """:func:`gaussian_oracle` on one block of angles, one row each."""
-    phase = _Phase.of(phis)
-    sign = np.where(phase.phi * (p - 2.0) > 0, 1.0, -1.0)
+    phi = phis[:, None]
+    sign = np.where(phi * (p - 2.0) > 0, 1.0, -1.0)
     u, step = np.linspace(math.log(1e-17), math.log(math.pi / 2), 1000, retstep=True)
     zoom = np.linspace(-1.0, 1.0, 17)
     best = np.ones((phis.size, 1))  # boundary candidate: the a -> 0 limit
     for _ in range(9):  # the scan, then 8 zooms of 17 points
-        vals = _width_optimum(sign * (math.pi / 2 - np.exp(u)), phase, p)
+        vals = _width_optimum(sign * (math.pi / 2 - np.exp(u)), phi, p)
         i = vals.argmax(axis=1, keepdims=True)
         top = np.take_along_axis(vals, i, axis=1)
         best = np.where(top > best, top, best)
@@ -222,41 +201,26 @@ def _scan(phis: np.ndarray, p: float) -> np.ndarray:
     return best[:, 0]
 
 
-def _closed_form(phi: float, p: float, n: int) -> tuple[float, float]:
-    """C and C^n at one angle, after checking it for the oracle too."""
-    C = heat_norm_constant(phi, p)
-    try:
-        C_pow_n = C ** n
-    except OverflowError as exc:
-        raise ParameterError(f"C^n overflows a float at n = {n}") from exc
-    _check_oracle_args(phi, p)
-    return C, C_pow_n
-
-
-def tensorized_demo(phis, p: float, n: int) -> Iterator[HeatNormResult]:
+def tensorized_demo(phis, p: float, n: int) -> list[HeatNormResult]:
     """Dimension-n norm C^n and the induced lower bound C^n / 2 on the
     bilinear-embedding constant for the pair (e^{i phi} I, its adjoint),
     one result per angle of the sequence ``phis``, in its order.
 
-    Each angle is checked in turn, as a loop over them would: the
-    dimension, C's domain, the overflow of C^n, then the oracle's domain.
-    Then one :func:`gaussian_oracle` call takes every angle before the
-    first that fails; their results come first, and then that angle's
-    ParameterError, so a caller that checks each result meets its own
-    objection to an earlier angle before the error of a later one.
+    Every angle is checked before the oracle scans any: first the
+    dimension, then C's domain and the overflow of C^n angle by angle, then
+    the oracle's domain in its one :func:`gaussian_oracle` call.  A refused
+    angle raises its ParameterError and gives no result.
     """
     if n < 1:
         raise ParameterError("dimension must be at least 1")
-    phis, closed, error = list(phis), [], None
+    phis, closed = list(phis), []
     for phi in phis:
+        C = heat_norm_constant(phi, p)
         try:
-            closed.append(_closed_form(phi, p, n))
-        except ParameterError as exc:
-            error = exc
-            break
-    oracle = gaussian_oracle(np.array(phis[:len(closed)]), p)
-    for phi, (C, C_pow_n), o in zip(phis, closed, oracle.tolist()):
-        yield HeatNormResult(phi=phi, p=p, C=C, oracle=o, n=n,
-                             C_pow_n=C_pow_n, N_p_lower=C_pow_n / 2.0)
-    if error is not None:
-        raise error
+            closed.append((C, C ** n))
+        except OverflowError as exc:
+            raise ParameterError(f"C^n overflows a float at n = {n}") from exc
+    oracle = gaussian_oracle(np.array(phis), p)
+    return [HeatNormResult(phi=phi, p=p, C=C, oracle=o, n=n,
+                           C_pow_n=C_pow_n, N_p_lower=C_pow_n / 2.0)
+            for phi, (C, C_pow_n), o in zip(phis, closed, oracle.tolist())]

@@ -659,7 +659,7 @@ def test_convexity_verify_refuses_nonelliptic():
     wit = bl.violation_search(bl.BellmanParams(3.0, 0.5), A, B)
     assert out["violation"] and out["pass"]
     assert (out["delta"], out["bound"]) == (0.5, 0.0)
-    assert out["delta_p"] == el.delta_p(A, 3.0) < 0
+    assert out["delta_p"] == el.delta_p(A, 1.5) < 0  # delta_p, read at q
     assert out["min_ratio"] == wit.pop("value") < 0
     for key, val in wit.items():
         assert np.array_equal(out["witness"][key], val)
@@ -696,18 +696,17 @@ _OK, _WIDE = el.rotation_matrix(0.3, 2), el.rotation_matrix(1.5, 2)  # inside, o
 
 
 @pytest.mark.parametrize("A, B, p, violation, counts", [
-    (_OK, _OK, 3.0, False, (1, 2)),
-    (_OK, el.skew_matrix(0.3), 8.0, False, (2, 4)),
-    (_WIDE, _WIDE, 3.0, True, (1, 2)),
-    (_OK, _WIDE, 3.0, True, (2, 4)),
-    (_WIDE, _OK, 3.0, True, (2, 4)),
+    (_OK, _OK, 3.0, False, (1, 1)),
+    (_OK, el.skew_matrix(0.3), 8.0, False, (2, 2)),
+    (_WIDE, _WIDE, 3.0, True, (1, 1)),
+    (_OK, _WIDE, 3.0, True, (2, 2)),
+    (_WIDE, _OK, 3.0, True, (2, 2)),
 ], ids=["A-only-convexity", "pair-convexity", "A-only-violation", "only-B-fails",
         "only-A-fails"])
 def test_convexity_verify_reduces_each_side_once(monkeypatch, A, B, p, violation, counts):
-    # pair_constants alone reduces: one accretivity_bounds per side and one
-    # delta_p per side and exponent, which the convexity and violation
-    # cores read; their own delta_q(A) and delta_p of the failing side made
-    # 3, 3 and 5 delta_p calls on the A-only and only-B-fails paths
+    # pair_constants alone reduces: one accretivity_bounds and one delta_p
+    # per side, which the convexity and violation cores read; a delta_p per
+    # side at both p and q made 2 and 4 delta_p calls
     calls = {"accretivity_bounds": 0, "delta_p": 0}
     for name in calls:
         def counted(*args, _fn=getattr(bl, name), _name=name):
@@ -722,13 +721,17 @@ def test_convexity_verify_reduces_each_side_once(monkeypatch, A, B, p, violation
 def test_pair_constants_match_their_definitions():
     A, B = el.rotation_matrix(0.3, 2), random_accretive(2, scale=0.2)
     for p in (2.0, 3.0, 8.0):
+        q = p / (p - 1)
         c = bl.pair_constants(A, B, p)
         lamA, LamA, _ = el.accretivity_bounds(A)
         lamB, LamB, _ = el.accretivity_bounds(B)
-        assert c.delta_p == min(el.delta_p(A, p), el.delta_p(B, p))
+        # each side's one number is delta_p at q, delta_p at p up to rounding
+        assert (c.delta_p_A, c.delta_p_B) == (el.delta_p(A, q), el.delta_p(B, q))
+        assert c.delta_p == pytest.approx(min(el.delta_p(A, p), el.delta_p(B, p)),
+                                          rel=1e-13)
         assert (c.lam, c.Lam) == (min(lamA, lamB), max(LamA, LamB))
         assert c.bound == c.delta_p / 5.0 * c.lam / c.Lam
-        assert c.delta == bl.delta_choice(c.lam, c.Lam, el.delta_p(B, p / (p - 1)))
+        assert c.delta == bl.delta_choice(c.lam, c.Lam, el.delta_p(B, q))
     # a non-elliptic pair still has constants, but no admissible delta
     c = bl.pair_constants(el.rotation_matrix(1.5, 2), B, 3.0)
     assert c.delta_p < 0
@@ -738,13 +741,17 @@ def test_pair_constants_match_their_definitions():
 
 def test_pair_constants_refuse_p_whose_conjugate_rounds_to_1():
     # q = p / (p - 1) is 1.0 from p ~ 9.0e15 on: delta_q(B) was asked at
-    # q = 1 and refused it as "exponent p must satisfy p > 1"
+    # q = 1 and refused it as "exponent p must satisfy p > 1"; p itself is
+    # checked first, with delta_p's message
     A = el.rotation_matrix(0.3, 2)
-    assert bl.pair_constants(A, A, 9.0e15).delta_q_B < 0
+    assert bl.pair_constants(A, A, 9.0e15).delta_p_B < 0
     for p in (9.1e15, 1e300):
         with pytest.raises(bl.ParameterError) as exc:
             bl.pair_constants(A, A, p)
         assert str(exc.value).startswith(f"p = {p:g} is out of numeric range")
+    for p in (1.0, 0.5, math.nan):
+        with pytest.raises(bl.ParameterError, match="exponent p must satisfy p > 1"):
+            bl.pair_constants(A, A, p)
 
 
 def test_hessian_q_inner_branch_at_p2():

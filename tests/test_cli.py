@@ -121,10 +121,10 @@ def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(heatnorm, "gaussian_oracle", lambda phi, p: np.full(np.shape(phi), 2.0))
     assert cli.main(["heatnorm", "--phi-grid", "0.2", "--p", "4"]) == 3
     assert "verification failure" in capsys.readouterr().err
-    # the disagreement at phi = 0.2 comes before the input error at 1.6,
-    # as it did when each angle was computed in turn
-    assert cli.main(["heatnorm", "--phi-grid", "0.2:1.6:0.7", "--p", "4"]) == 3
-    assert "at phi=0.2" in capsys.readouterr().err
+    # every angle is checked before the oracle runs, so the input error at
+    # 1.6 wins over the disagreement at phi = 0.2
+    assert cli.main(["heatnorm", "--phi-grid", "0.2:1.6:0.7", "--p", "4"]) == 2
+    assert "input error: |phi| must be less than pi/2" in capsys.readouterr().err
 
 
 _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
@@ -213,7 +213,7 @@ def test_bellman_violation_row(tmp_path, capsys):
     wit = bellman.violation_search(params, A, B)
     val = bellman.bellman_hessian_form(params, A, B, (wit["zeta"], wit["eta"]),
                                        (wit["omega1"], wit["omega2"]))
-    assert row["delta_p"] == ellipticity.delta_p(B, 3.0) < 0
+    assert row["delta_p"] == ellipticity.delta_p(B, 1.5) < 0  # delta_p, read at q
     assert row["min_ratio"] == wit["value"] < 0
     assert abs(row["min_ratio"] - val) < 1e-12
     assert row["violation"] == f"negative branch value {val:.6g}"
@@ -233,6 +233,53 @@ def test_bellman_at_an_endpoint_of_the_p_range_is_an_input_error(tmp_path, capsy
     assert cli.main(["bellman", "--spec", spec, "--p", "2.5"]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and "endpoint" in err
+
+
+def _near_the_angle(p, ulps):
+    """Rotation and skew specs ``ulps`` steps of a float from where delta_p
+    vanishes at p: phi_p = arccos|1 - 2/p| and w_p = sqrt(1 - (1 - 2/p)^2)."""
+    s = abs(1.0 - 2.0 / p)
+    phi, w = math.acos(s), math.sqrt(1.0 - s * s)
+    for _ in range(abs(ulps)):
+        phi, w = (float(np.nextafter(x, math.copysign(math.inf, ulps))) for x in (phi, w))
+    return [{"kind": "rotation", "phi": phi}, {"kind": "skew", "w": w}]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0, 7.0, 12.0, 20.0, 40.0])
+def test_no_internal_error_at_the_end_of_the_p_range(tmp_path, capsys, p):
+    # within a few ulp of the end, delta_p at p and at q rounded to
+    # opposite signs: delta_choice refused delta_q(B) <= 0 as an internal
+    # error (exit 1), or a violation of value 0 was reported
+    inner = write_spec(tmp_path, "inner.json", {"kind": "rotation", "phi": 0.1})
+    for ulps in range(-5, 6):
+        for doc in _near_the_angle(p, ulps):
+            spec = write_spec(tmp_path, "spec.json", doc)
+            line = write_spec(tmp_path, "line.json", {**doc, "n": 1}
+                              if doc["kind"] == "rotation" else doc)
+            for argv in (["bellman", "--spec", spec], ["ellipticity", "--spec", spec],
+                         ["bellman", "--spec", inner, "--spec-b", spec],
+                         ["heatflow", "--spec", line],
+                         ["dissipativity", "--spec", spec, "--grid-cells", "16"]):
+                code = cli.main(argv + ["--p", str(p)])
+                assert code in (0, 2, 3), (argv[0], doc, p, capsys.readouterr().err)
+                capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["bellman", "--p", "6"], {"kind": "rotation", "phi": 0.8410686705679302}),
+    (["bellman", "--p", "12"], {"kind": "rotation", "phi": 0.5856855434571506}),
+    (["bellman", "--p", "40"], {"kind": "skew", "w": 0.31224989991991975}),
+    (["bellman", "--p", "7"], {"kind": "rotation", "phi": 0.7751933733103613}),
+    (["heatflow", "--p", "6"], {"kind": "rotation", "phi": 0.8410686705679302, "n": 1}),
+    (["heatflow", "--p", "1.5"], {"kind": "rotation", "phi": 1.2309594173407747, "n": 1}),
+])
+def test_a_rounded_end_of_the_p_range_is_an_input_error(tmp_path, capsys, argv, doc):
+    # each side's one delta_p is 0 within eigvalsh's rounding: exit 1 with
+    # "all inputs must be positive" before, or (p = 7) a violation of value 0
+    spec = write_spec(tmp_path, "edge.json", doc)
+    assert cli.main(argv + ["--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and ("endpoint" in err or "must be positive" in err)
 
 
 @pytest.mark.parametrize("p, phi", [("40", "1.5707963"), ("1000", "1.570796")])
@@ -336,11 +383,11 @@ def test_dissipativity_subcommand(tmp_path, capsys):
 
 
 def test_dissipativity_outside_the_p_range_reports_without_a_verdict(tmp_path, capsys):
-    # phi = 1.5 is outside the p = 3 angle: delta_q <= 0, so delta's input
+    # phi = 1.5 is outside the p = 3 angle: delta_p <= 0, so delta's input
     # is floored (_DELTA_Q_FLOOR), and delta_p < 0 leaves nothing to verify
     spec = write_spec(tmp_path, "wide.json", {"kind": "rotation", "phi": 1.5})
     c = bellman.pair_constants(*[ellipticity.rotation_matrix(1.5, 2)] * 2, 3.0)
-    assert c.delta_p < 0 and c.delta_q_B < cli._DELTA_Q_FLOOR
+    assert c.delta_p < 0 and c.delta_p_B < cli._DELTA_Q_FLOOR
     assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert all(math.isfinite(v) for v in row.values())
@@ -450,7 +497,7 @@ def test_dissipativity_reduces_and_evaluates_each_thing_once(tmp_path, capsys,
     # it was built from, so no np.unique runs over all cells; the
     # dissipativity functional runs once and the field is realified once;
     # pair_constants(A, A, p) reads A's constants once for B: one
-    # accretivity_bounds and one delta_p per exponent (p and q)
+    # accretivity_bounds and one delta_p, at q
     cells = 128
     counts = collections.Counter()
 
@@ -485,7 +532,7 @@ def test_dissipativity_reduces_and_evaluates_each_thing_once(tmp_path, capsys,
     assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["rows"][0]["value"] > 0
     assert counts == {"realify": 1, "dissipativity_functional": 1,
-                      "accretivity_bounds": 1, ("delta_p", 3.0): 1, ("delta_p", 1.5): 1}
+                      "accretivity_bounds": 1, ("delta_p", 1.5): 1}
 
 
 def test_ellipticity_reduces_each_functional_over_distinct_cells(tmp_path, capsys,
@@ -703,7 +750,7 @@ def test_bellman_rejects_spec_b_of_another_size(tmp_path, capsys):
 
 def test_bellman_computes_each_pair_constant_once(tmp_path, monkeypatch):
     # choosing delta and convexity_verify read one computation of lambda,
-    # Lambda, delta_p, delta_q(B) and the outer branch's delta_q(A)
+    # Lambda and each side's one p-ellipticity number, read at q
     a = write_spec(tmp_path, "a.json", {"kind": "rotation", "phi": 0.3})
     b = write_spec(tmp_path, "b.json", {"kind": "skew", "w": 0.3})
     calls = collections.Counter()
@@ -713,7 +760,7 @@ def test_bellman_computes_each_pair_constant_once(tmp_path, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(bellman, name, counted)
     assert cli.main(["bellman", "--spec", a, "--spec-b", b, "--p", "8"]) == 0
-    assert calls == {"accretivity_bounds": 2, "delta_p": 4}
+    assert calls == {"accretivity_bounds": 2, "delta_p": 2}
 
 
 @pytest.mark.parametrize("n", [0, -1, cli._MAX_ROTATION_N + 1, 3000, 100_000,

@@ -864,6 +864,22 @@ def test_lp_norm_at_infinity_is_the_largest_modulus():
     assert fd.lp_norm(f, 400.0) == pytest.approx(fd.lp_norm(f, math.inf), rel=1e-2)
 
 
+
+@pytest.mark.parametrize("amplitude", [1.0, 3.0])
+@pytest.mark.parametrize("p", [700.0, 3e5, 1e6])
+def test_lp_norm_at_large_p_is_the_scaled_sum(p, amplitude):
+    # sum |f|^p underflowed to 0 for e^{-x^2} from p ~ 3e5 and overflowed
+    # to inf for 3 e^{-x^2} from p ~ 700; the reference sums in logs
+    grid = fd.Grid(1, 64, 4.0)
+    f = fd.sample(grid, lambda X: amplitude * np.exp(-X * X) * np.exp(0.3j * X))
+    log_terms = p * np.log(np.abs(f.values))
+    top = log_terms.max()
+    want = math.exp((math.log(grid.h) + top + math.log(np.exp(log_terms - top).sum())) / p)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = fd.lp_norm(f, p)  # terms far below the largest may underflow
+    assert got == pytest.approx(want, rel=1e-13)
+    assert fd.lp_norm(fd.GridFunction(grid, 0.0 * f.values), p) == 0.0
+
 def test_dense_matrix_refuses_more_than_4096_cells():
     F = fd.constant_field(fd.Grid(2, 65, 4.0), np.eye(2))
     with pytest.raises(ParameterError, match="too large for dense storage"):

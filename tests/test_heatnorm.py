@@ -71,7 +71,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         hn.heat_norm_constant(0.5, 0.9)
     with pytest.raises(ValueError):
-        list(hn.tensorized_demo([0.3], 4.0, 0))
+        hn.tensorized_demo([0.3], 4.0, 0)
 
 
 def test_oracle_matches_formula():
@@ -94,7 +94,7 @@ def test_tensorized_demo_divergence():
 def test_tensorized_demo_overflow_is_parameter_error():
     # C(1.4, 4) ~ 1.23, so C^n passes the largest float near n = 3381
     with pytest.raises(ParameterError, match="overflows"):
-        list(hn.tensorized_demo([1.4], 4.0, 100_000))
+        hn.tensorized_demo([1.4], 4.0, 100_000)
     [inside] = hn.tensorized_demo([0.2], 4.0, 10**9)
     assert inside.C_pow_n == 1.0
 
@@ -213,14 +213,13 @@ def test_batched_oracle_memory_is_one_block():
     assert peak < 5e6
 
 
-def test_tensorized_demo_reports_the_angles_before_a_refused_one(monkeypatch):
-    # one oracle call for the angles before the first refused one; their
-    # results come first, then its error, as a loop over the angles gave
+def test_tensorized_demo_checks_every_angle_before_the_oracle(monkeypatch):
+    # a refused angle anywhere in the sweep raises its ParameterError, and
+    # the oracle scans no angle, not even those before it
     calls = []
-    oracle = hn.gaussian_oracle
-    monkeypatch.setattr(hn, "gaussian_oracle", lambda phi, p: calls.append(len(phi)) or oracle(phi, p))
-    demo = hn.tensorized_demo([0.2, 1.4, 1.6, 0.3], 4.0, 3)
-    assert [r.phi for r in (next(demo), next(demo))] == [0.2, 1.4]
-    with pytest.raises(ParameterError, match="pi/2"):
-        next(demo)
-    assert calls == [2]
+    monkeypatch.setattr(hn, "gaussian_oracle", lambda phi, p: calls.append(phi))
+    for phis, match in (([0.2, 1.4, 1.6, 0.3], "pi/2"), ([1.6, 0.2], "pi/2"),
+                        ([0.2, 1.4, 1.5707963], "overflows")):
+        with pytest.raises(ParameterError, match=match):
+            hn.tensorized_demo(phis, 4.0, 3000)
+    assert calls == []
