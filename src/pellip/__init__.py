@@ -19,3 +19,7 @@ __version__ = "0.1.0"
 class ParameterError(ValueError):
     """A scalar parameter (exponent, angle, size, range) lies outside
     its documented domain."""
+
+
+class VerificationError(Exception):
+    """A checked mathematical property failed to hold."""

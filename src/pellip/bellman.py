@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import ParameterError
+from . import ParameterError, VerificationError
 from .ellipticity import accretivity_bounds, delta_p, delta_r_extended, weighted_form
 from .realform import devectorize, realify, rotation_form, sym_part, vectorize
 
@@ -332,13 +332,14 @@ def tensor_lower_bound(A, B, q, v, omega) -> float:
     2 lam_A |eta|^{2-q} |o1|^2 - 4(2-q) Lam |o1||o2|
     + ((2-q)^2/2) delta_{2-q}(B) |eta|^{q-2} |o2|^2."""
     zeta, eta = v
-    c = pair_constants(A, B, q / (q - 1.0))
+    lam_A, Lam_A, _ = accretivity_bounds(A)
+    Lam = max(Lam_A, accretivity_bounds(B)[1])
     d2q = delta_r_extended(np.asarray(B, dtype=complex), 2.0 - q)
     n1 = np.linalg.norm(omega[0])
     n2 = np.linalg.norm(omega[1])
     ae = abs(eta)
-    return (2.0 * c.lam_A * ae ** (2.0 - q) * n1 * n1
-            - 4.0 * (2.0 - q) * c.Lam * n1 * n2
+    return (2.0 * lam_A * ae ** (2.0 - q) * n1 * n1
+            - 4.0 * (2.0 - q) * Lam * n1 * n2
             + ((2.0 - q) ** 2 / 2.0) * d2q * ae ** (q - 2.0) * n2 * n2)
 
 
@@ -393,9 +394,9 @@ class PairConstants:
 
 
 def pair_constants(A, B, p: float) -> PairConstants:
-    """The constants of (A, B) at exponent p; matrices or fields.  The only
-    caller of accretivity_bounds and delta_p in this module: one reduction
-    of each per side, and where B is A, A's numbers serve for B.
+    """The constants of (A, B) at exponent p; matrices or fields, from one
+    reduction of accretivity_bounds and delta_p per side (where B is A,
+    A's numbers serve for B).  Every judgement of a pair reads them here.
     Raises ParameterError where p <= 1, and naming p where q = p / (p - 1)
     rounds to 1."""
     if not p > 1:
@@ -607,14 +608,19 @@ def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
 def convexity_verify(A: np.ndarray, B: np.ndarray, p: float) -> dict:
     """Judge (A, B) at p by the sign of the joint delta_p of one
     :func:`pair_constants`: > 0, :func:`_convexity`'s report at the paper's
-    delta; = 0 (an endpoint of the p-range), ParameterError; < 0,
-    :func:`_violation`'s witness at delta = 0.5, its value as min_ratio,
-    bound 0 and pass true.  Both read those constants and no others, and
-    both reports hold delta, delta_p, min_ratio, bound, witness, pass and
+    delta, VerificationError where it fails; = 0 (a p-range endpoint),
+    ParameterError; < 0, :func:`_violation`'s witness at delta = 0.5, its
+    value as min_ratio, bound 0 and pass true.  Both read those constants
+    only, and hold delta, delta_p, min_ratio, bound, witness, pass and
     violation (true on the last)."""
     constants = pair_constants(A, B, p)
     if constants.delta_p > 0:
-        return _convexity(BellmanParams(p, constants.delta), A, B, constants)
+        out = _convexity(BellmanParams(p, constants.delta), A, B, constants)
+        if not out["pass"]:
+            raise VerificationError(
+                f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
+                f"< bound={out['bound']:.6g}")
+        return out
     if constants.delta_p == 0:
         raise ParameterError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
                              "range (delta_p = 0): no convexity bound and no violation")

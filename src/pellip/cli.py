@@ -1,10 +1,9 @@
 """Batch command-line front end.
 
-Subcommands wrap the library modules one-to-one and hold no numerics of
-their own but the probe functions of ``dissipativity`` and ``heatflow``
-and the former's floor on delta: ``bellman`` only maps the verdict of
-``bellman.convexity_verify`` to its row.  Each declares only the flags it
-reads (``_COMMANDS``) besides the shared ``--seed``, ``--out`` and
+Each subcommand adapts its spec and grid, makes one library call and
+names the columns of its rows; every numerical decision, from probe data
+and delta to each verdict, is the library's.  Each declares only the
+flags it reads (``_COMMANDS``) besides the shared ``--seed``, ``--out`` and
 ``--format``, and three it accepts for old argv and ignores: ``bellman
 --budget`` and the closed-form ``counterexample``'s ``--grid-cells`` and
 ``--extent``; argparse rejects any other flag, or prefix of one, with
@@ -17,10 +16,10 @@ is byte-identical.
 
 Exit codes: 0 success, 2 input error (bad or non-finite flags, values
 the library rejects with ParameterError, malformed or non-accretive
-spec), 3 verification failure (a checked mathematical property did
-not hold), 1 internal error, including a NaN in any reported column
-(inf is a legal value: ``ellipticity`` reports p_max = inf for real
-matrices).
+spec), 3 verification failure (the library's VerificationError: a
+checked mathematical property did not hold), 1 internal error,
+including a NaN in any reported column (inf is a legal value:
+``ellipticity`` reports p_max = inf for real matrices).
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import sys
 
 import numpy as np
 
-from . import ParameterError, __version__, bellman, ellipticity, field, heatnorm
+from . import (ParameterError, VerificationError, __version__, bellman, ellipticity,
+               field, heatnorm)
 
 __all__ = ["main", "load_spec", "run", "emit_report",
            "InputError", "VerificationError"]
@@ -42,10 +42,6 @@ __all__ = ["main", "load_spec", "run", "emit_report",
 
 class InputError(Exception):
     """Bad user input: malformed spec, failed validation, bad ranges."""
-
-
-class VerificationError(Exception):
-    """A verified mathematical property failed to hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,51 +207,17 @@ def _cmd_bellman(args) -> list[dict]:
         raise InputError(f"--spec-b is {B.shape[0]}x{B.shape[0]} but --spec "
                          f"is {A.shape[0]}x{A.shape[0]}")
     out = bellman.convexity_verify(A, B, args.p)
-    if not out["pass"]:
-        raise VerificationError(
-            f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
-            f"< bound={out['bound']:.6g}")
     return [{"p": args.p, "delta": out["delta"], "delta_p": out["delta_p"],
              "min_ratio": out["min_ratio"], "bound": out["bound"], "passed": out["pass"],
              "violation": f"negative branch value {out['min_ratio']:.6g}"
              if out["violation"] else ""}]
 
 
-# The identity checks need a Bellman delta > 0 even when A lies outside
-# the p-range (delta_p(A) <= 0), so delta's input is floored here.
-_DELTA_Q_FLOOR = 1e-6
-
-
 def _cmd_dissipativity(args) -> list[dict]:
+    # the grid first: its refusal comes before a missing or bad --spec
     grid = field.Grid(2, args.grid_cells, args.extent, "periodic")
     A = _as_field(_spec(args.spec), grid)  # a field brings its own grid
-    f_probe, g_probe = _smooth_pair(A.grid, np.random.default_rng(args.seed))
-    c = bellman.pair_constants(A, A, args.p)
-    delta = bellman.delta_choice(c.lam, c.Lam, max(c.delta_p_B, _DELTA_Q_FLOOR))
-    row = {"p": args.p, **field.identity_checks(
-        A, A, f_probe, g_probe, bellman.BellmanParams(args.p, delta))}
-    if c.delta_p >= 0 and row["value"] < -1e-8:
-        raise VerificationError(
-            f"dissipativity functional negative ({row['value']:.6g}) although the "
-            "p-ellipticity constant is nonnegative")
-    return [row]
-
-
-def _smooth_pair(grid, rng):
-    L = grid.extent
-    coords = grid.meshes()
-    k = rng.integers(1, 3, size=(2, grid.dim))
-    a = rng.uniform(0.1, 0.3, size=4)
-
-    def mk(base, kk, a1, a2):
-        tr = np.ones(grid.shape)
-        for c, kc in zip(coords, kk):
-            tr = tr * np.cos(kc * np.pi * c / L)
-        return base + a1 * tr + 1j * a2 * np.sin(np.pi * coords[0] / L)
-
-    f = field.GridFunction(grid, mk(2.0, k[0], a[0], a[1]))
-    g = field.GridFunction(grid, mk(0.5, k[1], a[2], a[3]))
-    return f, g
+    return [{"p": args.p, **field.dissipativity_verify(A, args.p, args.seed)}]
 
 
 def _cmd_counterexample(args) -> list[dict]:
@@ -275,46 +237,19 @@ def _cmd_counterexample(args) -> list[dict]:
 
 
 def _cmd_heatflow(args) -> list[dict]:
-    A = _as_field(_spec(args.spec),
+    A = _as_field(_spec(args.spec),  # a field spec brings its own grid
                   field.Grid(1, args.grid_cells, args.extent, "periodic"))
-    grid = A.grid  # a field spec brings its own grid
-    if grid.dim != 1:
-        raise InputError("heatflow needs a 1-D coefficient field")
-    rng = np.random.default_rng(args.seed)
-    x = grid.axis()
-    fv = np.exp(-x * x) * np.exp(1j * rng.uniform(0, 2 * np.pi) * np.sin(np.pi * x / grid.extent))
-    gv = np.exp(-0.5 * x * x) * (1 + 0.2 * np.cos(np.pi * x / grid.extent))
-    f = field.GridFunction(grid, fv)
-    g = field.GridFunction(grid, gv)
-    rep = field.heat_flow_experiment(A, A, f, g, args.p)
-    rows = [{"t": float(t), "energy": float(e), "bilinear": float(b),
+    rep = field.heat_flow_verify(A, args.p, args.seed)
+    return [{"t": float(t), "energy": float(e), "bilinear": float(b),
              "ratio": rep["ratio"], "monotone": rep["monotone"]}
             for t, e, b in zip(rep["times"], rep["energy"], rep["bilinear"])]
-    if not rep["monotone"]:
-        raise VerificationError("Bellman energy was not nonincreasing")
-    if rep["ratio"] > 1.0:
-        raise VerificationError(
-            f"bilinear time integral exceeded the closed bound "
-            f"(ratio {rep['ratio']:.6g})")
-    if not rep["budget_ok"]:
-        raise VerificationError(
-            f"bilinear time integral exceeded the energy budget E(0)/a0 "
-            f"(a0 = {rep['a0']:.6g})")
-    return rows
 
 
 def _cmd_heatnorm(args) -> list[dict]:
-    rows = []
     phis = sorted(float(ph) for ph in _parse_scan(args.phi_grid))
-    for res in heatnorm.tensorized_demo(phis, args.p, args.n):
-        if abs(res.oracle - res.C) > 1e-5:
-            raise VerificationError(
-                f"Gaussian oracle {res.oracle:.8g} disagrees with the "
-                f"closed form {res.C:.8g} at phi={res.phi}")
-        rows.append({"p": args.p, "phi": res.phi, "C": res.C, "oracle": res.oracle,
-                     "n": args.n, "C_pow_n": res.C_pow_n,
-                     "N_p_lower": res.N_p_lower})
-    return rows
+    return [{"p": args.p, "phi": res.phi, "C": res.C, "oracle": res.oracle,
+             "n": args.n, "C_pow_n": res.C_pow_n, "N_p_lower": res.N_p_lower}
+            for res in heatnorm.tensorized_demo(phis, args.p, args.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from . import ParameterError
+from . import ParameterError, VerificationError
 from . import bellman as _bellman
 from . import ellipticity as _ellipticity
 from .realform import realify
@@ -45,17 +45,22 @@ __all__ = [
     "dissipativity_from_polar",
     "random_polar_probe",
     "identity_checks",
+    "dissipativity_verify",
     "refinement_study",
     "default_identity_case",
     "counterexample_section7",
     "semigroup_apply",
     "heat_flow_experiment",
+    "heat_flow_verify",
     "contractivity_probe",
 ]
 
 MAX_CELLS = 2 ** 18  # 512^2; Grid checks it before any array is built
 # default_identity_case lives on [-3, 3]^2, one period of its data.
 _IDENTITY_EXTENT = 3.0
+# dissipativity_verify floors delta_q(A), delta's input, here: its identity
+# checks need delta > 0 also outside the p-range, where delta_p(A) <= 0.
+_DELTA_Q_FLOOR = 1e-6
 # refinement_study treats residuals below this as rounding: identity
 # (ii) of identity_checks is exact and reads ~2e-17 on every grid.
 _RESIDUAL_FLOOR = 1e-12
@@ -478,6 +483,40 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
             "chain_rule": res_iii}
 
 
+def dissipativity_verify(A: MatrixField, p: float, seed: int) -> dict:
+    """:func:`identity_checks` of (A, A) on a smooth pair drawn from
+    ``seed``, at the delta of :func:`pellip.bellman.pair_constants`
+    (delta_q(A) floored at ``_DELTA_Q_FLOOR``).  Raises VerificationError
+    where the value is below -1e-8 although delta_p(A) >= 0; where
+    delta_p(A) < 0 it gives the row with no verdict."""
+    f, g = _smooth_pair(A.grid, np.random.default_rng(seed))
+    c = _bellman.pair_constants(A, A, p)
+    delta = _bellman.delta_choice(c.lam, c.Lam, max(c.delta_p_B, _DELTA_Q_FLOOR))
+    row = identity_checks(A, A, f, g, _bellman.BellmanParams(p, delta))
+    if c.delta_p >= 0 and row["value"] < -1e-8:
+        raise VerificationError(
+            f"dissipativity functional negative ({row['value']:.6g}) although the "
+            "p-ellipticity constant is nonnegative")
+    return row
+
+
+def _smooth_pair(grid: Grid, rng) -> tuple[GridFunction, GridFunction]:
+    """f about 2 and g about 0.5: random cosine modes plus sin(pi x / L)."""
+    L = grid.extent
+    coords = grid.meshes()
+    k = rng.integers(1, 3, size=(2, grid.dim))
+    a = rng.uniform(0.1, 0.3, size=4)
+
+    def mk(base, kk, a1, a2):
+        tr = np.ones(grid.shape)
+        for c, kc in zip(coords, kk):
+            tr = tr * np.cos(kc * np.pi * c / L)
+        return base + a1 * tr + 1j * a2 * np.sin(np.pi * coords[0] / L)
+
+    return (GridFunction(grid, mk(2.0, k[0], a[0], a[1])),
+            GridFunction(grid, mk(0.5, k[1], a[2], a[3])))
+
+
 def default_identity_case(cells: int):
     """Smooth periodic 2-D test data staying on one Bellman branch, on
     [-_IDENTITY_EXTENT, _IDENTITY_EXTENT]^2."""
@@ -819,6 +858,30 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
         "a0": a0,
         "delta": params.delta,
     }
+
+
+def heat_flow_verify(A: MatrixField, p: float, seed: int) -> dict:
+    """:func:`heat_flow_experiment` of (A, A), A a 1-D field, from a
+    Gaussian f of random phase, drawn from ``seed``, and a Gaussian g.
+    Raises VerificationError where the energy is not nonincreasing, the
+    ratio exceeds 1 or the energy budget does not hold, in that order."""
+    grid = A.grid
+    if grid.dim != 1:
+        raise ParameterError("heatflow needs a 1-D coefficient field")
+    x, L = grid.axis(), grid.extent
+    phase = np.random.default_rng(seed).uniform(0, 2 * np.pi)
+    f = GridFunction(grid, np.exp(-x * x) * np.exp(1j * phase * np.sin(np.pi * x / L)))
+    g = GridFunction(grid, np.exp(-0.5 * x * x) * (1 + 0.2 * np.cos(np.pi * x / L)))
+    rep = heat_flow_experiment(A, A, f, g, p)
+    if not rep["monotone"]:
+        raise VerificationError("Bellman energy was not nonincreasing")
+    if rep["ratio"] > 1.0:
+        raise VerificationError(f"bilinear time integral exceeded the closed bound "
+                                f"(ratio {rep['ratio']:.6g})")
+    if not rep["budget_ok"]:
+        raise VerificationError(f"bilinear time integral exceeded the energy budget "
+                                f"E(0)/a0 (a0 = {rep['a0']:.6g})")
+    return rep
 
 
 def contractivity_probe(L: OperatorMatrix, p: float, t: float) -> float:

@@ -12,8 +12,8 @@ dominates, is scanned on a grid that is then zoomed, with no iterative
 optimizer.  The oracle takes a whole sweep of angles at once: one row of
 the scan per angle, each with its own sign of arg a, in blocks of a fixed
 number of rows.  Tensorization C^n demonstrates how the norm diverges
-with dimension outside the contractivity sector; a sweep checks every
-angle before the one oracle scan.
+with dimension outside the contractivity sector; a sweep checks p and
+every angle before the one oracle scan, and the oracle against C after.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from . import ParameterError
+from . import ParameterError, VerificationError
 
 __all__ = [
     "HeatNormResult",
@@ -138,10 +138,8 @@ def _width_optimum(theta: np.ndarray, phi, p: float) -> np.ndarray:
     return _gaussian_ratio(rho, theta, phi, p).max(axis=0)
 
 
-def _check_oracle_args(phi: float, p: float) -> None:
-    """The oracle's domain at one angle, phi first, then p."""
-    if not abs(phi) < math.pi / 2:
-        raise ParameterError("|phi| must be less than pi/2")
+def _check_exponent(p: float) -> None:
+    """The oracle's exponent range, where its quadratic stays finite."""
     if not 1 < p < math.inf:
         raise ParameterError("exponent must lie in (1, inf)")
     if not 8.0 * p * p < math.inf:  # bounds qb^2 - 4 qa qc of _width_optimum
@@ -171,13 +169,14 @@ def gaussian_oracle(phi, p: float) -> float | np.ndarray:
 
     The angles are scanned together, one row each with its own sign of
     arg a, in blocks of ``_ORACLE_ROWS`` rows, so that memory stays that
-    of one block whatever the number of angles.  Every angle is checked,
-    phi first, then p, before any block is scanned.
+    of one block whatever the number of angles.  p is checked, then every
+    angle, before any block is scanned.
     """
+    _check_exponent(p)
     phis = np.asarray(phi, dtype=float)
     flat = phis.ravel()
-    for f in flat.tolist():
-        _check_oracle_args(f, p)
+    if not np.all(np.abs(flat) < math.pi / 2):
+        raise ParameterError("|phi| must be less than pi/2")
     out = np.empty(flat.size)
     for k in range(0, flat.size, _ORACLE_ROWS):
         out[k:k + _ORACLE_ROWS] = _scan(flat[k:k + _ORACLE_ROWS], p)
@@ -207,12 +206,14 @@ def tensorized_demo(phis, p: float, n: int) -> list[HeatNormResult]:
     one result per angle of the sequence ``phis``, in its order.
 
     Every angle is checked before the oracle scans any: first the
-    dimension, then C's domain and the overflow of C^n angle by angle, then
-    the oracle's domain in its one :func:`gaussian_oracle` call.  A refused
-    angle raises its ParameterError and gives no result.
+    dimension and the oracle's exponent range, then C's domain and the
+    overflow of C^n angle by angle.  A refused angle raises its
+    ParameterError and gives no result; the first angle whose oracle
+    differs from C by more than 1e-5 raises VerificationError.
     """
     if n < 1:
         raise ParameterError("dimension must be at least 1")
+    _check_exponent(p)
     phis, closed = list(phis), []
     for phi in phis:
         C = heat_norm_constant(phi, p)
@@ -221,6 +222,10 @@ def tensorized_demo(phis, p: float, n: int) -> list[HeatNormResult]:
         except OverflowError as exc:
             raise ParameterError(f"C^n overflows a float at n = {n}") from exc
     oracle = gaussian_oracle(np.array(phis), p)
+    for phi, (C, _), o in zip(phis, closed, oracle.tolist()):
+        if abs(o - C) > 1e-5:
+            raise VerificationError(f"Gaussian oracle {o:.8g} disagrees with the "
+                                    f"closed form {C:.8g} at phi={phi}")
     return [HeatNormResult(phi=phi, p=p, C=C, oracle=o, n=n,
                            C_pow_n=C_pow_n, N_p_lower=C_pow_n / 2.0)
             for phi, (C, C_pow_n), o in zip(phis, closed, oracle.tolist())]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pellip import VerificationError
 from pellip import bellman as bl
 from pellip import ellipticity as el
 from pellip.realform import realify, vectorize
@@ -646,6 +647,17 @@ def test_ratio_scaling_symmetry(rz, re_, s, p, seed):
     ratio = _form_ratio(params, A, B, z, e, o1, o2)
     assert abs(_form_ratio(params, A, B, a * z, b * e, a * o1, b * o2)
                - ratio) <= 1e-9 * max(1.0, abs(ratio))
+
+
+def test_convexity_verify_raises_where_the_bound_fails(monkeypatch):
+    # _convexity reports a failure, which delta scans read; the public
+    # call raises it
+    monkeypatch.setattr(bl, "_convexity",
+                        lambda *a: {"min_ratio": 0.0, "bound": 1.0, "pass": False})
+    A = el.rotation_matrix(0.3, 2)
+    with pytest.raises(VerificationError) as exc:
+        bl.convexity_verify(A, A, 3.0)
+    assert str(exc.value) == "convexity bound violated: min_ratio=0 < bound=1"
 
 
 def test_convexity_verify_refuses_nonelliptic():

@@ -125,14 +125,21 @@ def test_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     # 1.6 wins over the disagreement at phi = 0.2
     assert cli.main(["heatnorm", "--phi-grid", "0.2:1.6:0.7", "--p", "4"]) == 2
     assert "input error: |phi| must be less than pi/2" in capsys.readouterr().err
+    # p is one value for the sweep: its range is checked before any angle,
+    # so a p outside the oracle's range wins over the overflow of C^n
+    assert cli.main(["heatnorm", "--p", "1", "--phi-grid", "0:1.4:0.7",
+                     "--n", "100000"]) == 2
+    assert "input error: exponent must lie in (1, inf)" in capsys.readouterr().err
 
 
 _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
                 "ratio": 0.5, "monotone": True, "budget_ok": True, "a0": 0.5}
 
 
+# Each case replaces the call one level below a library verdict, so both
+# the library's check and the CLI's exit 3 run.
 @pytest.mark.parametrize("argv, target, result, message", [
-    (["bellman", "--spec", "rot.json", "--p", "3"], (bellman, "convexity_verify"),
+    (["bellman", "--spec", "rot.json", "--p", "3"], (bellman, "_convexity"),
      {"min_ratio": 0.0, "bound": 1.0, "pass": False}, "convexity bound violated"),
     (["dissipativity", "--spec", "rot.json", "--p", "3", "--grid-cells", "16"],
      (field, "dissipativity_functional"), (-1.0, -1.0), "dissipativity functional negative"),
@@ -142,8 +149,10 @@ _HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
      {**_HEAT_REPORT, "ratio": 1.5}, "exceeded the closed bound"),
     (["heatflow", "--spec", "rot1.json", "--p", "3"], (field, "heat_flow_experiment"),
      {**_HEAT_REPORT, "budget_ok": False}, "exceeded the energy budget"),
+    (["heatnorm", "--phi-grid", "0.2", "--p", "4"], (heatnorm, "gaussian_oracle"),
+     np.array([2.0]), "disagrees with the closed form"),
 ], ids=["bellman", "dissipativity", "heatflow-monotone", "heatflow-ratio",
-        "heatflow-budget"])
+        "heatflow-budget", "heatnorm"])
 def test_verification_failures_of_each_check_exit_3(tmp_path, capsys, monkeypatch,
                                                     argv, target, result, message):
     specs = rotation_specs(tmp_path)
@@ -387,7 +396,7 @@ def test_dissipativity_outside_the_p_range_reports_without_a_verdict(tmp_path, c
     # is floored (_DELTA_Q_FLOOR), and delta_p < 0 leaves nothing to verify
     spec = write_spec(tmp_path, "wide.json", {"kind": "rotation", "phi": 1.5})
     c = bellman.pair_constants(*[ellipticity.rotation_matrix(1.5, 2)] * 2, 3.0)
-    assert c.delta_p < 0 and c.delta_p_B < cli._DELTA_Q_FLOOR
+    assert c.delta_p < 0 and c.delta_p_B < field._DELTA_Q_FLOOR
     assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert all(math.isfinite(v) for v in row.values())

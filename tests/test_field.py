@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from pellip import ParameterError
+from pellip import ParameterError, VerificationError
 from pellip import bellman as bl
 from pellip import ellipticity as el
 from pellip import field as fd
@@ -1099,6 +1099,42 @@ def test_heat_flow_monotone_and_budget():
     assert 0 < out["ratio"] <= 1.0
     assert np.all(np.diff(out["energy"]) <= 1e-9)
     assert out["energy"][0] > out["energy"][-1] > 0
+
+
+_HEAT_REPORT = {"times": [0.0], "energy": [1.0], "bilinear": [1.0],
+                "ratio": 0.5, "monotone": True, "budget_ok": True, "a0": 0.5}
+
+
+@pytest.mark.parametrize("failed, message", [
+    ({"monotone": False}, "Bellman energy was not nonincreasing"),
+    ({"ratio": 1.5}, "bilinear time integral exceeded the closed bound (ratio 1.5)"),
+    ({"budget_ok": False},
+     "bilinear time integral exceeded the energy budget E(0)/a0 (a0 = 0.5)"),
+    ({"monotone": False, "ratio": 1.5, "budget_ok": False},
+     "Bellman energy was not nonincreasing"),
+], ids=["monotone", "ratio", "budget", "first-of-three"])
+def test_heat_flow_verify_raises_on_each_failed_check(monkeypatch, failed, message):
+    A = fd.constant_field(fd.Grid(1, 16, 4.0), np.array([[np.exp(0.3j)]]))
+    monkeypatch.setattr(fd, "heat_flow_experiment",
+                        lambda *a: {**_HEAT_REPORT, **failed})
+    with pytest.raises(VerificationError) as exc:
+        fd.heat_flow_verify(A, 3.0, 5)
+    assert str(exc.value) == message
+
+
+def test_heat_flow_verify_needs_a_1d_field():
+    A = fd.constant_field(fd.Grid(2, 16, 4.0), el.rotation_matrix(0.3, 2))
+    with pytest.raises(ParameterError, match="needs a 1-D coefficient field"):
+        fd.heat_flow_verify(A, 3.0, 5)
+
+
+def test_dissipativity_verify_raises_where_the_value_is_negative(monkeypatch):
+    A = fd.constant_field(fd.Grid(2, 16, 4.0), el.rotation_matrix(0.3, 2))
+    monkeypatch.setattr(fd, "dissipativity_functional", lambda *a: (-1.0, -1.0))
+    with pytest.raises(VerificationError) as exc:
+        fd.dissipativity_verify(A, 3.0, 5)
+    assert str(exc.value) == ("dissipativity functional negative (-1) although "
+                              "the p-ellipticity constant is nonnegative")
 
 
 def test_heat_flow_rejects_nonelliptic():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellip import ParameterError
+from pellip import ParameterError, VerificationError
 from pellip import heatnorm as hn
 
 
@@ -211,6 +211,14 @@ def test_batched_oracle_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_tensorized_demo_raises_at_the_first_disagreeing_angle(monkeypatch):
+    # the oracle is compared with C after its one call, in input order
+    monkeypatch.setattr(hn, "gaussian_oracle", lambda phi, p: np.full(np.shape(phi), 2.0))
+    with pytest.raises(VerificationError) as exc:
+        hn.tensorized_demo([0.5, 0.2], 4.0, 1)
+    assert str(exc.value) == "Gaussian oracle 2 disagrees with the closed form 1 at phi=0.5"
 
 
 def test_tensorized_demo_checks_every_angle_before_the_oracle(monkeypatch):
