@@ -45,6 +45,10 @@ _FD_STEP = 1e-5
 # Slack of convexity_verify's pass test min_ratio >= bound - _VERIFY_TOL,
 # for rounding in the eigenvalue reductions behind min_ratio.
 _VERIFY_TOL = 1e-8
+# convexity_verify solves 4n x 4n eigenproblems at every scan point, 3-5x
+# slower per doubling of n (1.2 s at n = 32, e^{0.3i} I_n, p = 4, one core):
+# it refuses larger pairs, and the CLI caps a rotation spec's n here.
+MAX_N = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -364,7 +368,8 @@ class PairConstants:
     """The constants of (A, B) at p, each reduced once per side: the
     p-ellipticity constants delta_p_A and delta_p_B, lam = min(lam_A,
     lam_B), Lam = max(Lam_A, Lam_B) and lam_A.  Every judgement of the pair
-    reads them.
+    reads them, and Q's delta: the paper's delta_choice(lam, Lam, delta_p_B)
+    where the joint delta_p is positive, else 0.5.
 
     A side has one p-ellipticity number: xi -> i xi maps weighted_form(.,
     p) onto weighted_form(., q), q = p / (p - 1), so delta_p = delta_q.  It
@@ -390,7 +395,8 @@ class PairConstants:
 
     @property
     def delta(self) -> float:
-        return delta_choice(self.lam, self.Lam, self.delta_p_B)
+        elliptic = self.delta_p > 0
+        return delta_choice(self.lam, self.Lam, self.delta_p_B) if elliptic else 0.5
 
 
 def pair_constants(A, B, p: float) -> PairConstants:
@@ -607,26 +613,30 @@ def _balanced_minimizer(Kt: np.ndarray) -> np.ndarray:
 
 def convexity_verify(A: np.ndarray, B: np.ndarray, p: float) -> dict:
     """Judge (A, B) at p by the sign of the joint delta_p of one
-    :func:`pair_constants`: > 0, :func:`_convexity`'s report at the paper's
-    delta, VerificationError where it fails; = 0 (a p-range endpoint),
-    ParameterError; < 0, :func:`_violation`'s witness at delta = 0.5, its
-    value as min_ratio, bound 0 and pass true.  Both read those constants
-    only, and hold delta, delta_p, min_ratio, bound, witness, pass and
-    violation (true on the last)."""
+    :func:`pair_constants`, at its delta: > 0, :func:`_convexity`'s report,
+    VerificationError where it fails; = 0 (a p-range endpoint),
+    ParameterError; < 0, :func:`_violation`'s witness, its value as
+    min_ratio, bound 0 and pass true.  Both read those constants only, and
+    hold delta, delta_p, min_ratio, bound, witness, pass and violation (true
+    on the last).  Refuses matrices larger than ``MAX_N`` before any of it."""
+    n = max(np.shape(A)[-1], np.shape(B)[-1])
+    if n > MAX_N:
+        raise ParameterError(f"bellman takes matrices of size at most {MAX_N}, got {n}")
     constants = pair_constants(A, B, p)
+    if constants.delta_p == 0:
+        raise ParameterError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
+                             "range (delta_p = 0): no convexity bound and no violation")
+    params = BellmanParams(p, constants.delta)
     if constants.delta_p > 0:
-        out = _convexity(BellmanParams(p, constants.delta), A, B, constants)
+        out = _convexity(params, A, B, constants)
         if not out["pass"]:
             raise VerificationError(
                 f"convexity bound violated: min_ratio={out['min_ratio']:.6g} "
                 f"< bound={out['bound']:.6g}")
         return out
-    if constants.delta_p == 0:
-        raise ParameterError(f"p = {p:g} is an endpoint of the pair's p-ellipticity "
-                             "range (delta_p = 0): no convexity bound and no violation")
-    witness = _violation(BellmanParams(p, 0.5), A, B, constants)
+    witness = _violation(params, A, B, constants)
     value = witness.pop("value")
-    return {"delta": 0.5, "delta_p": constants.delta_p, "min_ratio": value,
+    return {"delta": params.delta, "delta_p": constants.delta_p, "min_ratio": value,
             "bound": 0.0, "witness": witness, "pass": True, "violation": True}
 
 

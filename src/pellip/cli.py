@@ -1,13 +1,13 @@
 """Batch command-line front end.
 
 Each subcommand adapts its spec and grid, makes one library call and
-names the columns of its rows; every numerical decision, from probe data
-and delta to each verdict, is the library's.  Each declares only the
-flags it reads (``_COMMANDS``) besides the shared ``--seed``, ``--out`` and
-``--format``, and three it accepts for old argv and ignores: ``bellman
---budget`` and the closed-form ``counterexample``'s ``--grid-cells`` and
-``--extent``; argparse rejects any other flag, or prefix of one, with
-exit 2.  A spec file loads to a validated complex (n, n) matrix or a
+names the columns of its rows; every numerical decision, from probe data,
+delta and size bounds to each verdict and sign, is the library's.  Each
+declares only the flags it reads (``_COMMANDS``) besides the shared
+``--seed``, ``--out`` and ``--format``, and three it accepts for old argv
+and ignores: ``bellman --budget`` and the closed-form ``counterexample``'s
+``--grid-cells`` and ``--extent``; argparse rejects any other flag, or
+prefix of one, with exit 2.  A spec file loads to a validated complex (n, n) matrix or a
 ``field.MatrixField``: ``bellman`` takes matrices of one size,
 ``dissipativity`` and ``heatflow`` spread a matrix over their
 --grid-cells grid and run a field on its own grid.  Reports are emitted
@@ -70,13 +70,6 @@ def load_spec(path: str):
     return spec_from_dict(doc)
 
 
-# e^{i phi} I_n is dense and bellman solves 4n x 4n eigenproblems at
-# every scan point: its run takes 3-5x longer per doubling of n, 1.2 s at
-# n = 32 (p = 4, phi = 0.3) on one core.  So a rotation spec's n is capped
-# there.
-_MAX_ROTATION_N = 32
-
-
 def spec_from_dict(doc: dict):
     """A validated complex (n, n) matrix, or a field.MatrixField."""
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -87,9 +80,9 @@ def spec_from_dict(doc: dict):
             phi, n = _number(doc, "phi"), doc.get("n", 2)
             if not abs(phi) < math.pi / 2:
                 raise InputError("rotation angle must satisfy |phi| < pi/2")
-            if type(n) is not int or not 1 <= n <= _MAX_ROTATION_N:
+            if type(n) is not int or not 1 <= n <= bellman.MAX_N:
                 raise InputError("rotation dimension n must be an integer in "
-                                 f"[1, {_MAX_ROTATION_N}], got {n!r}")
+                                 f"[1, {bellman.MAX_N}], got {n!r}")
             return ellipticity.rotation_matrix(phi, n)
         if kind == "skew":
             w = _number(doc, "w")
@@ -222,18 +215,12 @@ def _cmd_dissipativity(args) -> list[dict]:
 
 def _cmd_counterexample(args) -> list[dict]:
     gammas = [float(g) for g in _parse_scan(args.gamma_scan)]
-    rows, first = [], True
-    for gamma, out in zip(gammas, field.counterexample_section7(args.p, gammas)):
-        negative = out["value"] < 0
-        rows.append({"gamma": gamma, "p": args.p, "value": out["value"],
-                     "elliptic_r": out["terms"][0],
-                     "elliptic_phi": out["terms"][1],
-                     "rotational": out["terms"][2],
-                     "decomposition_error": out["decomposition_error"],
-                     "negative": negative,
-                     "first_negative": negative and first})
-        first = first and not negative
-    return rows
+    return [{"gamma": gamma, "p": args.p, "value": out["value"],
+             "elliptic_r": out["terms"][0], "elliptic_phi": out["terms"][1],
+             "rotational": out["terms"][2],
+             "decomposition_error": out["decomposition_error"],
+             "negative": out["negative"], "first_negative": out["first_negative"]}
+            for gamma, out in zip(gammas, field.counterexample_section7(args.p, gammas))]
 
 
 def _cmd_heatflow(args) -> list[dict]:

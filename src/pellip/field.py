@@ -58,9 +58,6 @@ __all__ = [
 MAX_CELLS = 2 ** 18  # 512^2; Grid checks it before any array is built
 # default_identity_case lives on [-3, 3]^2, one period of its data.
 _IDENTITY_EXTENT = 3.0
-# dissipativity_verify floors delta_q(A), delta's input, here: its identity
-# checks need delta > 0 also outside the p-range, where delta_p(A) <= 0.
-_DELTA_Q_FLOOR = 1e-6
 # refinement_study treats residuals below this as rounding: identity
 # (ii) of identity_checks is exact and reads ~2e-17 on every grid.
 _RESIDUAL_FLOOR = 1e-12
@@ -88,7 +85,7 @@ _NORMAL_TOL = 1e-12
 # OperatorMatrix.matrix refuses more cells: the dense array takes 16 N^2
 # bytes (268 MB at 4096 cells) and the eigh factor that reads it O(N^3) time.
 _DENSE_CELLS = 4096
-# _propagator refuses more entries (cells x columns x times) before it
+# _refuse_flow refuses more entries (cells x columns x times) before a flow
 # allocates: 1-D heatflow (41 times) peaked at 316 MB RSS at 65536 cells.
 _FLOW_ENTRIES = 2 ** 22
 # Power-method steps per start of contractivity_probe (evidence only),
@@ -485,14 +482,13 @@ def identity_checks(A: MatrixField, B: MatrixField, f: GridFunction,
 
 def dissipativity_verify(A: MatrixField, p: float, seed: int) -> dict:
     """:func:`identity_checks` of (A, A) on a smooth pair drawn from
-    ``seed``, at the delta of :func:`pellip.bellman.pair_constants`
-    (delta_q(A) floored at ``_DELTA_Q_FLOOR``).  Raises VerificationError
-    where the value is below -1e-8 although delta_p(A) >= 0; where
-    delta_p(A) < 0 it gives the row with no verdict."""
+    ``seed``, at the delta of :func:`pellip.bellman.pair_constants`, which
+    does not change with the scale of A.  Raises VerificationError where
+    the value is below -1e-8 although delta_p(A) >= 0; where delta_p(A) < 0
+    it gives the row with no verdict."""
     f, g = _smooth_pair(A.grid, np.random.default_rng(seed))
     c = _bellman.pair_constants(A, A, p)
-    delta = _bellman.delta_choice(c.lam, c.Lam, max(c.delta_p_B, _DELTA_Q_FLOOR))
-    row = identity_checks(A, A, f, g, _bellman.BellmanParams(p, delta))
+    row = identity_checks(A, A, f, g, _bellman.BellmanParams(p, c.delta))
     if c.delta_p >= 0 and row["value"] < -1e-8:
         raise VerificationError(
             f"dissipativity functional negative ({row['value']:.6g}) although the "
@@ -575,8 +571,9 @@ def counterexample_section7(p: float, gammas) -> list[dict]:
     """Dissipativity of A = I - i*gamma*chi_E*R on E = {|x1| >= |x2|},
     tested on f = r e^{i phi} = exp(-pi |x|^2 - i p x1 x2), in closed
     form, for every gamma of ``gammas``: one dict per gamma, in input
-    order, with the value and its terms (elliptic in r, elliptic in phi,
-    rotational).
+    order, with the value, its terms (elliptic in r, elliptic in phi,
+    rotational) and the verdict: ``negative`` (value < 0) and
+    ``first_negative`` (the first negative row in input order).
 
     With A = I + i w R and w = -gamma chi_E, the integrand of
     Re integral <A grad f, grad(|f|^{p-2} f)> is
@@ -610,10 +607,13 @@ def counterexample_section7(p: float, gammas) -> list[dict]:
         raise ParameterError("gamma must lie in [0, 1)")
     x = 1.0 / p
     t1, t2, T3 = 4.0 * math.pi * (x - x * x), 1.0 / math.pi, -2.0 / math.pi
-    rows = []
+    rows, first = [], True
     for gamma in gammas:
         terms = (t1, t2, gamma * T3 + 0.0)  # + 0.0: gamma = 0 gives 0.0, not -0.0
-        rows.append({"value": sum(terms), "terms": terms, "decomposition_error": 0.0})
+        value = sum(terms)
+        rows.append({"value": value, "terms": terms, "decomposition_error": 0.0,
+                     "negative": value < 0, "first_negative": first and value < 0})
+        first = first and not value < 0
     return rows
 
 
@@ -773,8 +773,7 @@ def _propagator(L: OperatorMatrix, times, v: np.ndarray,
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ParameterError("time must be finite and nonnegative")
-    if v.size * times.size > _FLOW_ENTRIES:
-        raise ParameterError(f"flow of {v.size * times.size} entries exceeds {_FLOW_ENTRIES}")
+    _refuse_flow(v.size * times.size)
     d = L._factor[1]
     w = _apply_basis(L, v, adjoint=True)
     if d.ndim == 1:
@@ -784,6 +783,11 @@ def _propagator(L: OperatorMatrix, times, v: np.ndarray,
         E = (L._expm(t) for t in times)
         w = np.stack([(e.conj().T if adjoint else e) @ w for e in E], axis=-1)
     return _apply_basis(L, w.reshape(len(d), -1), adjoint=False).reshape(w.shape)
+
+
+def _refuse_flow(entries: int) -> None:
+    if entries > _FLOW_ENTRIES:
+        raise ParameterError(f"flow of {entries} entries exceeds {_FLOW_ENTRIES}")
 
 
 def _apply_basis(L: OperatorMatrix, v: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -817,12 +821,13 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     """Bellman energy flow along the two semigroups at ``_HEAT_TIMES``.
 
     Tracks E(t) = integral of Q(e^{-tL_A} f, e^{-tL_B} g), checks it is
-    nonincreasing, accumulates the bilinear gradient integrand and
-    compares with both the energy budget E(0)/a0 and the closed
-    constant (20/delta_p)(Lam/lam) ||f||_p ||g||_q, with slack ``_HEAT_TOL``.
-    A, B, f and g must share one grid.  Each flow is propagated from t = 0
-    to all heat times in one product (see :func:`_propagator`), and the
-    energy and bilinear integrands are evaluated on the trailing time axis.
+    nonincreasing, accumulates the bilinear gradient integrand and compares
+    with both the energy budget E(0)/a0 and the closed constant (20/delta_p)
+    (Lam/lam) ||f||_p ||g||_q, with slack ``_HEAT_TOL``; it refuses a closed
+    constant of 0 (f or g vanishes on the grid) before any flow.  A, B, f
+    and g must share one grid.  Each flow is propagated from t = 0 to all
+    heat times in one product (see :func:`_propagator`), and the energy and
+    bilinear integrands are evaluated on the trailing time axis.
     """
     gr = A.grid
     if not B.grid == f.grid == g.grid == gr:
@@ -831,6 +836,10 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
     if not c.delta_p > 0:
         raise ParameterError("joint p-ellipticity constant must be positive")
     params = _bellman.BellmanParams(p, c.delta)
+    _refuse_flow(gr.size * _HEAT_TIMES.size)  # before the norms allocate
+    closed = (20.0 / c.delta_p) * (c.Lam / c.lam) * lp_norm(f, p) * lp_norm(g, params.q)
+    if not closed > 0:
+        raise ParameterError("f or g vanishes on the grid: the closed bound is 0")
     LA = OperatorMatrix(A)
     LB = LA if B is A else OperatorMatrix(B)
     shape = gr.shape + (_HEAT_TIMES.size,)
@@ -846,7 +855,6 @@ def heat_flow_experiment(A: MatrixField, B: MatrixField, f: GridFunction,
                                  * (bilinear[1:] + bilinear[:-1]) / 2.0))
     a0 = c.bound
     budget_ok = a0 * time_integral <= energy[0] + _HEAT_TOL
-    closed = (20.0 / c.delta_p) * (c.Lam / c.lam) * lp_norm(f, p) * lp_norm(g, params.q)
     return {
         "times": _HEAT_TIMES.copy(),
         "energy": energy,

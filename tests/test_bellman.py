@@ -660,6 +660,16 @@ def test_convexity_verify_raises_where_the_bound_fails(monkeypatch):
     assert str(exc.value) == "convexity bound violated: min_ratio=0 < bound=1"
 
 
+def test_convexity_verify_refuses_a_pair_beyond_its_size_bound(monkeypatch):
+    # 4n x 4n eigenproblems at every scan point: a 33 x 33 pair is refused
+    # before any of its constants is reduced
+    monkeypatch.setattr(bl, "pair_constants", lambda *a: pytest.fail("reduced"))
+    A = np.exp(0.3j) * np.eye(bl.MAX_N + 1)
+    with pytest.raises(bl.ParameterError) as exc:
+        bl.convexity_verify(A, A, 4.0)
+    assert str(exc.value) == "bellman takes matrices of size at most 32, got 33"
+
+
 def test_convexity_verify_refuses_nonelliptic():
     # the core refuses a pair with delta_p < 0; the public call reports
     # the violation instead, at delta = 0.5
@@ -744,11 +754,12 @@ def test_pair_constants_match_their_definitions():
         assert (c.lam, c.Lam) == (min(lamA, lamB), max(LamA, LamB))
         assert c.bound == c.delta_p / 5.0 * c.lam / c.Lam
         assert c.delta == bl.delta_choice(c.lam, c.Lam, el.delta_p(B, q))
-    # a non-elliptic pair still has constants, but no admissible delta
-    c = bl.pair_constants(el.rotation_matrix(1.5, 2), B, 3.0)
-    assert c.delta_p < 0
-    with pytest.raises(ValueError):
-        bl.pair_constants(A, el.rotation_matrix(1.5, 2), 3.0).delta
+    # a non-elliptic pair still has constants, and delta 0.5 (the paper's
+    # delta_choice reads delta_p_B, positive in the first pair)
+    for c in (bl.pair_constants(el.rotation_matrix(1.5, 2), B, 3.0),
+              bl.pair_constants(A, el.rotation_matrix(1.5, 2), 3.0)):
+        assert c.delta_p < 0
+        assert c.delta == 0.5
 
 
 def test_pair_constants_refuse_p_whose_conjugate_rounds_to_1():

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pellip import bellman, cli, ellipticity, field, heatnorm, realform
 
@@ -354,6 +356,20 @@ def test_heatflow_runs_on_the_field_grid(tmp_path, capsys, boundary):
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 41
 
 
+@pytest.mark.parametrize("cells, extent", [(8, "300"), (64, "2000"), (8, "180")])
+def test_heatflow_refuses_data_that_vanish_on_the_grid(tmp_path, capsys, monkeypatch,
+                                                       cells, extent):
+    # no cell centre lies within 37.5 of 0 on the first two grids, where
+    # the Gaussian f underflows to 0 on every cell; on the third f is about
+    # 1e-220, and ||f||_p ||g||_q underflows.  The ratio had divided by the
+    # closed bound 0 (exit 1)
+    monkeypatch.setattr(field, "_propagator", lambda *a, **k: pytest.fail("flowed"))
+    spec = write_spec(tmp_path, "rot1.json", {"kind": "rotation", "phi": 0.3, "n": 1})
+    assert cli.main(["heatflow", "--spec", spec, "--p", "3", "--grid-cells",
+                     str(cells), "--extent", extent]) == 2
+    assert "f or g vanishes on the grid" in capsys.readouterr().err
+
+
 def test_heatflow_rejects_2d_field(tmp_path, capsys):
     spec = write_spec(tmp_path, "s7.json", {
         "kind": "field", "grid": {"dim": 2, "cells": 16, "extent": 4.0},
@@ -392,14 +408,43 @@ def test_dissipativity_subcommand(tmp_path, capsys):
 
 
 def test_dissipativity_outside_the_p_range_reports_without_a_verdict(tmp_path, capsys):
-    # phi = 1.5 is outside the p = 3 angle: delta_p <= 0, so delta's input
-    # is floored (_DELTA_Q_FLOOR), and delta_p < 0 leaves nothing to verify
+    # phi = 1.5 is outside the p = 3 angle: delta_p < 0, so the identity
+    # checks run at the pair's delta 0.5, and there is nothing to verify
     spec = write_spec(tmp_path, "wide.json", {"kind": "rotation", "phi": 1.5})
     c = bellman.pair_constants(*[ellipticity.rotation_matrix(1.5, 2)] * 2, 3.0)
-    assert c.delta_p < 0 and c.delta_p_B < field._DELTA_Q_FLOOR
+    assert c.delta_p < 0 and c.delta == 0.5
     assert cli.main(["dissipativity", "--spec", spec, "--p", "3"]) == 0
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert all(math.isfinite(v) for v in row.values())
+
+
+def _dissipativity_row(directory, A) -> dict:
+    spec = directory / "scaled.json"
+    spec.write_text(json.dumps({"kind": "constant", "entries": [
+        [[z.real, z.imag] for z in row] for row in A]}))
+    out = directory / "row.json"
+    assert cli.main(["dissipativity", "--spec", str(spec), "--p", "3",
+                     "--grid-cells", "32", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["rows"][0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(-60, 60))
+@example(k=-60)
+@example(k=-30)
+@example(k=60)
+def test_dissipativity_is_covariant_under_scaling(tmp_path_factory, k):
+    # delta = lam delta_p / (10 Lam^2) does not change with the scale of A,
+    # and every other column is linear in A: 2^k A scales them by 2^k
+    # exactly, and the divergence-free pairing, which does not read A,
+    # not at all.  An absolute floor under delta_p had pushed delta past 1
+    # from k = -30 down (exit 2).
+    directory = tmp_path_factory.mktemp("scale")
+    A = np.exp(0.4j) * np.array([[1, 0.3], [-0.2, 0.9]])
+    ref, row = [_dissipativity_row(directory, 2.0 ** j * A) for j in (0, k)]
+    for key in ("value", "companion", "hessian_identity", "chain_rule"):
+        assert row[key] == math.ldexp(ref[key], k)
+    assert row["antisymmetric_divfree"] == ref["antisymmetric_divfree"]
 
 
 def test_dissipativity_on_a_1d_field(tmp_path, capsys):
@@ -456,8 +501,8 @@ def test_nan_results_exit_1(tmp_path, capsys, monkeypatch, argv):
     # the library's result is replaced by one with NaN.
     monkeypatch.setattr(field, "dissipativity_functional", lambda *a: (math.nan, 0.0))
     monkeypatch.setattr(field, "counterexample_section7", lambda p, gammas: [
-        {"value": math.nan, "terms": (0.0, 0.0, 0.0), "decomposition_error": 0.0}
-        for _ in gammas])
+        {"value": math.nan, "terms": (0.0, 0.0, 0.0), "decomposition_error": 0.0,
+         "negative": False, "first_negative": False} for _ in gammas])
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3})
     argv = [spec if a == "rot.json" else a for a in argv]
     assert cli.main(argv) == 1
@@ -772,7 +817,7 @@ def test_bellman_computes_each_pair_constant_once(tmp_path, monkeypatch):
     assert calls == {"accretivity_bounds": 2, "delta_p": 2}
 
 
-@pytest.mark.parametrize("n", [0, -1, cli._MAX_ROTATION_N + 1, 3000, 100_000,
+@pytest.mark.parametrize("n", [0, -1, bellman.MAX_N + 1, 3000, 100_000,
                                2.7, 2.0, True, "2"])
 def test_rotation_dimension_is_bounded(tmp_path, capsys, n):
     spec = write_spec(tmp_path, "rot.json", {"kind": "rotation", "phi": 0.3, "n": n})
@@ -781,9 +826,21 @@ def test_rotation_dimension_is_bounded(tmp_path, capsys, n):
 
 
 def test_rotation_dimension_cap_is_accepted():
-    n = cli._MAX_ROTATION_N
+    n = bellman.MAX_N
     A = cli.spec_from_dict({"kind": "rotation", "phi": 0.3, "n": n})
     assert A.shape == (n, n)
+
+
+def test_bellman_size_bound_covers_a_constant_spec(tmp_path, capsys):
+    # a constant e^{0.3i} I_33 loads, and ellipticity runs on it; bellman,
+    # whose cost grows as n^3, refuses it
+    spec = write_spec(tmp_path, "eye33.json", {"kind": "constant", "entries": [
+        [[0.955336489125606, 0.29552020666134] if i == j else [0, 0] for j in range(33)]
+        for i in range(33)]})
+    assert cli.main(["ellipticity", "--spec", spec, "--p", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(["bellman", "--spec", spec, "--p", "4"]) == 2
+    assert "bellman takes matrices of size at most 32, got 33" in capsys.readouterr().err
 
 
 def test_heatnorm_agrees_with_oracle_near_right_angle(capsys):

@@ -1014,6 +1014,20 @@ def test_counterexample_domain_errors():
             fd.counterexample_section7(4.0, [0.5, 0.9, bad])
 
 
+def test_counterexample_verdict_reads_the_scan_in_input_order():
+    # gamma*(40) = 0.98114: an unsorted scan that straddles it, negative
+    # at 0.99, 0.985 and 0.995, and first so at 0.99
+    gammas = [0.6, 0.99, 0.5, 0.985, 0.97, 0.995, 0.0]
+    rows = fd.counterexample_section7(40.0, gammas)
+    negative = [g > 0.5 + 2 * math.pi**2 * 39 / 40**2 for g in gammas]
+    assert [r["negative"] for r in rows] == negative
+    assert [r["value"] < 0 for r in rows] == negative
+    assert [r["first_negative"] for r in rows] == [i == 1 for i in range(len(gammas))]
+    # no negative value: no first one
+    rows = fd.counterexample_section7(4.0, [0.9, 0.5, 0.99])
+    assert not any(r["negative"] or r["first_negative"] for r in rows)
+
+
 def test_counterexample_rows_do_not_depend_on_the_scan():
     # a gamma's row is the same bits whichever scan it is part of
     a, b, c = 0.6, 0.8, 0.97
@@ -1135,6 +1149,22 @@ def test_dissipativity_verify_raises_where_the_value_is_negative(monkeypatch):
         fd.dissipativity_verify(A, 3.0, 5)
     assert str(exc.value) == ("dissipativity functional negative (-1) although "
                               "the p-ellipticity constant is nonnegative")
+
+
+def test_heat_flow_refuses_data_that_vanish_on_the_grid(monkeypatch):
+    # the nearest cell centre of 8 cells on [-300, 300] is x = 37.5, where
+    # e^{-x^2} underflows: ||f||_p = 0, and the ratio divided by it
+    monkeypatch.setattr(fd, "_propagator", lambda *a, **k: pytest.fail("flowed"))
+    grid = fd.Grid(1, 8, 300.0, "periodic")
+    A = fd.constant_field(grid, np.array([[np.exp(0.3j)]]))
+    with pytest.raises(ParameterError, match="f or g vanishes on the grid"):
+        fd.heat_flow_verify(A, 3.0, 5)
+    f, g = _gaussian_pair(fd.Grid(1, 16, 2.0, "periodic"))
+    A = fd.constant_field(f.grid, np.array([[np.exp(0.3j)]]))
+    zero = fd.GridFunction(f.grid, np.zeros_like(f.values))
+    for pair in ((zero, g), (f, zero)):
+        with pytest.raises(ParameterError, match="f or g vanishes on the grid"):
+            fd.heat_flow_experiment(A, A, *pair, p=3.0)
 
 
 def test_heat_flow_rejects_nonelliptic():

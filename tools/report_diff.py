@@ -2,7 +2,7 @@
 
 Every argv of the benchmark's job lists (``perfbench/jobs.py``:
 ``generate`` and ``materialize``, the timed and the warm list of each
-workload, for each seed given) and every argv of ``tools/edge_argv.json``
+workload, for each seed given) and every run of ``tools/edge_argv.json``
 runs through ``pellip.cli.main`` in-process, in one subprocess per tree:
 once on the ``src/`` of the revision, exported by ``git archive`` into a
 temporary directory, and once on the ``src/`` of the working tree.  Both
@@ -10,12 +10,15 @@ read the same spec files.  Per subcommand it prints the number of
 reports, how many are byte-identical (stdout, stderr and exit code), how
 many changed their exit code or stderr, and for each column that
 differs, how many values differ and the largest relative difference.
+It also lists each edge run whose exit code on the working tree is not
+the one the table records.
 
     python tools/report_diff.py [--rev REV] [--seeds 1 2 3] [--expect-identical]
 
 It exits 0 whatever differs; with ``--expect-identical`` it exits 1 when
-any report differs.  Run against ``--rev HEAD`` on a clean tree, it
-checks that every report is deterministic.
+any report differs or an edge run's exit code is not the table's.  Run
+against ``--rev HEAD`` on a clean tree, it checks that every report is
+deterministic.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ def _benchmark_argv(seeds, directory) -> list:
     return argvs
 
 
-def _edge_argv(directory) -> list:
-    """The argv of EDGE_ARGV, its spec names replaced by written files."""
+def edge_runs(directory) -> list:
+    """The runs of EDGE_ARGV as (argv, expected exit code) pairs, its spec
+    names replaced by files written under ``directory``."""
     with open(EDGE_ARGV, encoding="utf-8") as fh:
         doc = json.load(fh)
     os.makedirs(directory, exist_ok=True)
@@ -64,7 +68,7 @@ def _edge_argv(directory) -> list:
         paths[name] = os.path.join(directory, name)
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
-    return [[paths.get(a, a) for a in argv] for argv in doc["argv"]]
+    return [([paths.get(a, a) for a in run["argv"]], run["exit"]) for run in doc["runs"]]
 
 
 def _export(rev: str, directory: str) -> str:
@@ -170,11 +174,13 @@ def main(argv=None) -> int:
                     "the working tree against (default HEAD)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--expect-identical", action="store_true",
-                    help="exit 1 unless every report is byte-identical")
+                    help="exit 1 unless every report is byte-identical and "
+                    "every edge run exits with the table's code")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="report_diff-") as tmp:
+        edge = edge_runs(os.path.join(tmp, "specs", "edge"))
         argvs = (_benchmark_argv(args.seeds, os.path.join(tmp, "specs"))
-                 + _edge_argv(os.path.join(tmp, "specs", "edge")))
+                 + [argv for argv, _ in edge])
         argv_path = os.path.join(tmp, "argv.json")
         with open(argv_path, "w", encoding="utf-8") as fh:
             json.dump(argvs, fh)
@@ -197,7 +203,11 @@ def main(argv=None) -> int:
                   f"\n      stderr {a[2].strip()!r}\n          -> {b[2].strip()!r}")
     differ = sum(s["reports"] - s["identical"] for s in summary.values())
     print(f"{differ} of {len(argvs)} reports differ")
-    return 1 if args.expect_identical and differ else 0
+    wrong = [(argv, want, got[0]) for (argv, want), got
+             in zip(edge, new[len(argvs) - len(edge):]) if got[0] != want]
+    for argv, want, got in wrong:
+        print(f"edge run {_short(argv)}: exit {got}, the table records {want}")
+    return 1 if args.expect_identical and (differ or wrong) else 0
 
 
 if __name__ == "__main__":
